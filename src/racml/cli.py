@@ -21,7 +21,7 @@ import scipy.sparse as sp
 
 from . import data_io, elastic_net, spectral, svm
 from .engine import BlockDefinitenessError, solve
-from .problems import Mode, SolverConfig, Status, load_qp_manifest, validate_problem
+from .problems import Mode, SolverConfig, Status, load_qp_manifest
 
 SCHEMA_TAG = "racml/run-record/v1"
 
@@ -90,9 +90,6 @@ def _load_dataset(path: str, classification: bool = False) -> data_io.Dataset:
 
 def _cmd_qp_solve(args, argv) -> int:
     problem = load_qp_manifest(args.manifest)
-    report = validate_problem(problem)
-    if not report.ok:
-        raise ValueError("invalid problem: " + "; ".join(report.issues))
     config = SolverConfig(
         mode=Mode(args.mode), block_size=min(args.block_size, problem.n),
         beta_penalty=args.beta, max_iters=args.max_iter,
@@ -160,11 +157,12 @@ def _cmd_en_fit(args, argv) -> int:
          "tol": args.tol, "center": args.center, "scale": args.scale},
         args.seed, wall, iterations=model.iterations,
         residuals={"split_l1": model.residual},
-        metrics={"objective": obj,
+        metrics={"status": model.status, "objective": obj,
                  "nonzeros": int(np.count_nonzero(model.z))},
         artifacts=[args.model] if args.model else [])
     _emit(record, args.pretty)
-    if args.tol is not None and model.residual > args.tol:
+    if model.status == Status.DIVERGED or \
+            (args.tol is not None and model.status != Status.CONVERGED):
         return 1
     return 0
 
@@ -202,16 +200,13 @@ def _cmd_svm_train(args, argv) -> int:
          "max_iter": args.max_iter, "tol_primal": args.tol_primal,
          "tol_dual": args.tol_dual},
         args.seed, wall, iterations=diag.iterations,
-        residuals={
-            "primal": float(diag.primal_residual_history[-1]),
-            "dual": float(diag.dual_residual_history[-1]),
-        },
+        residuals={"primal": diag.primal_residual, "dual": diag.dual_residual},
         metrics={"status": diag.status, "n_sv": int(model.support_duals.size),
                  "bias": model.bias,
                  "train_accuracy": svm.accuracy(model, ds.X, ds.y)},
         artifacts=[args.model] if args.model else [])
     _emit(record, args.pretty)
-    return 1 if diag.status == Status.MAX_ITERS else 0
+    return 0 if diag.status == Status.CONVERGED else 1
 
 
 def _cmd_svm_predict(args, argv) -> int:

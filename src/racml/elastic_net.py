@@ -24,8 +24,8 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .data_io import density
-from .engine import BlockDefinitenessError
-from .problems import Matrix, Mode, chunk_indices
+from .engine import BlockDefinitenessError, ResidualPair, _col_slice, run_sweeps
+from .problems import Matrix, Mode, SolverConfig, Status, chunk_indices
 
 # Optional instrumentation: called with the element count of each per-block
 # temporary that fit materializes, so tests can bound peak working memory.
@@ -87,6 +87,7 @@ class ElasticNetModel:
     gamma: float
     iterations: int
     residual: float  # final ||beta - z||_1
+    status: Status = Status.MAX_ITERS
 
 
 def resolve_gamma(spec: ElasticNetSpec, X: Matrix) -> float:
@@ -141,10 +142,13 @@ def objective(X: Matrix, y: np.ndarray, beta: np.ndarray,
     return 0.5 * float(r @ r) / n + penalty
 
 
-def _col_block(X: Matrix, block) -> np.ndarray:
-    if sp.issparse(X):
-        return np.asarray(X[:, block].todense(), dtype=float)
-    return X[:, block]
+def _driver_config(spec: ElasticNetSpec, gamma: float, mode: Mode,
+                   block_size: int) -> SolverConfig:
+    """Driver settings; with ``tol`` None no sweep passes the stopping test."""
+    return SolverConfig(
+        mode=mode, block_size=block_size, beta_penalty=gamma,
+        max_iters=spec.iters, seed=spec.seed, tol_dual=math.inf,
+        tol_primal=-math.inf if spec.tol is None else spec.tol)
 
 
 def fit(X: Matrix, y: np.ndarray, spec: ElasticNetSpec) -> ElasticNetModel:
@@ -158,9 +162,11 @@ def fit(X: Matrix, y: np.ndarray, spec: ElasticNetSpec) -> ElasticNetModel:
     X beta (never forming the full Gram matrix); then z is updated in closed
     form and the dual takes one step xi <- xi - gamma (beta - z). Runs
     exactly ``spec.iters`` sweeps, or stops earlier once ||beta - z||_1 falls
-    below ``spec.tol`` when a tolerance is configured. With lam=0 the
-    splitting residual vanishes identically after every z-step, so use the
-    fixed-sweep protocol there.
+    below ``spec.tol`` when a tolerance is configured; the model's
+    ``status`` says which (CONVERGED within ``tol``, MAX_ITERS otherwise,
+    DIVERGED if the residual blew up). With lam=0 the splitting residual
+    vanishes identically after every z-step, so use the fixed-sweep protocol
+    there.
     """
     spec.validate()
     n, p = X.shape
@@ -171,7 +177,6 @@ def fit(X: Matrix, y: np.ndarray, spec: ElasticNetSpec) -> ElasticNetModel:
         raise ValueError(f"y has length {y.size}, expected {n}")
     gamma = resolve_gamma(spec, X)
     mode = Mode(spec.mode)
-    rng = np.random.default_rng(spec.seed)
     block_size = min(spec.block_size, p)
 
     c = -(X.T @ y) / n
@@ -181,31 +186,20 @@ def fit(X: Matrix, y: np.ndarray, spec: ElasticNetSpec) -> ElasticNetModel:
     xi = np.zeros(p)
     r = np.zeros(n)  # running X @ beta
 
-    fixed_groups = None
     factor_cache: dict = {}
-    cache_factors = False
-    if mode == Mode.RP:
-        fixed_groups = chunk_indices(rng.permutation(p), block_size)
-        cache_factors = density(X) >= AUTO_GAMMA_DENSITY
+    cache_factors = mode == Mode.RP and density(X) >= AUTO_GAMMA_DENSITY
 
-    iterations = 0
-    residual = math.inf
-    for _ in range(spec.iters):
-        if mode == Mode.RAC:
-            order = chunk_indices(rng.permutation(p), block_size)
-        else:
-            order = tuple(fixed_groups[i]
-                          for i in rng.permutation(len(fixed_groups)))
+    def sweep(order):
+        nonlocal z, xi, r
         for g in order:
             idx = np.asarray(g, dtype=int)
-            Xg = _col_block(X, idx)
+            Xg = _col_slice(X, idx)
             _note_alloc(Xg.size)
             # coupling to the other blocks through the running prediction:
             # X_b' X_rest beta_rest / n, without touching the full Gram
             cross = Xg.T @ (r - Xg @ beta[idx]) / n
             rhs = -(c[idx] + cross - xi[idx] - gamma * z[idx])
-            key = g if cache_factors else None
-            chol = factor_cache.get(key) if key is not None else None
+            chol = factor_cache.get(g)
             if chol is None:
                 gram = (Xg.T @ Xg) / n
                 _note_alloc(gram.size)
@@ -217,19 +211,21 @@ def fit(X: Matrix, y: np.ndarray, spec: ElasticNetSpec) -> ElasticNetModel:
                         "sub-block Gram matrix plus gamma*I is not positive "
                         "definite; the sub-block positive-definiteness "
                         "requirement is violated") from exc
-                if key is not None:
-                    factor_cache[key] = chol
+                if cache_factors:
+                    factor_cache[g] = chol
             new_beta = scipy.linalg.cho_solve((chol, True), rhs)
             r += Xg @ (new_beta - beta[idx])
             beta[idx] = new_beta
         z = z_update(beta, xi, gamma, spec.lam, spec.alpha)
         xi = xi - gamma * (beta - z)
-        iterations += 1
         residual = float(np.sum(np.abs(beta - z)))
-        if spec.tol is not None and residual <= spec.tol:
-            break
+        return ResidualPair(primal=residual, dual=0.0, primal_l1=residual)
+
+    run = run_sweeps(sweep, _driver_config(spec, gamma, mode, block_size), p)
     return ElasticNetModel(beta=beta, z=z, xi=xi, spec=spec, gamma=gamma,
-                           iterations=iterations, residual=residual)
+                           iterations=run.iterations,
+                           residual=float(run.primal_l1_history[-1]),
+                           status=run.status)
 
 
 def predict(model: ElasticNetModel, X: Matrix) -> np.ndarray:
@@ -293,9 +289,9 @@ def consensus_fit(X: Matrix, y: np.ndarray,
     copies = np.zeros((N, p))
     duals = np.zeros((N, p))
     z = np.zeros(p)
-    iterations = 0
-    residual = math.inf
-    for _ in range(spec.iters):
+
+    def sweep(_order):
+        nonlocal z, duals
         for i, ((kind, Xi, chol), w0) in enumerate(zip(solvers, targets)):
             w = w0 + duals[i] + gamma * z
             if kind == "direct":
@@ -307,13 +303,17 @@ def consensus_fit(X: Matrix, y: np.ndarray,
         denom = (1.0 - spec.alpha) * spec.lam + N * gamma
         z = soft_threshold(agg, spec.lam * spec.alpha) / denom
         duals -= gamma * (copies - z)
-        iterations += 1
         residual = float(np.mean(np.sum(np.abs(copies - z), axis=1)))
-        if spec.tol is not None and residual <= spec.tol:
-            break
+        return ResidualPair(primal=residual, dual=0.0, primal_l1=residual)
+
+    # The copies form one block updated all at once, so the driver's single
+    # cyclic order carries nothing the sweep needs.
+    run = run_sweeps(sweep, _driver_config(spec, gamma, Mode.CYCLIC, N), N)
     return ElasticNetModel(beta=copies.mean(axis=0), z=z,
                            xi=duals.mean(axis=0), spec=spec, gamma=gamma,
-                           iterations=iterations, residual=residual)
+                           iterations=run.iterations,
+                           residual=float(run.primal_l1_history[-1]),
+                           status=run.status)
 
 
 # Coefficient vectors longer than this go to a little-endian float64 sidecar
@@ -361,6 +361,7 @@ def save_model(model: ElasticNetModel, path) -> None:
         "xi": pack("xi", model.xi),
         "iterations": model.iterations,
         "residual": model.residual,
+        "status": Status(model.status).value,
     }
     path.write_text(json.dumps(doc))
 
@@ -379,4 +380,5 @@ def load_model(path) -> ElasticNetModel:
     return ElasticNetModel(
         beta=unpack(doc["beta"]), z=unpack(doc["z"]), xi=unpack(doc["xi"]),
         spec=spec, gamma=doc["gamma"], iterations=doc["iterations"],
-        residual=doc["residual"])
+        residual=doc["residual"],
+        status=Status(doc.get("status", Status.MAX_ITERS.value)))

@@ -8,12 +8,18 @@ block by block in Gauss-Seidel fashion (each block minimization is exact),
 then takes one dual ascent step y <- y - beta (Ax - b). Block membership is
 re-randomized per sweep (RAC), fixed with a shuffled order (RP), or fully
 deterministic (CYCLIC).
+
+``block_orders`` is the one source of block orders and ``run_sweeps`` the one
+sweep driver (stopping rule, divergence guard, residual histories). The QP
+solver here, elastic-net and C-SVC are adapters that supply a ``sweep(order)``
+callable to it.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -25,6 +31,7 @@ from .problems import (
     SolveResult,
     SolverConfig,
     Status,
+    SweepRun,
     chunk_indices,
     validate_problem,
 )
@@ -315,20 +322,73 @@ def run_sweep(problem: QpProblem, x: np.ndarray, y: np.ndarray,
     return x, y
 
 
-def _partition_groups(rng: np.random.Generator, n: int, block_size: int):
-    return chunk_indices(rng.permutation(n), block_size)
+def block_orders(mode: Mode, n: int, s: int, rng: np.random.Generator):
+    """Yield one sweep's block order per draw, without end.
+
+    RAC draws a fresh random partition every sweep; RP draws its partition
+    once, on the first draw, then a fresh permutation of the blocks every
+    sweep; CYCLIC yields the consecutive partition every sweep. Each block
+    is sorted; with ``s`` not dividing ``n`` the short block comes last in
+    the partition.
+    """
+    mode = Mode(mode)
+    if mode == Mode.RAC:
+        while True:
+            yield chunk_indices(rng.permutation(n), s)
+    if mode == Mode.CYCLIC:
+        groups = chunk_indices(np.arange(n), s)
+        while True:
+            yield groups
+    groups = chunk_indices(rng.permutation(n), s)
+    while True:
+        yield tuple(groups[i] for i in rng.permutation(len(groups)))
+
+
+def run_sweeps(sweep: Callable[[Sequence[Sequence[int]]], ResidualPair],
+               config: SolverConfig, n: int,
+               initial_primal: float = 0.0) -> SweepRun:
+    """Call ``sweep(order)`` once per block order of ``config.mode``.
+
+    ``sweep`` advances the caller's iterate by one sweep and returns the
+    residuals after it. The run ends DIVERGED once the primal residual
+    exceeds DIVERGENCE_FACTOR times ``initial_primal`` (floored at 1),
+    CONVERGED once both residuals meet ``config``'s tolerances (after the
+    last sweep only, with ``fixed_iterations``), else MAX_ITERS after
+    ``max_iters`` sweeps.
+    """
+    rng = np.random.default_rng(config.seed)
+    orders = block_orders(config.mode, n, config.block_size, rng)
+    divergence_bar = DIVERGENCE_FACTOR * max(initial_primal, 1.0)
+    primal_hist: list[float] = []
+    primal_l1_hist: list[float] = []
+    dual_hist: list[float] = []
+    status = Status.MAX_ITERS
+    for k in range(1, config.max_iters + 1):
+        res = sweep(next(orders))
+        primal_hist.append(res.primal)
+        primal_l1_hist.append(res.primal_l1)
+        dual_hist.append(res.dual)
+        if res.primal > divergence_bar:
+            status = Status.DIVERGED
+            break
+        # a fixed-iteration run tests the tolerances after its last sweep only
+        if res.primal <= config.tol_primal and res.dual <= config.tol_dual and \
+                (not config.fixed_iterations or k == config.max_iters):
+            status = Status.CONVERGED
+            break
+    return SweepRun(iterations=len(primal_hist), status=status,
+                    primal_residual_history=np.asarray(primal_hist),
+                    primal_l1_history=np.asarray(primal_l1_hist),
+                    dual_residual_history=np.asarray(dual_hist))
 
 
 def solve(problem: QpProblem, config: SolverConfig,
           sweep_hook=None) -> SolveResult:
     """Run the randomized multi-block sweep until tolerance or iteration cap.
 
-    Per sweep, RAC draws a fresh random partition, RP keeps the partition
-    drawn at iteration 0 and shuffles only the block order, CYCLIC keeps the
-    consecutive partition in fixed order. RP/CYCLIC reuse their block
-    factorizations across sweeps. Terminates when both residuals fall below
-    their tolerances, at ``max_iters``, or with DIVERGED status if the primal
-    residual exceeds DIVERGENCE_FACTOR times its initial value.
+    Block orders come from ``block_orders`` and stopping from ``run_sweeps``.
+    RP/CYCLIC reuse their block factorizations across sweeps, since their
+    partition is fixed.
 
     ``sweep_hook(k, x, y)``, when given, observes the iterate after sweep k
     (1-based); it must not mutate its arguments.
@@ -340,66 +400,26 @@ def solve(problem: QpProblem, config: SolverConfig,
     config.validate(n)
     mode = Mode(config.mode)
     beta = config.beta_penalty
-    rng = np.random.default_rng(config.seed)
 
     x = np.clip(np.zeros(n), problem.lower, problem.upper)
     y = np.zeros(problem.m)
 
-    if mode == Mode.CYCLIC:
-        fixed_groups = chunk_indices(np.arange(n), config.block_size)
-    elif mode == Mode.RP:
-        fixed_groups = _partition_groups(rng, n, config.block_size)
-    else:
-        fixed_groups = None
     # Factorizations are reused only when the partition is fixed (RAC pays
     # the refactorization each sweep by design); the problem-constant block
     # slices are cheap to keep for small instances in any mode.
     chol_cache: Optional[dict] = {} if mode in (Mode.RP, Mode.CYCLIC) else None
     piece_cache: Optional[dict] = {} if n <= 64 else (
         {} if mode in (Mode.RP, Mode.CYCLIC) else None)
+    sweep_numbers = itertools.count(1)
 
-    initial = compute_residuals(problem, x, y)
-    divergence_bar = DIVERGENCE_FACTOR * max(initial.primal, 1.0)
-
-    primal_hist: list[float] = []
-    primal_l1_hist: list[float] = []
-    dual_hist: list[float] = []
-    status = Status.MAX_ITERS
-    sweeps = 0
-    for _ in range(config.max_iters):
-        if mode == Mode.RAC:
-            order = _partition_groups(rng, n, config.block_size)
-        elif mode == Mode.RP:
-            order = tuple(fixed_groups[i] for i in rng.permutation(len(fixed_groups)))
-        else:
-            order = fixed_groups
+    def sweep(order):
+        nonlocal x, y
         x, y = run_sweep(problem, x, y, order, beta, chol_cache=chol_cache,
                          piece_cache=piece_cache)
-        sweeps += 1
         if sweep_hook is not None:
-            sweep_hook(sweeps, x, y)
-        res = compute_residuals(problem, x, y)
-        primal_hist.append(res.primal)
-        primal_l1_hist.append(res.primal_l1)
-        dual_hist.append(res.dual)
-        if res.primal > divergence_bar:
-            status = Status.DIVERGED
-            break
-        if not config.fixed_iterations and \
-                res.primal <= config.tol_primal and res.dual <= config.tol_dual:
-            status = Status.CONVERGED
-            break
-    else:
-        # Ran the full budget; report convergence if the final point happens
-        # to satisfy the tolerances (fixed-iteration runs land here too).
-        if primal_hist and primal_hist[-1] <= config.tol_primal and \
-                dual_hist[-1] <= config.tol_dual:
-            status = Status.CONVERGED
+            sweep_hook(next(sweep_numbers), x, y)
+        return compute_residuals(problem, x, y)
 
-    return SolveResult(
-        x=x, y=y, iterations=sweeps,
-        primal_residual_history=np.asarray(primal_hist),
-        primal_l1_history=np.asarray(primal_l1_hist),
-        dual_residual_history=np.asarray(dual_hist),
-        status=status,
-    )
+    initial = compute_residuals(problem, x, y)
+    run = run_sweeps(sweep, config, n, initial_primal=initial.primal)
+    return SolveResult(x=x, y=y, **vars(run))

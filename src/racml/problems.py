@@ -355,16 +355,14 @@ class SolverConfig:
 
 
 @dataclass
-class SolveResult:
-    """Output of a solve: primal/dual point, per-sweep residuals, status."""
+class SweepRun:
+    """How a sweep run ended: sweep count, status and per-sweep residuals."""
 
-    x: np.ndarray
-    y: np.ndarray
     iterations: int
+    status: Status
     primal_residual_history: np.ndarray
     primal_l1_history: np.ndarray
     dual_residual_history: np.ndarray
-    status: Status
 
     @property
     def primal_residual(self) -> float:
@@ -373,6 +371,14 @@ class SolveResult:
     @property
     def dual_residual(self) -> float:
         return float(self.dual_residual_history[-1]) if self.iterations else math.inf
+
+
+@dataclass
+class SolveResult(SweepRun):
+    """Output of a solve: the sweep run plus the final primal/dual point."""
+
+    x: np.ndarray
+    y: np.ndarray
 
 
 def _read_vector(path: Path) -> np.ndarray:

@@ -2,25 +2,24 @@
 
 Training solves  min 1/2 z'Qz - e'z  s.t. y'z = 0, z in [0, C]^n with
 q_ij = y_i y_j K(x_i, x_j), driving the block-sweep engine with kernel
-blocks assembled on demand from raw data rows: the full n x n kernel matrix
-is never materialized. A bounded LRU cache of kernel rows absorbs repeated
-block selections.
+blocks assembled on demand from raw data rows: each block's s x n strip is
+one batched kernel evaluation, and the full n x n kernel matrix is never
+materialized. The sweep order, stopping rule and divergence guard come from
+the engine's shared driver.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
-from .engine import BlockSystem, solve_block
-from .problems import Matrix, Mode, SolverConfig, Status, chunk_indices
+from .engine import BlockSystem, ResidualPair, run_sweeps, solve_block
+from .problems import Matrix, Mode, SolverConfig, SweepRun, as_dense
 
 SUPPORT_THRESHOLD = 1e-8   # duals above this are support vectors
 MARGIN_DELTA = 1e-6        # relative to C: margin means delta*C < z < (1-delta)*C
@@ -60,12 +59,6 @@ class SvmModel:
     C: float
 
 
-def _rows(X: Matrix) -> np.ndarray:
-    if sp.issparse(X):
-        return np.asarray(X.todense(), dtype=float)
-    return np.asarray(X, dtype=float)
-
-
 def kernel_eval(xi: np.ndarray, xj: np.ndarray, kernel: KernelSpec) -> float:
     """K(x_i, x_j) for a single pair."""
     kernel.validate()
@@ -93,49 +86,19 @@ def kernel_cross(Xa: np.ndarray, Xb: np.ndarray,
     return np.exp(-d2 / (2.0 * kernel.sigma ** 2))
 
 
-class KernelRowCache:
-    """Least-recently-used cache of raw kernel rows K(x_i, .)."""
-
-    def __init__(self, X: np.ndarray, kernel: KernelSpec, capacity: int):
-        self.X = X
-        self.kernel = kernel
-        self.capacity = max(1, capacity)
-        self._rows: OrderedDict[int, np.ndarray] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def row(self, i: int) -> np.ndarray:
-        cached = self._rows.get(i)
-        if cached is not None:
-            self._rows.move_to_end(i)
-            self.hits += 1
-            return cached
-        self.misses += 1
-        row = kernel_cross(self.X[i:i + 1], self.X, self.kernel)[0]
-        self._rows[i] = row
-        if len(self._rows) > self.capacity:
-            self._rows.popitem(last=False)
-        return row
-
-
 def assemble_kernel_block(X: Matrix, y: np.ndarray, block: Sequence[int],
-                          kernel: KernelSpec,
-                          cache: Optional[KernelRowCache] = None,
-                          with_strip: bool = False):
+                          kernel: KernelSpec, with_strip: bool = False):
     """Label-weighted kernel sub-matrix for one block.
 
     Returns the s x s block Q_{b,b}; with ``with_strip`` also the s x n
     strip Q_{b,.} the block right-hand side needs. Entries come straight
-    from data rows (optionally through the row cache); the full matrix is
+    from data rows in one batched kernel evaluation; the full matrix is
     never built.
     """
-    Xd = _rows(X)
+    Xd = as_dense(X)
     y = np.asarray(y, dtype=float)
     idx = np.asarray(block, dtype=int)
-    if cache is not None:
-        raw = np.stack([cache.row(int(i)) for i in idx])
-    else:
-        raw = kernel_cross(Xd[idx], Xd, kernel)
+    raw = kernel_cross(Xd[idx], Xd, kernel)
     strip = (y[idx][:, None] * raw) * y[None, :]
     qbb = strip[:, idx]
     if with_strip:
@@ -169,18 +132,15 @@ def default_config(n: int, block_size: Optional[int] = None,
 
 
 @dataclass
-class TrainDiagnostics:
-    iterations: int
-    status: Status
-    primal_residual_history: np.ndarray
-    dual_residual_history: np.ndarray
+class TrainDiagnostics(SweepRun):
+    """The training sweep run plus the final dual weights and equality dual."""
+
     duals: np.ndarray
     eq_dual: float
 
 
 def train(X: Matrix, labels: np.ndarray, C: float, kernel: KernelSpec,
           config: Optional[SolverConfig] = None,
-          cache_capacity: Optional[int] = None,
           return_diagnostics: bool = False):
     """Train a classifier by sweeping the dual QP blockwise.
 
@@ -188,10 +148,11 @@ def train(X: Matrix, labels: np.ndarray, C: float, kernel: KernelSpec,
     a strictly PD kernel block plus the rank-one penalty) with the cross
     terms taken from a running Q z product, updated incrementally from the
     assembled strips. The single equality y'z = 0 is handled by the
-    augmented Lagrangian with scalar dual.
+    augmented Lagrangian with scalar dual. Stopping, including DIVERGED
+    status, follows the engine's ``run_sweeps``.
     """
     kernel.validate()
-    Xd = _rows(X)
+    Xd = as_dense(X)
     y = np.asarray(labels, dtype=float)
     n = Xd.shape[0]
     if y.size != n:
@@ -203,40 +164,19 @@ def train(X: Matrix, labels: np.ndarray, C: float, kernel: KernelSpec,
     if config is None:
         config = default_config(n)
     config.validate(n)
-    mode = Mode(config.mode)
     beta = config.beta_penalty
-    rng = np.random.default_rng(config.seed)
-    s = config.block_size
-    cache = KernelRowCache(Xd, kernel, cache_capacity or 2 * s)
 
     z = np.zeros(n)
     nu = 0.0
     qz = np.zeros(n)  # running Q @ z
     t = 0.0           # running y' z
-    lower = np.zeros(s)
 
-    if mode == Mode.CYCLIC:
-        fixed = chunk_indices(np.arange(n), s)
-    elif mode == Mode.RP:
-        fixed = chunk_indices(rng.permutation(n), s)
-    else:
-        fixed = None
-
-    primal_hist: list[float] = []
-    dual_hist: list[float] = []
-    status = Status.MAX_ITERS
-    sweeps = 0
-    for _ in range(config.max_iters):
-        if mode == Mode.RAC:
-            order = chunk_indices(rng.permutation(n), s)
-        elif mode == Mode.RP:
-            order = tuple(fixed[i] for i in rng.permutation(len(fixed)))
-        else:
-            order = fixed
+    def sweep(order):
+        nonlocal nu, t, qz
         for g in order:
             idx = np.asarray(g, dtype=int)
             qbb, strip = assemble_kernel_block(
-                Xd, y, idx, kernel, cache=cache, with_strip=True)
+                Xd, y, idx, kernel, with_strip=True)
             yb = y[idx]
             matrix = qbb + beta * np.outer(yb, yb)
             # kernel blocks are PSD by construction but can be numerically
@@ -248,7 +188,7 @@ def train(X: Matrix, labels: np.ndarray, C: float, kernel: KernelSpec,
             eq_rest = t - float(yb @ z[idx])
             rhs = -(-1.0 + cross - nu * yb + beta * yb * eq_rest)
             system = BlockSystem(matrix=matrix, rhs=rhs,
-                                 lower=lower[:idx.size],
+                                 lower=np.zeros(idx.size),
                                  upper=np.full(idx.size, C))
             new_z = solve_block(system)
             delta = new_z - z[idx]
@@ -256,16 +196,11 @@ def train(X: Matrix, labels: np.ndarray, C: float, kernel: KernelSpec,
             t += float(yb @ delta)
             z[idx] = new_z
         nu -= beta * t
-        sweeps += 1
-        primal = abs(t)
         grad = qz - 1.0 - nu * y
         dual = float(np.max(np.abs(np.clip(z - grad, 0.0, C) - z)))
-        primal_hist.append(primal)
-        dual_hist.append(dual)
-        if not config.fixed_iterations and \
-                primal <= config.tol_primal and dual <= config.tol_dual:
-            status = Status.CONVERGED
-            break
+        return ResidualPair(primal=abs(t), dual=dual, primal_l1=abs(t))
+
+    run = run_sweeps(sweep, config, n)
 
     bias = compute_bias(z, Xd, y, C, kernel)
     support = z > SUPPORT_THRESHOLD
@@ -275,12 +210,7 @@ def train(X: Matrix, labels: np.ndarray, C: float, kernel: KernelSpec,
         support_labels=y[support].copy(),
         bias=bias, kernel=kernel, C=C)
     if return_diagnostics:
-        diag = TrainDiagnostics(
-            iterations=sweeps, status=status,
-            primal_residual_history=np.asarray(primal_hist),
-            dual_residual_history=np.asarray(dual_hist),
-            duals=z, eq_dual=nu)
-        return model, diag
+        return model, TrainDiagnostics(duals=z, eq_dual=nu, **vars(run))
     return model
 
 
@@ -291,7 +221,7 @@ def compute_bias(duals: np.ndarray, X: Matrix, labels: np.ndarray,
     When no dual sits strictly between the bounds, falls back to the
     midpoint of the interval the bound KKT conditions allow.
     """
-    Xd = _rows(X)
+    Xd = as_dense(X)
     y = np.asarray(labels, dtype=float)
     z = np.asarray(duals, dtype=float)
     support = z > SUPPORT_THRESHOLD
@@ -324,7 +254,7 @@ def compute_bias(duals: np.ndarray, X: Matrix, labels: np.ndarray,
 
 def decision_values(model: SvmModel, X_query: Matrix) -> np.ndarray:
     """f(x) = sum_i y_i z_i K(x_i, x) + b for each query row."""
-    Xq = _rows(X_query)
+    Xq = as_dense(X_query)
     if Xq.shape[1] != model.support_points.shape[1]:
         raise ValueError(
             f"query has {Xq.shape[1]} features, model expects "
@@ -360,7 +290,7 @@ def grid_search(X: Matrix, labels: np.ndarray, C_grid: Sequence[float],
         raise ValueError("grids must be nonempty")
     if not (0.0 < holdout < 1.0):
         raise ValueError(f"holdout must be in (0, 1), got {holdout}")
-    Xd = _rows(X)
+    Xd = as_dense(X)
     y = np.asarray(labels, dtype=float)
     n = Xd.shape[0]
     rng = np.random.default_rng(seed)
@@ -381,14 +311,10 @@ def grid_search(X: Matrix, labels: np.ndarray, C_grid: Sequence[float],
     def run_cell(i: int) -> dict:
         c, sigma = cells[i]
         kernel = KernelSpec(kind="gaussian", sigma=sigma)
-        cfg = config if config is not None else default_config(
-            len(train_idx), seed=seeds[i])
-        if config is not None:
-            cfg = SolverConfig(
-                mode=cfg.mode, block_size=min(cfg.block_size, len(train_idx)),
-                beta_penalty=cfg.beta_penalty, max_iters=cfg.max_iters,
-                tol_primal=cfg.tol_primal, tol_dual=cfg.tol_dual,
-                seed=seeds[i], fixed_iterations=cfg.fixed_iterations)
+        cfg = default_config(len(train_idx), seed=seeds[i]) if config is None \
+            else replace(
+                config, block_size=min(config.block_size, len(train_idx)),
+                seed=seeds[i])
         model = train(X_train, y_train, c, kernel, cfg)
         return {"c": c, "sigma": sigma,
                 "accuracy": accuracy(model, X_hold, y_hold)}

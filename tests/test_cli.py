@@ -123,6 +123,16 @@ class TestQpSolve:
         assert code == 1
         assert rec["metrics"]["status"] == "max_iters"
 
+    def test_invalid_problem_exits_two(self, tiny_qp_manifest, capsys):
+        # the solver's own validation rejects an asymmetric H
+        scipy.io.mmwrite(tiny_qp_manifest.parent / "H.mtx",
+                         sp.csc_matrix(np.array([[1.0, 2.0], [0.0, 1.0]])))
+        assert run(["qp", "solve", "--manifest", str(tiny_qp_manifest),
+                    "--block-size", "1"]) == 2
+        captured = capsys.readouterr()
+        assert "invalid problem" in captured.err
+        assert captured.out == ""
+
     def test_fixed_iterations_exit_zero(self, tiny_qp_manifest, capsys):
         code, rec = run_json(capsys, [
             "qp", "solve", "--manifest", str(tiny_qp_manifest),

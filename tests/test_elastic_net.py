@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -17,7 +18,8 @@ from racml.elastic_net import (
     soft_threshold,
     z_update,
 )
-from racml.problems import Mode
+from racml import engine
+from racml.problems import Mode, Status
 
 
 def golden_section_prox(a, gamma, lam, alpha, lo=-1e3, hi=1e3):
@@ -268,6 +270,32 @@ class TestFit:
         assert model.beta.shape == (40,)
         assert np.all(np.isfinite(model.beta))
 
+    @pytest.mark.parametrize("fitter", [fit, consensus_fit])
+    def test_status_says_why_the_run_stopped(self, fitter):
+        rng = np.random.default_rng(14)
+        X = rng.standard_normal((25, 12))
+        y = rng.standard_normal(25)
+        spec = ElasticNetSpec(lam=0.1, alpha=0.8, block_size=5, iters=5000,
+                              seed=21, tol=1e-6)
+        tight = fitter(X, y, spec)
+        assert tight.status == Status.CONVERGED
+        assert tight.iterations < spec.iters and tight.residual <= spec.tol
+        # without a tolerance the whole budget runs and nothing certifies it
+        budget = fitter(X, y, ElasticNetSpec(lam=0.1, alpha=0.8, block_size=5,
+                                             iters=20, seed=21))
+        assert budget.status == Status.MAX_ITERS
+        assert budget.iterations == 20
+
+    def test_divergence_guard_reports_diverged(self, monkeypatch):
+        # with the guard's bar forced below any nonzero ||beta - z||_1, the
+        # first sweep ends the run as DIVERGED
+        monkeypatch.setattr(engine, "DIVERGENCE_FACTOR", 1e-15)
+        rng = np.random.default_rng(14)
+        model = fit(rng.standard_normal((25, 12)), rng.standard_normal(25),
+                    ElasticNetSpec(lam=0.1, alpha=0.8, block_size=5, iters=20))
+        assert model.status == Status.DIVERGED
+        assert model.iterations == 1
+
     def test_validation(self):
         with pytest.raises(ValueError):
             fit(np.eye(2), np.zeros(2),
@@ -392,6 +420,22 @@ class TestSerialization:
         assert back.spec == model.spec
         assert back.iterations == model.iterations
         assert back.residual == model.residual
+        assert back.status == model.status == Status.MAX_ITERS
+
+    def test_status_round_trips(self, tmp_path):
+        rng = np.random.default_rng(19)
+        model = fit(rng.standard_normal((10, 5)), rng.standard_normal(10),
+                    ElasticNetSpec(lam=0.2, alpha=0.6, block_size=2,
+                                   iters=5000, seed=3, tol=1e-8))
+        assert model.status == Status.CONVERGED
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        assert load_model(path).status == Status.CONVERGED
+        # a file written before models carried a status loads as MAX_ITERS
+        doc = json.loads(path.read_text())
+        del doc["status"]
+        path.write_text(json.dumps(doc))
+        assert load_model(path).status == Status.MAX_ITERS
 
     def test_long_vectors_go_to_sidecar(self, tmp_path, monkeypatch):
         monkeypatch.setattr(en, "INLINE_VECTOR_LIMIT", 8)

@@ -1,17 +1,25 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from racml.engine import (
+    DIVERGENCE_FACTOR,
     BlockDefinitenessError,
     BlockSystem,
+    ResidualPair,
     assemble_block_system,
+    block_orders,
     compute_residuals,
     dual_update,
     run_sweep,
+    run_sweeps,
     solve,
     solve_block,
 )
-from racml.problems import Mode, QpProblem, SolverConfig, Status
+from racml.problems import Mode, QpProblem, SolverConfig, Status, chunk_indices
 from racml.spectral import kkt_solve
 
 
@@ -378,3 +386,80 @@ class TestSolve:
         assert np.all(res.x <= prob.upper + 1e-12)
         from racml.spectral import kkt_residual
         assert kkt_residual(prob, res.x, res.y) <= 1e-8
+
+
+def inline_orders(mode, n, s, seed, sweeps):
+    """The order drawing each solver wrote inline before the shared source."""
+    rng = np.random.default_rng(seed)
+    if mode == Mode.CYCLIC:
+        fixed = chunk_indices(np.arange(n), s)
+    elif mode == Mode.RP:
+        fixed = chunk_indices(rng.permutation(n), s)
+    orders = []
+    for _ in range(sweeps):
+        if mode == Mode.RAC:
+            orders.append(chunk_indices(rng.permutation(n), s))
+        elif mode == Mode.RP:
+            orders.append(tuple(fixed[i] for i in rng.permutation(len(fixed))))
+        else:
+            orders.append(fixed)
+    return orders
+
+
+@st.composite
+def order_cases(draw):
+    n = draw(st.integers(1, 40))
+    return (draw(st.sampled_from(list(Mode))), n, draw(st.integers(1, n)),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+class TestBlockOrders:
+    @settings(max_examples=200, deadline=None)
+    @given(order_cases())
+    def test_orders_partition_the_variables(self, case):
+        mode, n, s, seed = case
+        orders = list(itertools.islice(
+            block_orders(mode, n, s, np.random.default_rng(seed)), 4))
+        full, rest = divmod(n, s)
+        for order in orders:
+            assert sorted(i for g in order for i in g) == list(range(n))
+            assert all(list(g) == sorted(g) for g in order)
+            assert sorted(len(g) for g in order) == \
+                [rest] * (rest > 0) + [s] * full
+            if mode != Mode.RP:  # RP shuffles the blocks, short one included
+                assert [len(g) for g in order] == [s] * full + [rest] * (rest > 0)
+        if mode == Mode.RP:
+            assert len({frozenset(order) for order in orders}) == 1
+        if mode == Mode.CYCLIC:
+            assert all(order == chunk_indices(np.arange(n), s)
+                       for order in orders)
+
+    @settings(max_examples=200, deadline=None)
+    @given(order_cases())
+    def test_draws_match_the_inline_code(self, case):
+        mode, n, s, seed = case
+        orders = block_orders(mode, n, s, np.random.default_rng(seed))
+        assert list(itertools.islice(orders, 5)) == \
+            inline_orders(mode, n, s, seed, 5)
+
+
+class TestRunSweeps:
+    @pytest.mark.parametrize("fixed", [False, True])
+    def test_growing_residual_stops_diverged(self, fixed):
+        # primal residual 10, 100, 1000, ...: past DIVERGENCE_FACTOR (the
+        # initial residual 0 floors to 1) after 9 sweeps, long before the cap
+        primal = iter(10.0 ** np.arange(1, 200))
+        orders = []
+
+        def sweep(order):
+            orders.append(order)
+            p = next(primal)
+            return ResidualPair(primal=p, dual=p, primal_l1=p)
+
+        cfg = SolverConfig(mode=Mode.RAC, block_size=2, max_iters=100, seed=0,
+                           fixed_iterations=fixed)
+        run = run_sweeps(sweep, cfg, 5)
+        assert run.status == Status.DIVERGED
+        assert run.iterations == 9 < cfg.max_iters
+        assert run.primal_residual_history[-1] > DIVERGENCE_FACTOR
+        assert orders == inline_orders(Mode.RAC, 5, 2, 0, 9)

@@ -1,14 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from racml import engine
 from racml.data_io import gen_blobs
 from racml.problems import Status
 from racml.svm import (
     DegenerateModelError,
     DegenerateSplitError,
-    KernelRowCache,
     KernelSpec,
     SvmModel,
     accuracy,
@@ -87,10 +88,9 @@ class TestAssembleKernelBlock:
         y = np.where(rng.random(50) < 0.5, 1.0, -1.0)
         kernel = KernelSpec("gaussian", 1.3)
         Q = full_kernel_matrix(X, y, kernel)
-        cache = KernelRowCache(X, kernel, capacity=16)
         for block in ([0, 7, 31], list(range(10, 25)), [49], [3, 3 + 17]):
             qbb, strip = assemble_kernel_block(
-                X, y, block, kernel, cache=cache, with_strip=True)
+                X, y, block, kernel, with_strip=True)
             np.testing.assert_allclose(qbb, Q[np.ix_(block, block)],
                                        atol=1e-14)
             np.testing.assert_allclose(strip, Q[block, :], atol=1e-14)
@@ -102,16 +102,6 @@ class TestAssembleKernelBlock:
         qbb = assemble_kernel_block(X, y, list(range(0, 30, 2)),
                                     KernelSpec("gaussian", 0.8))
         assert np.linalg.eigvalsh(qbb)[0] >= -1e-9
-
-    def test_cache_evicts_and_stays_correct(self):
-        rng = np.random.default_rng(5)
-        X = rng.standard_normal((12, 2))
-        kernel = KernelSpec("gaussian", 1.0)
-        cache = KernelRowCache(X, kernel, capacity=3)
-        for i in list(range(12)) + [0, 5, 11]:
-            np.testing.assert_allclose(cache.row(i),
-                                       kernel_cross(X[i:i + 1], X, kernel)[0])
-        assert cache.misses > 12 - 1  # capacity 3 forces re-misses
 
 
 class TestTrain:
@@ -182,6 +172,33 @@ class TestTrain:
                       return_diagnostics=True)
         assert np.array_equal(da.duals, db.duals)
         assert a.bias == b.bias
+
+    def test_fixed_iterations_end_with_the_tolerance_check(self):
+        # a fixed-iteration run sweeps its whole budget, then reports
+        # CONVERGED only if the last sweep meets the tolerances
+        tr = gen_blobs(20, 2, 4.0, seed=6)
+        kernel = KernelSpec("gaussian", 1.0)
+        for tol, status in ((1.0, Status.CONVERGED), (1e-12, Status.MAX_ITERS)):
+            cfg = dataclasses.replace(
+                default_config(40, block_size=7, seed=3, max_iters=6,
+                               tol_primal=tol, tol_dual=tol),
+                fixed_iterations=True)
+            _, diag = train(tr.X, tr.y, 1.0, kernel, cfg,
+                            return_diagnostics=True)
+            assert diag.iterations == 6
+            assert diag.status == status
+
+    def test_divergence_guard_reports_diverged(self, monkeypatch):
+        # with the guard's bar forced below any nonzero y'z, the first sweep
+        # that leaves y'z off zero must end the run as DIVERGED
+        monkeypatch.setattr(engine, "DIVERGENCE_FACTOR", 1e-15)
+        tr = gen_blobs(20, 2, 4.0, seed=6)
+        cfg = default_config(40, block_size=7, seed=3, max_iters=50)
+        _, diag = train(tr.X, tr.y, 1.0, KernelSpec("gaussian", 1.0), cfg,
+                        return_diagnostics=True)
+        assert diag.status == Status.DIVERGED
+        assert diag.iterations < 50
+        assert diag.primal_residual_history[-1] > 1e-15
 
     def test_label_validation(self):
         X = np.zeros((3, 1))
