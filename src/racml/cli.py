@@ -84,10 +84,6 @@ def _emit(record: dict, pretty: bool, out: str | None = None) -> None:
         print(text)
 
 
-def _load_dataset(path: str, classification: bool = False) -> data_io.Dataset:
-    return data_io.parse_libsvm(path, classification=classification)
-
-
 def _cmd_qp_solve(args, argv) -> int:
     problem = load_qp_manifest(args.manifest)
     config = SolverConfig(
@@ -132,7 +128,7 @@ def _preprocess(X, center: bool, scale: bool):
 
 
 def _cmd_en_fit(args, argv) -> int:
-    ds = _load_dataset(args.data)
+    ds = data_io.parse_libsvm(args.data)
     X = _preprocess(ds.X, args.center, args.scale)
     gamma = None if args.gamma == "auto" else float(args.gamma)
     mode = args.mode
@@ -169,7 +165,7 @@ def _cmd_en_fit(args, argv) -> int:
 
 def _cmd_en_eval(args, argv) -> int:
     model = elastic_net.load_model(args.model)
-    ds = _load_dataset(args.data)
+    ds = data_io.parse_libsvm(args.data)
     start = time.perf_counter()
     metrics = elastic_net.evaluate(model, ds.X, ds.y)
     wall = time.perf_counter() - start
@@ -180,7 +176,7 @@ def _cmd_en_eval(args, argv) -> int:
 
 
 def _cmd_svm_train(args, argv) -> int:
-    ds = _load_dataset(args.data, classification=True)
+    ds = data_io.parse_libsvm(args.data, classification=True)
     n = ds.X.shape[0]
     config = svm.default_config(
         n, block_size=args.block_size, seed=args.seed,
@@ -211,7 +207,7 @@ def _cmd_svm_train(args, argv) -> int:
 
 def _cmd_svm_predict(args, argv) -> int:
     model = svm.load_model(args.model)
-    ds = _load_dataset(args.data, classification=args.labels)
+    ds = data_io.parse_libsvm(args.data, classification=args.labels)
     start = time.perf_counter()
     pred = svm.predict(model, ds.X)
     wall = time.perf_counter() - start
@@ -232,7 +228,7 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def _cmd_svm_grid(args, argv) -> int:
-    ds = _load_dataset(args.data, classification=True)
+    ds = data_io.parse_libsvm(args.data, classification=True)
     threads = int(os.environ.get("RACML_THREADS", "1"))
     start = time.perf_counter()
     best, table = svm.grid_search(

@@ -186,8 +186,9 @@ def fit(X: Matrix, y: np.ndarray, spec: ElasticNetSpec) -> ElasticNetModel:
     xi = np.zeros(p)
     r = np.zeros(n)  # running X @ beta
 
+    # RP keeps its partition: each block is factored once (p * s floats in all)
     factor_cache: dict = {}
-    cache_factors = mode == Mode.RP and density(X) >= AUTO_GAMMA_DENSITY
+    cache_factors = mode == Mode.RP
 
     def sweep(order):
         nonlocal z, xi, r

@@ -105,6 +105,7 @@ class _BlockPieces:
     lower: np.ndarray
     upper: np.ndarray
     bounded: bool
+    chol: Optional[np.ndarray] = None  # Cholesky factor of matrix, on first use
 
 
 def _block_pieces(problem: QpProblem, block, beta: float) -> _BlockPieces:
@@ -290,13 +291,12 @@ def compute_residuals(problem: QpProblem, x: np.ndarray,
 
 def run_sweep(problem: QpProblem, x: np.ndarray, y: np.ndarray,
               order: Sequence[Sequence[int]], beta: float,
-              chol_cache: Optional[dict] = None,
               piece_cache: Optional[dict] = None) -> tuple[np.ndarray, np.ndarray]:
     """One full pass: minimize each block in order, then one dual step.
 
-    Returns the updated (x, y); the inputs are not modified. ``chol_cache``
-    maps block tuples to factorizations of their (fixed) block matrices;
-    ``piece_cache`` maps them to the problem-constant slices.
+    Returns the updated (x, y); the inputs are not modified. ``piece_cache``
+    maps block tuples to their problem-constant slices, which carry the
+    block matrix's factorization once it has been computed.
     """
     x = np.asarray(x, dtype=float).copy()
     y = np.asarray(y, dtype=float)
@@ -307,17 +307,13 @@ def run_sweep(problem: QpProblem, x: np.ndarray, y: np.ndarray,
             pieces = _block_pieces(problem, block, beta)
             if piece_cache is not None:
                 piece_cache[key] = pieces
+        if pieces.chol is None:
+            pieces.chol = _cholesky(pieces.matrix)
         rhs = _block_rhs(problem, pieces, x, y, beta)
         system = BlockSystem(matrix=pieces.matrix, rhs=rhs,
                              lower=pieces.lower, upper=pieces.upper,
                              bounded=pieces.bounded)
-        chol = None
-        if chol_cache is not None:
-            chol = chol_cache.get(key)
-            if chol is None:
-                chol = _cholesky(system.matrix)
-                chol_cache[key] = chol
-        x[pieces.index] = solve_block(system, chol=chol)
+        x[pieces.index] = solve_block(system, chol=pieces.chol)
     y = dual_update(y, problem.A, x, problem.b, beta)
     return x, y
 
@@ -387,8 +383,8 @@ def solve(problem: QpProblem, config: SolverConfig,
     """Run the randomized multi-block sweep until tolerance or iteration cap.
 
     Block orders come from ``block_orders`` and stopping from ``run_sweeps``.
-    RP/CYCLIC reuse their block factorizations across sweeps, since their
-    partition is fixed.
+    RP/CYCLIC, and any mode on n <= 64, reuse block slices and their
+    factorizations across sweeps.
 
     ``sweep_hook(k, x, y)``, when given, observes the iterate after sweep k
     (1-based); it must not mutate its arguments.
@@ -404,18 +400,15 @@ def solve(problem: QpProblem, config: SolverConfig,
     x = np.clip(np.zeros(n), problem.lower, problem.upper)
     y = np.zeros(problem.m)
 
-    # Factorizations are reused only when the partition is fixed (RAC pays
-    # the refactorization each sweep by design); the problem-constant block
-    # slices are cheap to keep for small instances in any mode.
-    chol_cache: Optional[dict] = {} if mode in (Mode.RP, Mode.CYCLIC) else None
-    piece_cache: Optional[dict] = {} if n <= 64 else (
-        {} if mode in (Mode.RP, Mode.CYCLIC) else None)
+    # Block slices and their factors are kept where blocks recur: every block
+    # of a fixed partition, and the few distinct blocks of a small instance.
+    piece_cache: Optional[dict] = {} if n <= 64 or \
+        mode in (Mode.RP, Mode.CYCLIC) else None
     sweep_numbers = itertools.count(1)
 
     def sweep(order):
         nonlocal x, y
-        x, y = run_sweep(problem, x, y, order, beta, chol_cache=chol_cache,
-                         piece_cache=piece_cache)
+        x, y = run_sweep(problem, x, y, order, beta, piece_cache=piece_cache)
         if sweep_hook is not None:
             sweep_hook(next(sweep_numbers), x, y)
         return compute_residuals(problem, x, y)

@@ -31,10 +31,6 @@ class CapacityError(ValueError):
     """An exhaustive enumeration was requested beyond the supported size."""
 
 
-def is_sparse(mat: Matrix) -> bool:
-    return sp.issparse(mat)
-
-
 def as_dense(mat: Matrix) -> np.ndarray:
     """Return a dense float64 copy of a dense or sparse matrix."""
     if sp.issparse(mat):
@@ -65,12 +61,11 @@ def matrix_violations(mat: Matrix, name: str = "matrix") -> list[str]:
         indptr, indices = csc.indptr, csc.indices
         if indices.size and (indices.min() < 0 or indices.max() >= rows):
             issues.append(f"{name}: row index out of range [0, {rows})")
-        for j in range(cols):
-            col = indices[indptr[j]:indptr[j + 1]]
-            if col.size > 1 and np.any(np.diff(col) <= 0):
-                issues.append(
-                    f"{name}: column {j} has duplicate or decreasing row indices")
-                break
+        col = np.repeat(np.arange(cols), np.diff(indptr))
+        bad = np.flatnonzero((np.diff(indices) <= 0) & (col[1:] == col[:-1]))
+        if bad.size:
+            issues.append(f"{name}: column {col[bad[0]]} has duplicate or "
+                          "decreasing row indices")
     else:
         arr = np.asarray(mat)
         if arr.ndim != 2:
@@ -157,10 +152,11 @@ def validate_problem(problem: QpProblem) -> ValidationReport:
         issues += matrix_violations(problem.H, "H")
         if problem.H.shape != (n, n):
             issues.append(f"H: expected shape ({n}, {n}), got {problem.H.shape}")
-        elif not issues:
-            Hd = as_dense(problem.H)
-            scale = max(1.0, float(np.max(np.abs(Hd))) if Hd.size else 1.0)
-            if np.max(np.abs(Hd - Hd.T)) > 1e-12 * scale:
+        elif not issues and n:
+            # sparse H stays sparse: abs and max work on its stored entries
+            H = problem.H if sp.issparse(problem.H) else as_dense(problem.H)
+            scale = max(1.0, float(abs(H).max()))
+            if abs(H - H.T).max() > 1e-12 * scale:
                 issues.append("H: not symmetric within 1e-12 relative tolerance")
     if problem.A is not None:
         issues += matrix_violations(problem.A, "A")

@@ -4,14 +4,17 @@ For an equality-constrained QP without boxes, one sweep with block order
 sigma is an affine map z -> M z + offset on the stacked state z = (x; y).
 Enumerating every admissible order gives the expected map, whose spectrum
 certifies convergence in expectation; the spectral radius of the expected
-Kronecker square certifies almost-sure convergence. Everything here is dense
-and exact (full enumeration, no sampling), which is why instance sizes are
-capped.
+Kronecker square certifies almost-sure convergence. One enumeration pass
+feeds every certificate quantity, keeping only running sums. Everything here
+is dense and exact (full enumeration, no sampling), which is why instance
+sizes are capped.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -24,7 +27,6 @@ from .problems import (
     UpdateOrder,
     as_dense,
     enumerate_orders,
-    enumerate_partitions,
 )
 
 # Eigensolver imaginary dust below this magnitude counts as real.
@@ -52,6 +54,17 @@ def coupling_matrix(H, A, beta: float) -> np.ndarray:
     return H + beta * (A.T @ A)
 
 
+def _lower(S: np.ndarray, order: UpdateOrder) -> np.ndarray:
+    """Entries of S whose row block is updated at or after their column block."""
+    n = S.shape[0]
+    if order.n != n:
+        raise ValueError(f"order covers {order.n} indices, expected {n}")
+    pos = np.empty(n, dtype=int)
+    for k, group in enumerate(order.ordered_groups):
+        pos[list(group)] = k
+    return np.where(pos[:, None] >= pos[None, :], S, 0.0)
+
+
 def gauss_seidel_matrix(H, A, beta: float, order: UpdateOrder) -> np.ndarray:
     """Block lower-triangular part of the coupling matrix along an order.
 
@@ -59,16 +72,7 @@ def gauss_seidel_matrix(H, A, beta: float, order: UpdateOrder) -> np.ndarray:
     updated at or after gj in the sweep, and zero otherwise: exactly the
     system the Gauss-Seidel pass applies to the new iterate.
     """
-    S = coupling_matrix(H, A, beta)
-    n = S.shape[0]
-    if order.n != n:
-        raise ValueError(f"order covers {order.n} indices, expected {n}")
-    L = np.zeros_like(S)
-    groups = order.ordered_groups
-    for i, gi in enumerate(groups):
-        for gj in groups[:i + 1]:
-            L[np.ix_(gi, gj)] = S[np.ix_(gi, gj)]
-    return L
+    return _lower(coupling_matrix(H, A, beta), order)
 
 
 @dataclass(frozen=True)
@@ -98,12 +102,10 @@ class IterationMap:
         return self.matrix @ z + self.offset(c, b)
 
 
-def iteration_map(H, A, beta: float, order: UpdateOrder) -> IterationMap:
-    """Assemble the sweep map for one block order."""
-    Hd, Ad = _dense_pair(H, A)
+def _iteration_map(S: np.ndarray, Ad: np.ndarray, beta: float,
+                   order: UpdateOrder) -> IterationMap:
     m, n = Ad.shape
-    S = Hd + beta * (Ad.T @ Ad)
-    L = gauss_seidel_matrix(Hd, Ad, beta, order)
+    L = _lower(S, order)
     R = L - S
     lifted_lower = np.block([
         [L, np.zeros((n, m))],
@@ -124,6 +126,49 @@ def iteration_map(H, A, beta: float, order: UpdateOrder) -> IterationMap:
                         lifted_remainder=lifted_remainder, matrix=M)
 
 
+def iteration_map(H, A, beta: float, order: UpdateOrder) -> IterationMap:
+    """Assemble the sweep map for one block order."""
+    return _iteration_map(coupling_matrix(H, A, beta), as_dense(A), beta, order)
+
+
+def _order_averages(S: np.ndarray, Ad: np.ndarray, beta: float, p: int,
+                    kron: bool):
+    """One pass over every order, keeping running sums only.
+
+    Returns Q and M as in ``expected_operators``, the mean of the inverses
+    over each partition's orders (listed in order of first appearance, which
+    is ``enumerate_partitions`` order) and, with ``kron``, the expected
+    Kronecker square.
+    """
+    m, n = Ad.shape
+    orders = enumerate_orders(n, p)
+    Q = np.zeros((n, n))
+    M_avg = np.zeros((n + m, n + m))
+    K = np.zeros(((n + m) ** 2, (n + m) ** 2)) if kron else None
+    partition_Q = defaultdict(lambda: np.zeros((n, n)))
+    for order in orders:
+        bundle = _iteration_map(S, Ad, beta, order)
+        L_inv = np.linalg.inv(bundle.lower)
+        Q += L_inv
+        M_avg += bundle.matrix
+        partition_Q[order.partition_key()] += L_inv
+        if kron:
+            K += np.kron(bundle.matrix, bundle.matrix)
+    Q /= len(orders)
+    M_avg /= len(orders)
+    QS = Q @ S
+    M = np.block([
+        [np.eye(n) - QS, Q @ Ad.T],
+        [-beta * Ad + beta * (Ad @ QS), np.eye(m) - beta * (Ad @ Q @ Ad.T)],
+    ])
+    if np.max(np.abs(M - M_avg)) > 1e-10:
+        raise ArithmeticError(
+            "expected sweep map disagrees between block formula and direct "
+            f"average by {np.max(np.abs(M - M_avg)):.3e}")
+    partition_means = [total / math.factorial(p) for total in partition_Q.values()]
+    return Q, M, partition_means, None if K is None else K / len(orders)
+
+
 def expected_operators(H, A, beta: float, p: int
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Uniform expectations over every admissible order.
@@ -138,27 +183,8 @@ def expected_operators(H, A, beta: float, p: int
     disagreement beyond 1e-10 raises, since the two constructions must
     coincide.
     """
-    Hd, Ad = _dense_pair(H, A)
-    m, n = Ad.shape
-    orders = enumerate_orders(n, p)
-    S = Hd + beta * (Ad.T @ Ad)
-    Q = np.zeros((n, n))
-    M_avg = np.zeros((n + m, n + m))
-    for order in orders:
-        bundle = iteration_map(Hd, Ad, beta, order)
-        Q += np.linalg.inv(bundle.lower)
-        M_avg += bundle.matrix
-    Q /= len(orders)
-    M_avg /= len(orders)
-    QS = Q @ S
-    M = np.block([
-        [np.eye(n) - QS, Q @ Ad.T],
-        [-beta * Ad + beta * (Ad @ QS), np.eye(m) - beta * (Ad @ Q @ Ad.T)],
-    ])
-    if np.max(np.abs(M - M_avg)) > 1e-10:
-        raise ArithmeticError(
-            "expected sweep map disagrees between block formula and direct "
-            f"average by {np.max(np.abs(M - M_avg)):.3e}")
+    S = coupling_matrix(H, A, beta)
+    Q, M, _, _ = _order_averages(S, as_dense(A), beta, p, kron=False)
     return Q, S, M
 
 
@@ -269,7 +295,7 @@ def certify(H, A, beta: float, p: int,
         assumption1_ok=_blocks_positive_definite(S, s))
 
     try:
-        Q, S, M = expected_operators(Hd, Ad, beta, p)
+        Q, M, partition_means, K = _order_averages(S, Ad, beta, p, kron)
     except (np.linalg.LinAlgError, BlockDefinitenessError, ArithmeticError):
         # singular or numerically untrustworthy sweeps: only the block
         # positive-definiteness verdict is reportable
@@ -294,14 +320,7 @@ def certify(H, A, beta: float, p: int,
     # must dominate the global maximum by eigenvalue subadditivity.
     maxima = []
     partitions_ok = True
-    for partition in enumerate_partitions(n, p):
-        Qp = np.zeros((n, n))
-        count = 0
-        for perm in itertools.permutations(partition.groups):
-            L = gauss_seidel_matrix(Hd, Ad, beta, UpdateOrder(perm))
-            Qp += np.linalg.inv(L)
-            count += 1
-        Qp /= count
+    for Qp in partition_means:
         asym = float(np.max(np.abs(Qp - Qp.T)))
         if root is not None:
             eigs = _congruent_spectrum(Qp, root)
@@ -318,13 +337,6 @@ def certify(H, A, beta: float, p: int,
     cert.weyl_ok = bool(lam1 <= float(np.mean(maxima)) + EDGE_TOL)
 
     if kron:
-        dim = n + m
-        K = np.zeros((dim * dim, dim * dim))
-        orders = enumerate_orders(n, p)
-        for order in orders:
-            Ms = iteration_map(Hd, Ad, beta, order).matrix
-            K += np.kron(Ms, Ms)
-        K /= len(orders)
         cert.rho_kron = float(np.max(np.abs(np.linalg.eigvals(K))))
         cert.as_ok = bool(cert.rho_kron < 1.0)
     return cert

@@ -248,6 +248,24 @@ class TestFit:
         assert max(seen) <= bound
         assert max(seen) < p * p  # the p x p Gram would dwarf the bound
 
+    def test_rp_builds_each_block_gram_once(self):
+        n, p, s = 30, 200, 20
+        X = sp.random(n, p, density=0.004, random_state=5, format="csc")
+        assert X.nnz / (n * p) < 0.005
+        y = np.random.default_rng(5).standard_normal(n)
+        seen = []
+        en.set_alloc_hook(seen.append)
+        try:
+            model = fit(X, y, ElasticNetSpec(lam=0.1, alpha=0.5, block_size=s,
+                                             iters=4, mode=Mode.RP, seed=2))
+        finally:
+            en.set_alloc_hook(None)
+        assert model.iterations == 4
+        # each sweep gathers every n x s column block; the s x s Grams are
+        # built on the first sweep only
+        assert seen.count(n * s) == 4 * (p // s)
+        assert seen.count(s * s) == p // s
+
     def test_deterministic(self):
         rng = np.random.default_rng(14)
         X = rng.standard_normal((25, 12))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from racml import engine
 from racml.engine import (
     DIVERGENCE_FACTOR,
     BlockDefinitenessError,
@@ -411,6 +412,50 @@ def order_cases(draw):
     n = draw(st.integers(1, 40))
     return (draw(st.sampled_from(list(Mode))), n, draw(st.integers(1, n)),
             draw(st.integers(0, 2**32 - 1)))
+
+
+class TestBlockCache:
+    @pytest.mark.parametrize("mode", [Mode.RAC, Mode.RP])
+    def test_small_problem_factors_each_block_once(self, mode, monkeypatch):
+        prob = random_problem(4, n=6, m=2)
+        factored = []
+        cholesky = engine._cholesky
+        monkeypatch.setattr(engine, "_cholesky",
+                            lambda mat: factored.append(mat) or cholesky(mat))
+        cfg = SolverConfig(mode=mode, block_size=2, beta_penalty=0.8,
+                           max_iters=40, tol_primal=1e-16, tol_dual=1e-16,
+                           seed=5, fixed_iterations=True)
+        res = solve(prob, cfg)
+        solve_factors = len(factored)
+        # the cached factors give the numbers of uncached sweeps exactly
+        orders = block_orders(mode, 6, 2, np.random.default_rng(5))
+        x, y = np.zeros(6), np.zeros(2)
+        seen = set()
+        for _ in range(40):
+            order = next(orders)
+            seen.update(order)
+            x, y = run_sweep(prob, x, y, order, 0.8)
+        assert np.array_equal(res.x, x)
+        assert np.array_equal(res.y, y)
+        # 40 sweeps visit 120 blocks, each factored on its first visit only
+        assert solve_factors == len(seen) <= (15 if mode == Mode.RAC else 3)
+
+    def test_piece_cache_carries_the_factor(self, monkeypatch):
+        prob = random_problem(6, n=4, m=1)
+        factored = []
+        cholesky = engine._cholesky
+        monkeypatch.setattr(engine, "_cholesky",
+                            lambda mat: factored.append(mat) or cholesky(mat))
+        cache = {}
+        x, y = np.zeros(4), np.zeros(1)
+        for _ in range(3):
+            x, y = run_sweep(prob, x, y, ((0, 1), (2, 3)), 1.0,
+                             piece_cache=cache)
+        assert len(factored) == 2
+        assert set(cache) == {(0, 1), (2, 3)}
+        for pieces in cache.values():
+            np.testing.assert_allclose(pieces.chol @ pieces.chol.T,
+                                       pieces.matrix, atol=1e-12)
 
 
 class TestBlockOrders:

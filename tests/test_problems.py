@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,29 @@ class TestValidateProblem:
         report = validate_problem(p)
         assert not report.ok
         assert any("symmetric" in msg for msg in report.issues)
+
+    def test_sparse_asymmetric_h_reported(self):
+        H = sp.csc_matrix(np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0],
+                                    [0.0, 0.0, 1.0]]))
+        report = validate_problem(QpProblem(c=np.zeros(3), H=H))
+        assert report.issues == (
+            "H: not symmetric within 1e-12 relative tolerance",)
+        assert validate_problem(QpProblem(c=np.zeros(3), H=H + H.T)).ok
+
+    def test_sparse_h_is_checked_without_a_dense_copy(self):
+        n = 3000
+        H = sp.diags([-np.ones(n - 1), 4.0 * np.ones(n), -np.ones(n - 1)],
+                     [-1, 0, 1], format="csc")
+        problem = QpProblem(c=np.zeros(n), H=H)
+        tracemalloc.start()
+        try:
+            report = validate_problem(problem)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.ok
+        # one dense n x n copy of H would take 72 MB
+        assert peak < 2e6
 
     def test_bound_order_reported(self):
         p = QpProblem(c=np.zeros(1), lower=np.array([1.0]),
@@ -58,6 +82,35 @@ class TestMatrixViolations:
         m = sp.csc_matrix((np.array([1.0, 2.0]), np.array([0, 0]),
                            np.array([0, 2])), shape=(2, 1))
         assert any("duplicate" in msg for msg in matrix_violations(m))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_sparse_index_check_matches_column_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        rows, cols = 6, int(rng.integers(1, 8))
+        counts = rng.integers(0, 4, cols)
+        indptr = np.concatenate([[0], np.cumsum(counts)])
+        # odd seeds draw arbitrary rows, even seeds sorted distinct ones
+        indices = np.concatenate([
+            rng.integers(0, rows, k) if seed % 2 else
+            np.sort(rng.choice(rows, k, replace=False)) for k in counts])
+        m = sp.csc_matrix((np.ones(indices.size), indices, indptr),
+                          shape=(rows, cols))
+        expected = []
+        for j in range(cols):
+            col = indices[indptr[j]:indptr[j + 1]]
+            if col.size > 1 and np.any(np.diff(col) <= 0):
+                expected.append(f"M: column {j} has duplicate or decreasing "
+                                "row indices")
+                break
+        assert matrix_violations(m, "M") == expected
+
+    def test_sparse_names_first_unsorted_column(self):
+        # columns 0 and 2 are empty; column 1 is sorted; column 3 decreases,
+        # and so does column 4
+        m = sp.csc_matrix((np.ones(6), np.array([0, 2, 2, 1, 1, 0]),
+                           np.array([0, 0, 2, 2, 4, 6])), shape=(3, 5))
+        assert matrix_violations(m, "A") == [
+            "A: column 3 has duplicate or decreasing row indices"]
 
 
 class TestMakePartition:

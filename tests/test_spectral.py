@@ -1,12 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from racml import spectral
 from racml.engine import BlockDefinitenessError, compute_residuals, run_sweep
 from racml.problems import (
     CapacityError,
     QpProblem,
     UpdateOrder,
     enumerate_orders,
+    enumerate_partitions,
 )
 from racml.spectral import (
     certify,
@@ -133,6 +137,63 @@ class TestExpectedOperators:
         assert np.max(np.abs(M - direct)) <= 1e-10
 
 
+def reference_certificate(H, A, beta, p):
+    """The order averages of certify, each by its own enumeration.
+
+    The expected Q over every order, the per-partition averages over the
+    permutations of each partition's blocks, and the expected Kronecker
+    square from one iteration map per order: an independent reference for
+    certify's single pass.
+    """
+    S = coupling_matrix(H, A, beta)
+    n = S.shape[0]
+    orders = enumerate_orders(n, p)
+    Q = sum(np.linalg.inv(gauss_seidel_matrix(H, A, beta, o))
+            for o in orders) / len(orders)
+    maxima = []
+    for partition in enumerate_partitions(n, p):
+        perms = list(itertools.permutations(partition.groups))
+        Qp = sum(np.linalg.inv(gauss_seidel_matrix(H, A, beta, UpdateOrder(g)))
+                 for g in perms) / len(perms)
+        maxima.append(float(np.max(np.linalg.eigvals(Qp @ S).real)))
+    maps = [iteration_map(H, A, beta, o).matrix for o in orders]
+    K = sum(np.kron(M, M) for M in maps) / len(orders)
+    return (np.sort(np.linalg.eigvals(Q @ S).real), maxima,
+            float(np.max(np.abs(np.linalg.eigvals(K)))))
+
+
+class TestCertifyAgainstReference:
+    @pytest.mark.parametrize("n, p, h_zero", [
+        (4, 2, False), (4, 4, False), (4, 2, True), (4, 4, True),
+        (6, 2, False), (6, 6, False), (6, 3, True)])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_matches_three_pass_computation(self, n, p, h_zero, seed):
+        rng = np.random.default_rng(100 * n + 10 * p + seed)
+        beta = float(rng.choice([0.1, 1.0, 10.0]))
+        m = n if h_zero else int(rng.integers(1, 3))
+        H, A = random_instance(seed, n=n, m=m, h_zero=h_zero)
+        if h_zero:
+            H = None
+        eig_qs, maxima, rho = reference_certificate(H, A, beta, p)
+        cert = certify(H, A, beta, p, kron=True)
+        np.testing.assert_allclose(np.sort(cert.eig_qs.real), eig_qs,
+                                   rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(cert.partition_max_eigs, maxima,
+                                   rtol=1e-9, atol=1e-12)
+        assert cert.rho_kron == pytest.approx(rho, rel=1e-9, abs=1e-12)
+
+    def test_orders_are_enumerated_once(self, monkeypatch):
+        calls = []
+        enumerate_all = spectral.enumerate_orders
+        monkeypatch.setattr(spectral, "enumerate_orders",
+                            lambda n, p: calls.append((n, p)) or enumerate_all(n, p))
+        H, A = random_instance(3, n=6, m=2)
+        certify(H, A, 1.0, 3, kron=True)
+        assert calls == [(6, 3)]
+        expected_operators(H, A, 1.0, 2)
+        assert calls == [(6, 3), (6, 2)]
+
+
 class TestCertify:
     def test_identity_case_certificate(self):
         cert = certify(None, np.eye(2), 1.0, 2)
@@ -169,10 +230,12 @@ class TestCertify:
 
     def test_degenerate_block_flagged(self):
         A = np.array([[1.0, 0.0], [2.0, 0.0]])
-        cert = certify(None, A, 1.0, 2)
+        cert = certify(None, A, 1.0, 2, kron=True)
         assert cert.assumption1_ok is False
-        assert cert.eig_qs is None
-        assert cert.lemma2_ok is None
+        # a singular sweep leaves only the block definiteness verdict
+        for field in ("eig_qs", "eig_m", "rho_kron", "lemma2_ok", "as_ok",
+                      "partition_max_eigs", "partitions_ok", "weyl_ok"):
+            assert getattr(cert, field) is None, field
 
     def test_kron_capacity_guard(self):
         H, A = random_instance(0, n=4, m=2)
