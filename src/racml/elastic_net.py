@@ -24,7 +24,8 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .data_io import density
-from .engine import BlockDefinitenessError, ResidualPair, _col_slice, run_sweeps
+from .engine import (BlockSystem, ResidualPair, _cholesky, _col_slice,
+                     block_system, blocks_recur, run_sweeps, solve_block)
 from .problems import Matrix, Mode, SolverConfig, Status, chunk_indices
 
 # Optional instrumentation: called with the element count of each per-block
@@ -181,14 +182,25 @@ def fit(X: Matrix, y: np.ndarray, spec: ElasticNetSpec) -> ElasticNetModel:
 
     c = -(X.T @ y) / n
     c = np.asarray(c, dtype=float).ravel()
+    # a non-finite entry of X, or of y in a row X uses, makes X'y non-finite
+    if not np.all(np.isfinite(c)):
+        raise ValueError("X and y must be finite: X'y has non-finite entries")
     beta = np.zeros(p)
     z = np.zeros(p)
     xi = np.zeros(p)
     r = np.zeros(n)  # running X @ beta
 
-    # RP keeps its partition: each block is factored once (p * s floats in all)
-    factor_cache: dict = {}
-    cache_factors = mode == Mode.RP
+    # a kept system holds only its s x s factor: not Xg, nor the Gram block
+    systems = {} if blocks_recur(mode, p, block_size, spec.iters) else None
+    lower = np.full(block_size, -np.inf)  # coefficient blocks are unbounded
+    upper = np.full(block_size, np.inf)
+
+    def gram_system(Xg):
+        gram = (Xg.T @ Xg) / n
+        _note_alloc(gram.size)
+        gram[np.diag_indices_from(gram)] += gamma
+        return BlockSystem(matrix=None, rhs=None, lower=lower[:len(gram)],
+                           upper=upper[:len(gram)], chol=_cholesky(gram))
 
     def sweep(order):
         nonlocal z, xi, r
@@ -199,22 +211,9 @@ def fit(X: Matrix, y: np.ndarray, spec: ElasticNetSpec) -> ElasticNetModel:
             # coupling to the other blocks through the running prediction:
             # X_b' X_rest beta_rest / n, without touching the full Gram
             cross = Xg.T @ (r - Xg @ beta[idx]) / n
-            rhs = -(c[idx] + cross - xi[idx] - gamma * z[idx])
-            chol = factor_cache.get(g)
-            if chol is None:
-                gram = (Xg.T @ Xg) / n
-                _note_alloc(gram.size)
-                gram[np.diag_indices_from(gram)] += gamma
-                try:
-                    chol = np.linalg.cholesky(gram)
-                except np.linalg.LinAlgError as exc:
-                    raise BlockDefinitenessError(
-                        "sub-block Gram matrix plus gamma*I is not positive "
-                        "definite; the sub-block positive-definiteness "
-                        "requirement is violated") from exc
-                if cache_factors:
-                    factor_cache[g] = chol
-            new_beta = scipy.linalg.cho_solve((chol, True), rhs)
+            system = block_system(systems, g, lambda: gram_system(Xg))
+            system.rhs = -(c[idx] + cross - xi[idx] - gamma * z[idx])
+            new_beta = solve_block(system)
             r += Xg @ (new_beta - beta[idx])
             beta[idx] = new_beta
         z = z_update(beta, xi, gamma, spec.lam, spec.alpha)

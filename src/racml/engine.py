@@ -12,12 +12,15 @@ deterministic (CYCLIC).
 ``block_orders`` is the one source of block orders and ``run_sweeps`` the one
 sweep driver (stopping rule, divergence guard, residual histories). The QP
 solver here, elastic-net and C-SVC are adapters that supply a ``sweep(order)``
-callable to it.
+callable to it. They share one block step, a ``BlockSystem`` factored by
+``_cholesky`` and solved by ``solve_block``, kept by QP and elastic-net
+(``block_system``) where ``blocks_recur``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -49,26 +52,58 @@ PG_TOL = 1e-10
 class BlockDefinitenessError(ArithmeticError):
     """A block subsystem was not positive definite.
 
-    The sweep requires every block matrix H_bb + beta * A_b' A_b to be
-    symmetric positive definite; a failed factorization reports which block
-    violated that precondition.
+    The sweep requires every block matrix to be symmetric positive definite;
+    a failed factorization reports which block violated that precondition.
     """
 
 
 @dataclass
 class BlockSystem:
-    """One block's exact minimization subproblem: min 1/2 x'Mx - r'x over a box."""
+    """One block's exact minimization subproblem: min 1/2 x'Mx - r'x over a box.
 
-    matrix: np.ndarray
-    rhs: np.ndarray
+    Only ``rhs`` changes per visit. ``chol``, M's factor, is set on a kept
+    system; an unbounded solve reads it alone, so a system built with it may
+    leave ``matrix`` None.
+    """
+
+    matrix: Optional[np.ndarray]
+    rhs: Optional[np.ndarray]
     lower: np.ndarray
     upper: np.ndarray
     bounded: Optional[bool] = None
+    chol: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.bounded is None:
             self.bounded = bool(np.any(np.isfinite(self.lower)) or
                                 np.any(np.isfinite(self.upper)))
+
+
+def blocks_recur(mode: Mode, n: int, s: int, sweeps: int) -> bool:
+    """Whether ``sweeps`` sweeps must revisit a block, i.e. make more block
+    visits than there are distinct blocks: ceil(n/s) for a fixed partition,
+    C(n, s) (plus C(n, n mod s) short ones) under RAC, which also keeps
+    nothing past n = 64 to bound the size of what it keeps."""
+    if Mode(mode) != Mode.RAC:
+        return sweeps > 1
+    if n > 64:
+        return False
+    short = math.comb(n, n % s) if n % s else 0
+    return math.comb(n, s) + short < sweeps * -(-n // s)
+
+
+def block_system(cache: Optional[dict], block: Sequence[int],
+                 build: Callable[[], BlockSystem]) -> BlockSystem:
+    """``cache``'s system for ``block``, built, factored and kept on the first
+    visit; with ``cache`` None every visit builds its own."""
+    if cache is None:
+        return build()
+    key = tuple(block)
+    if key not in cache:
+        system = cache[key] = build()
+        if system.chol is None:
+            system.chol = _cholesky(system.matrix)
+    return cache[key]
 
 
 @dataclass(frozen=True)
@@ -86,29 +121,22 @@ class ResidualPair:
 
 def _col_slice(mat, block):
     """Columns ``block`` of a dense or sparse matrix as a dense array."""
-    if mat is None:
-        return None
     if sp.issparse(mat):
         return np.asarray(mat[:, block].todense(), dtype=float)
     return mat[:, block]
 
 
 @dataclass
-class _BlockPieces:
-    """Problem-constant slices for one block, reusable across sweeps."""
+class _QpBlock(BlockSystem):
+    """A QP block's system with the problem slices its rhs is built from."""
 
-    index: np.ndarray
-    matrix: np.ndarray          # H_bb + beta A_b'A_b
-    Hb: Optional[np.ndarray]    # n x s columns of H
-    Hbb: Optional[np.ndarray]
-    Ab: Optional[np.ndarray]    # m x s columns of A
-    lower: np.ndarray
-    upper: np.ndarray
-    bounded: bool
-    chol: Optional[np.ndarray] = None  # Cholesky factor of matrix, on first use
+    index: Optional[np.ndarray] = None
+    Hb: Optional[np.ndarray] = None    # n x s columns of H
+    Hbb: Optional[np.ndarray] = None
+    Ab: Optional[np.ndarray] = None    # m x s columns of A
 
 
-def _block_pieces(problem: QpProblem, block, beta: float) -> _BlockPieces:
+def _qp_block(problem: QpProblem, block, beta: float) -> _QpBlock:
     idx = np.asarray(block, dtype=int)
     s = idx.size
     matrix = np.zeros((s, s))
@@ -120,25 +148,22 @@ def _block_pieces(problem: QpProblem, block, beta: float) -> _BlockPieces:
     if problem.A is not None:
         Ab = _col_slice(problem.A, idx)
         matrix = matrix + beta * (Ab.T @ Ab)
-    lower = problem.lower[idx]
-    upper = problem.upper[idx]
-    bounded = bool(np.any(np.isfinite(lower)) or np.any(np.isfinite(upper)))
-    return _BlockPieces(index=idx, matrix=matrix, Hb=Hb, Hbb=Hbb, Ab=Ab,
-                        lower=lower, upper=upper, bounded=bounded)
+    return _QpBlock(matrix=matrix, rhs=None, lower=problem.lower[idx],
+                    upper=problem.upper[idx], index=idx, Hb=Hb, Hbb=Hbb, Ab=Ab)
 
 
-def _block_rhs(problem: QpProblem, pieces: _BlockPieces, x: np.ndarray,
-               y: np.ndarray, beta: float) -> np.ndarray:
-    idx = pieces.index
+def _set_qp_rhs(problem: QpProblem, system: _QpBlock, x: np.ndarray,
+                y: np.ndarray, beta: float) -> None:
+    idx, Hb, Hbb, Ab = system.index, system.Hb, system.Hbb, system.Ab
     xb = x[idx]
     rhs = -problem.c[idx]
-    if pieces.Hb is not None:
+    if Hb is not None:
         # H_{b,rest} x_rest = (H x)_b - H_bb x_b, using column symmetry
-        rhs = rhs - (pieces.Hb.T @ x - pieces.Hbb @ xb)
-    if pieces.Ab is not None:
-        ax_rest = problem.A @ x - pieces.Ab @ xb
-        rhs = rhs + pieces.Ab.T @ y - beta * (pieces.Ab.T @ (ax_rest - problem.b))
-    return rhs
+        rhs = rhs - (Hb.T @ x - Hbb @ xb)
+    if Ab is not None:
+        ax_rest = problem.A @ x - Ab @ xb
+        rhs = rhs + Ab.T @ y - beta * (Ab.T @ (ax_rest - problem.b))
+    system.rhs = rhs
 
 
 def assemble_block_system(problem: QpProblem, x: np.ndarray, y: np.ndarray,
@@ -159,10 +184,9 @@ def assemble_block_system(problem: QpProblem, x: np.ndarray, y: np.ndarray,
         raise ValueError(f"x has length {x.size}, expected {n}")
     if y.size != problem.m:
         raise ValueError(f"y has length {y.size}, expected {problem.m}")
-    pieces = _block_pieces(problem, block, beta)
-    rhs = _block_rhs(problem, pieces, x, y, beta)
-    return BlockSystem(matrix=pieces.matrix, rhs=rhs, lower=pieces.lower,
-                       upper=pieces.upper, bounded=pieces.bounded)
+    system = _qp_block(problem, block, beta)
+    _set_qp_rhs(problem, system, x, y, beta)
+    return system
 
 
 def _cholesky(matrix: np.ndarray) -> np.ndarray:
@@ -170,8 +194,8 @@ def _cholesky(matrix: np.ndarray) -> np.ndarray:
         return np.linalg.cholesky(matrix)
     except np.linalg.LinAlgError as exc:
         raise BlockDefinitenessError(
-            "block matrix H_bb + beta*A_b'A_b is not positive definite; "
-            "the solver's block positive-definiteness assumption is violated"
+            "block matrix is not positive definite; the solver's block "
+            "positive-definiteness assumption is violated"
         ) from exc
 
 
@@ -194,7 +218,7 @@ def _projected_gradient(matrix, rhs, lower, upper, x0):
     return x
 
 
-def solve_block(system: BlockSystem, chol: Optional[np.ndarray] = None) -> np.ndarray:
+def solve_block(system: BlockSystem) -> np.ndarray:
     """Exactly minimize 1/2 x'Mx - r'x over the block's box.
 
     Unbounded blocks are a single SPD solve. Bounded blocks run a finite
@@ -202,10 +226,12 @@ def solve_block(system: BlockSystem, chol: Optional[np.ndarray] = None) -> np.nd
     clamp violators (the active set only grows within a pass), then release
     any bound whose multiplier has the wrong sign and repeat. A pass budget
     of ACTIVE_SET_PASS_FACTOR * s guards against cycling, after which a
-    projected-gradient fallback finishes to PG_TOL.
+    projected-gradient fallback finishes to PG_TOL. A system without
+    ``chol`` has its matrix factored for this solve only.
     """
     matrix, rhs = system.matrix, system.rhs
     s = rhs.size
+    chol = system.chol
     if chol is None:
         chol = _cholesky(matrix)
     x = _chol_solve(chol, rhs)
@@ -294,26 +320,16 @@ def run_sweep(problem: QpProblem, x: np.ndarray, y: np.ndarray,
               piece_cache: Optional[dict] = None) -> tuple[np.ndarray, np.ndarray]:
     """One full pass: minimize each block in order, then one dual step.
 
-    Returns the updated (x, y); the inputs are not modified. ``piece_cache``
-    maps block tuples to their problem-constant slices, which carry the
-    block matrix's factorization once it has been computed.
+    Returns the updated (x, y); the inputs are not modified. ``piece_cache``,
+    when given, keeps each block's system and factor (see ``block_system``).
     """
     x = np.asarray(x, dtype=float).copy()
     y = np.asarray(y, dtype=float)
     for block in order:
-        key = tuple(block)
-        pieces = piece_cache.get(key) if piece_cache is not None else None
-        if pieces is None:
-            pieces = _block_pieces(problem, block, beta)
-            if piece_cache is not None:
-                piece_cache[key] = pieces
-        if pieces.chol is None:
-            pieces.chol = _cholesky(pieces.matrix)
-        rhs = _block_rhs(problem, pieces, x, y, beta)
-        system = BlockSystem(matrix=pieces.matrix, rhs=rhs,
-                             lower=pieces.lower, upper=pieces.upper,
-                             bounded=pieces.bounded)
-        x[pieces.index] = solve_block(system, chol=pieces.chol)
+        system = block_system(piece_cache, block,
+                              lambda: _qp_block(problem, block, beta))
+        _set_qp_rhs(problem, system, x, y, beta)
+        x[system.index] = solve_block(system)
     y = dual_update(y, problem.A, x, problem.b, beta)
     return x, y
 
@@ -382,9 +398,8 @@ def solve(problem: QpProblem, config: SolverConfig,
           sweep_hook=None) -> SolveResult:
     """Run the randomized multi-block sweep until tolerance or iteration cap.
 
-    Block orders come from ``block_orders`` and stopping from ``run_sweeps``.
-    RP/CYCLIC, and any mode on n <= 64, reuse block slices and their
-    factorizations across sweeps.
+    Block orders come from ``block_orders``, stopping from ``run_sweeps``,
+    and ``blocks_recur`` decides whether block systems are kept.
 
     ``sweep_hook(k, x, y)``, when given, observes the iterate after sweep k
     (1-based); it must not mutate its arguments.
@@ -394,16 +409,13 @@ def solve(problem: QpProblem, config: SolverConfig,
         raise ValueError("invalid problem: " + "; ".join(report.issues))
     n = problem.n
     config.validate(n)
-    mode = Mode(config.mode)
     beta = config.beta_penalty
 
     x = np.clip(np.zeros(n), problem.lower, problem.upper)
     y = np.zeros(problem.m)
 
-    # Block slices and their factors are kept where blocks recur: every block
-    # of a fixed partition, and the few distinct blocks of a small instance.
-    piece_cache: Optional[dict] = {} if n <= 64 or \
-        mode in (Mode.RP, Mode.CYCLIC) else None
+    recur = blocks_recur(config.mode, n, config.block_size, config.max_iters)
+    piece_cache = {} if recur else None
     sweep_numbers = itertools.count(1)
 
     def sweep(order):

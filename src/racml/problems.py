@@ -39,10 +39,11 @@ def as_dense(mat: Matrix) -> np.ndarray:
 
 
 def as_csc(mat: Matrix) -> sp.csc_matrix:
-    """Return the column-compressed form, canonicalized (sorted, no dups)."""
-    csc = sp.csc_matrix(mat)
+    """The canonical (sorted, no dups) CSC form of ``mat``, never in place."""
+    if sp.issparse(mat) and mat.format == "csc" and mat.has_canonical_format:
+        return mat
+    csc = sp.csc_matrix(mat, copy=True)
     csc.sum_duplicates()
-    csc.sort_indices()
     return csc
 
 
@@ -87,7 +88,8 @@ class QpProblem:
     """Linearly constrained box QP: min 1/2 x'Hx + c'x  s.t. Ax = b, l <= x <= u.
 
     ``H`` (symmetric PSD) and ``A`` may be absent, meaning a zero quadratic
-    term / no equality constraints. Bounds default to the whole space
+    term / no equality constraints. A non-canonical CSC ``H`` or ``A`` is
+    stored canonicalized by ``as_csc``. Bounds default to the whole space
     (``-inf``/``+inf`` sentinels).
     """
 
@@ -102,6 +104,9 @@ class QpProblem:
         c = _vec(self.c, "c")
         object.__setattr__(self, "c", c)
         n = c.size
+        for name in ("H", "A"):
+            if sp.issparse(mat := getattr(self, name)) and mat.format == "csc":
+                object.__setattr__(self, name, as_csc(mat))
         if self.b is not None:
             object.__setattr__(self, "b", _vec(self.b, "b"))
         lo = _vec(self.lower, "lower") if self.lower is not None \
@@ -120,11 +125,6 @@ class QpProblem:
         if self.A is None:
             return 0
         return self.A.shape[0]
-
-    @property
-    def is_bounded(self) -> bool:
-        return bool(np.any(np.isfinite(self.lower)) or
-                    np.any(np.isfinite(self.upper)))
 
 
 @dataclass(frozen=True)

@@ -266,6 +266,57 @@ class TestFit:
         assert seen.count(n * s) == 4 * (p // s)
         assert seen.count(s * s) == p // s
 
+    def test_rac_on_small_p_factors_each_distinct_block_once(self,
+                                                              monkeypatch):
+        n, p, s, iters = 30, 6, 2, 20
+        rng = np.random.default_rng(8)
+        X = rng.standard_normal((n, p))
+        y = rng.standard_normal(n)
+        spec = ElasticNetSpec(lam=0.1, alpha=0.5, block_size=s, iters=iters,
+                              mode=Mode.RAC, seed=3)
+        factored = []
+        cholesky = en._cholesky
+        monkeypatch.setattr(en, "_cholesky",
+                            lambda mat: factored.append(mat) or cholesky(mat))
+        kept = []
+        block_system = en.block_system
+        monkeypatch.setattr(
+            en, "block_system",
+            lambda cache, *args: kept.append(cache) or
+            block_system(cache, *args))
+        cached = fit(X, y, spec)
+        cached_calls = len(factored)
+        # a kept system holds its factor only, not the Gram block
+        assert all(system.matrix is None and system.chol is not None
+                   for system in kept[0].values())
+        factored.clear()
+        monkeypatch.setattr(en, "blocks_recur", lambda *args: False)
+        uncached = fit(X, y, spec)
+        orders = engine.block_orders(Mode.RAC, p, s,
+                                     np.random.default_rng(spec.seed))
+        distinct = {g for _ in range(iters) for g in next(orders)}
+        # p = 6 in blocks of 2 has only 15 distinct blocks for 60 visits
+        assert cached_calls == len(distinct) < iters * (p // s)
+        assert len(factored) == iters * (p // s)
+        for name in ("beta", "z", "xi"):
+            assert np.array_equal(getattr(cached, name),
+                                  getattr(uncached, name))
+        assert (cached.iterations, cached.residual, cached.status) == \
+            (uncached.iterations, uncached.residual, uncached.status)
+
+    @pytest.mark.parametrize("bad", ["y", "X"])
+    def test_non_finite_input_refused(self, bad):
+        rng = np.random.default_rng(15)
+        X = sp.random(20, 8, density=0.5, random_state=15, format="csc")
+        y = rng.standard_normal(20)
+        if bad == "y":
+            y[X.indices[0]] = np.nan
+        else:
+            X.data[3] = np.inf
+        with pytest.raises(ValueError, match="must be finite"):
+            fit(X, y, ElasticNetSpec(lam=0.1, alpha=0.5, block_size=4,
+                                     iters=3))
+
     def test_deterministic(self):
         rng = np.random.default_rng(14)
         X = rng.standard_normal((25, 12))

@@ -13,6 +13,7 @@ from racml.engine import (
     ResidualPair,
     assemble_block_system,
     block_orders,
+    blocks_recur,
     compute_residuals,
     dual_update,
     run_sweep,
@@ -412,6 +413,39 @@ def order_cases(draw):
     n = draw(st.integers(1, 40))
     return (draw(st.sampled_from(list(Mode))), n, draw(st.integers(1, n)),
             draw(st.integers(0, 2**32 - 1)))
+
+
+class TestBlocksRecur:
+    @pytest.mark.parametrize("mode", [Mode.RP, Mode.CYCLIC])
+    def test_fixed_partition_recurs_from_the_second_sweep(self, mode):
+        assert not blocks_recur(mode, 10_000, 100, 1)
+        assert blocks_recur(mode, 10_000, 100, 2)
+
+    def test_rac_recurs_once_visits_outnumber_distinct_blocks(self):
+        # 6 variables in blocks of 2: C(6, 2) = 15 blocks, 3 per sweep
+        assert not blocks_recur(Mode.RAC, 6, 2, 5)
+        assert blocks_recur(Mode.RAC, 6, 2, 6)
+        # 7 in blocks of 3 adds C(7, 1) = 7 short blocks to C(7, 3) = 35
+        assert not blocks_recur(Mode.RAC, 7, 3, 14)
+        assert blocks_recur(Mode.RAC, 7, 3, 15)
+
+    def test_rac_keeps_nothing_on_many_distinct_blocks(self):
+        # C(64, 4) = 635376 blocks: 100 sweeps of 16 revisit almost none
+        assert not blocks_recur(Mode.RAC, 64, 4, 100)
+        # past n = 64 RAC keeps nothing, however often its blocks recur
+        assert not blocks_recur(Mode.RAC, 65, 1, 10**6)
+
+    def test_rac_without_recurrence_factors_every_visit(self, monkeypatch):
+        prob = random_problem(7, n=40, m=3)
+        factored = []
+        cholesky = engine._cholesky
+        monkeypatch.setattr(engine, "_cholesky",
+                            lambda mat: factored.append(mat) or cholesky(mat))
+        cfg = SolverConfig(mode=Mode.RAC, block_size=5, beta_penalty=1.0,
+                           max_iters=6, tol_primal=1e-16, tol_dual=1e-16,
+                           seed=2, fixed_iterations=True)
+        solve(prob, cfg)
+        assert len(factored) == 6 * 8
 
 
 class TestBlockCache:

@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from racml.engine import solve
 from racml.problems import (
     CapacityError,
+    Mode,
     QpProblem,
+    SolverConfig,
     enumerate_orders,
     enumerate_partitions,
     load_qp_manifest,
@@ -51,6 +54,47 @@ class TestValidateProblem:
         assert report.ok
         # one dense n x n copy of H would take 72 MB
         assert peak < 2e6
+
+    @pytest.mark.parametrize("n", [6, 12, 40])
+    def test_unsorted_sparse_h_is_canonicalized(self, n):
+        # a sparse product leaves row indices unsorted within columns
+        G = sp.random(n, n, density=0.3, random_state=n, format="csc")
+        H = G @ G.T + sp.eye(n, format="csc")
+        assert not H.has_sorted_indices
+        caller = (H.data.copy(), H.indices.copy(), H.indptr.copy())
+        presorted = H.copy()
+        presorted.sort_indices()
+        rng = np.random.default_rng(n)
+        A = rng.standard_normal((2, n))
+        c, b = rng.standard_normal(n), A @ rng.standard_normal(n)
+        problem = QpProblem(c=c, H=H, A=A, b=b)
+        assert validate_problem(problem).ok
+        cfg = SolverConfig(mode=Mode.RAC, block_size=3, beta_penalty=1.0,
+                           max_iters=30, seed=n)
+        got = solve(problem, cfg)
+        want = solve(QpProblem(c=c, H=presorted, A=A, b=b), cfg)
+        assert np.array_equal(got.x, want.x)
+        assert np.array_equal(got.y, want.y)
+        for before, after in zip(caller, (H.data, H.indices, H.indptr)):
+            assert np.array_equal(before, after)
+
+    def test_duplicate_sparse_entries_are_summed(self):
+        A = sp.csc_matrix((np.array([1.0, 2.0]), np.array([0, 0]),
+                           np.array([0, 2])), shape=(1, 1))
+        problem = QpProblem(c=np.zeros(1), A=A, b=np.array([3.0]))
+        assert validate_problem(problem).ok
+        assert problem.A.toarray().tolist() == [[3.0]]
+        assert matrix_violations(A)  # the caller's matrix is left as given
+
+    def test_canonical_csc_and_other_formats_stored_as_given(self):
+        rng = np.random.default_rng(3)
+        G = sp.random(8, 8, density=0.4, random_state=3, format="csc")
+        H = (G @ G.T + sp.eye(8)).tocsc()
+        H.sort_indices()
+        A = sp.csr_matrix(rng.standard_normal((2, 8)))
+        problem = QpProblem(c=np.zeros(8), H=H, A=A, b=np.zeros(2))
+        assert problem.H is H
+        assert problem.A is A
 
     def test_bound_order_reported(self):
         p = QpProblem(c=np.zeros(1), lower=np.array([1.0]),
