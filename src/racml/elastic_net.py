@@ -24,8 +24,8 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .data_io import density
-from .engine import (BlockSystem, ResidualPair, _cholesky, _col_slice,
-                     block_system, blocks_recur, run_sweeps, solve_block)
+from .engine import (BlockSystem, ResidualPair, _cholesky, block_system,
+                     blocks_recur, run_sweeps, solve_block)
 from .problems import Matrix, Mode, SolverConfig, Status, chunk_indices
 
 # Optional instrumentation: called with the element count of each per-block
@@ -41,6 +41,13 @@ def set_alloc_hook(hook: Optional[Callable[[int], None]]) -> None:
 def _note_alloc(count: int) -> None:
     if _ALLOC_HOOK is not None:
         _ALLOC_HOOK(int(count))
+
+
+def _col_slice(mat, block):
+    """Columns ``block`` of a dense or sparse matrix as a dense array."""
+    if sp.issparse(mat):
+        return np.asarray(mat[:, block].todense(), dtype=float)
+    return mat[:, block]
 
 
 # Denser designs get a small penalty relative to lam; very sparse designs a

@@ -29,6 +29,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .problems import (
+    Matrix,
     Mode,
     QpProblem,
     SolveResult,
@@ -119,11 +120,9 @@ class ResidualPair:
     primal_l1: float
 
 
-def _col_slice(mat, block):
-    """Columns ``block`` of a dense or sparse matrix as a dense array."""
-    if sp.issparse(mat):
-        return np.asarray(mat[:, block].todense(), dtype=float)
-    return mat[:, block]
+def _dense(mat) -> np.ndarray:
+    """An s x s block product as a dense array; dense input passes through."""
+    return mat.toarray() if sp.issparse(mat) else mat
 
 
 @dataclass
@@ -131,9 +130,9 @@ class _QpBlock(BlockSystem):
     """A QP block's system with the problem slices its rhs is built from."""
 
     index: Optional[np.ndarray] = None
-    Hb: Optional[np.ndarray] = None    # n x s columns of H
-    Hbb: Optional[np.ndarray] = None
-    Ab: Optional[np.ndarray] = None    # m x s columns of A
+    Hb: Optional[Matrix] = None    # n x s columns of H, in H's storage
+    Hbb: Optional[np.ndarray] = None   # s x s, dense
+    Ab: Optional[Matrix] = None    # m x s columns of A, in A's storage
 
 
 def _qp_block(problem: QpProblem, block, beta: float) -> _QpBlock:
@@ -142,12 +141,12 @@ def _qp_block(problem: QpProblem, block, beta: float) -> _QpBlock:
     matrix = np.zeros((s, s))
     Hb = Hbb = Ab = None
     if problem.H is not None:
-        Hb = _col_slice(problem.H, idx)  # columns of symmetric H
-        Hbb = Hb[idx, :]
+        Hb = problem.H[:, idx]  # columns of symmetric H
+        Hbb = _dense(Hb[idx, :])
         matrix = matrix + Hbb
     if problem.A is not None:
-        Ab = _col_slice(problem.A, idx)
-        matrix = matrix + beta * (Ab.T @ Ab)
+        Ab = problem.A[:, idx]
+        matrix = matrix + beta * _dense(Ab.T @ Ab)
     return _QpBlock(matrix=matrix, rhs=None, lower=problem.lower[idx],
                     upper=problem.upper[idx], index=idx, Hb=Hb, Hbb=Hbb, Ab=Ab)
 

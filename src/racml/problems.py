@@ -88,9 +88,11 @@ class QpProblem:
     """Linearly constrained box QP: min 1/2 x'Hx + c'x  s.t. Ax = b, l <= x <= u.
 
     ``H`` (symmetric PSD) and ``A`` may be absent, meaning a zero quadratic
-    term / no equality constraints. A non-canonical CSC ``H`` or ``A`` is
-    stored canonicalized by ``as_csc``. Bounds default to the whole space
-    (``-inf``/``+inf`` sentinels).
+    term / no equality constraints. A sparse ``H`` or ``A`` is stored as
+    given when CSR or canonical CSC; any other sparse format, including a
+    non-canonical CSC, is stored as ``as_csc`` makes it, since the sweep
+    slices columns. Bounds default to the whole space (``-inf``/``+inf``
+    sentinels).
     """
 
     c: np.ndarray
@@ -105,7 +107,7 @@ class QpProblem:
         object.__setattr__(self, "c", c)
         n = c.size
         for name in ("H", "A"):
-            if sp.issparse(mat := getattr(self, name)) and mat.format == "csc":
+            if sp.issparse(mat := getattr(self, name)) and mat.format != "csr":
                 object.__setattr__(self, name, as_csc(mat))
         if self.b is not None:
             object.__setattr__(self, "b", _vec(self.b, "b"))
@@ -231,12 +233,16 @@ def chunk_indices(indices: np.ndarray, block_size: int) -> tuple[tuple[int, ...]
     """Split an index vector into consecutive chunks of the block size.
 
     Each chunk is sorted internally; block membership is a set property and
-    the canonical form makes partitions comparable.
+    the canonical form makes partitions comparable. A short last chunk holds
+    the remainder when the block size does not divide the length.
     """
-    groups = []
-    for start in range(0, indices.size, block_size):
-        groups.append(tuple(sorted(int(i) for i in indices[start:start + block_size])))
-    return tuple(groups)
+    full = indices.size - indices.size % block_size
+    chunks = np.sort(indices[:full].reshape(-1, block_size), axis=1).tolist()
+    if full < indices.size:
+        chunks.append(np.sort(indices[full:]).tolist())
+    # tuple() of a list allocates the exact size; of a map it over-allocates
+    # and shrinks, which grows CPython's tuple free lists by one per call
+    return tuple([tuple(chunk) for chunk in chunks])
 
 
 def make_partition(n: int, block_size: int, seed: int = 0,

@@ -1,7 +1,9 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -490,6 +492,104 @@ class TestBlockCache:
         for pieces in cache.values():
             np.testing.assert_allclose(pieces.chol @ pieces.chol.T,
                                        pieces.matrix, atol=1e-12)
+
+
+def sparse_problem(seed, n=80, m=6, bounded=False):
+    rng = np.random.default_rng(seed)
+    G = sp.random(n, n, density=0.05, random_state=seed, format="csc")
+    H = (G @ G.T + sp.eye(n)).tocsc()
+    H.sort_indices()
+    A = sp.random(m, n, density=0.2, random_state=seed + 1, format="csc")
+    box = dict(lower=np.full(n, -0.4), upper=np.full(n, 0.4)) if bounded else {}
+    return QpProblem(c=rng.standard_normal(n), H=H, A=A,
+                     b=A @ rng.uniform(-0.3, 0.3, n), **box)
+
+
+def dense_twin(problem):
+    return QpProblem(c=problem.c, H=problem.H.toarray(), A=problem.A.toarray(),
+                     b=problem.b, lower=problem.lower, upper=problem.upper)
+
+
+def assert_near(got, want):
+    """Agreement to 1e-10 of ``want``'s inf-norm, floored at 1."""
+    scale = max(1.0, float(np.max(np.abs(want)))) if np.size(want) else 1.0
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-10 * scale
+
+
+class TestSparseBlocks:
+    def test_kept_block_keeps_sparse_slices(self):
+        prob = sparse_problem(1)
+        cache = {}
+        run_sweep(prob, np.zeros(80), np.zeros(6), ((0, 5, 9), (1, 2, 3)), 1.0,
+                  piece_cache=cache)
+        for system in cache.values():
+            assert sp.issparse(system.Hb) and sp.issparse(system.Ab)
+            assert system.Hb.shape == (80, 3) and system.Ab.shape == (6, 3)
+            for dense in (system.matrix, system.Hbb, system.chol):
+                assert isinstance(dense, np.ndarray) and dense.shape == (3, 3)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("bounded", [False, True])
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_sweeps_match_the_dense_twin(self, mode, bounded, cached):
+        sparse = sparse_problem(2, bounded=bounded)
+        dense = dense_twin(sparse)
+        orders = block_orders(mode, 80, 9, np.random.default_rng(3))
+        caches = ({}, {}) if cached else (None, None)
+        xs, ys = np.zeros(80), np.zeros(6)
+        xd, yd = np.zeros(80), np.zeros(6)
+        for _ in range(6):
+            order = next(orders)
+            xs, ys = run_sweep(sparse, xs, ys, order, 0.9, piece_cache=caches[0])
+            xd, yd = run_sweep(dense, xd, yd, order, 0.9, piece_cache=caches[1])
+            assert_near(xs, xd)
+            assert_near(ys, yd)
+            rs, rd = compute_residuals(sparse, xs, ys), compute_residuals(dense, xd, yd)
+            for field in ("primal", "dual", "primal_l1"):
+                assert_near(getattr(rs, field), getattr(rd, field))
+        assert xs.any() and ys.any()
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("bounded", [False, True])
+    def test_solve_matches_the_dense_twin(self, mode, bounded):
+        sparse = sparse_problem(4, bounded=bounded)
+        cfg = SolverConfig(mode=mode, block_size=9, beta_penalty=1.0,
+                           max_iters=15, seed=6, fixed_iterations=True)
+        got, want = solve(sparse, cfg), solve(dense_twin(sparse), cfg)
+        assert got.iterations == want.iterations == 15
+        for field in ("x", "y", "primal_residual_history",
+                      "primal_l1_history", "dual_residual_history"):
+            assert_near(getattr(got, field), getattr(want, field))
+
+    def test_large_sparse_solve_stays_within_memory_bound(self):
+        # 100 x 200 grid Laplacian: n = 20000 in 200 RP blocks of 100. Dense
+        # n x s slices kept for every block would take 200 * 16 MB = 3.2 GB.
+        rows, cols = 100, 200
+        n, m = rows * cols, 2000
+
+        def path(k):
+            return sp.diags([-np.ones(k - 1), 2.0 * np.ones(k), -np.ones(k - 1)],
+                            [-1, 0, 1])
+
+        H = (sp.kron(sp.eye(cols), path(rows)) + sp.kron(path(cols), sp.eye(rows))
+             + 0.1 * sp.eye(n)).tocsc()
+        rng = np.random.default_rng(0)
+        A = sp.csc_matrix((rng.standard_normal(m * 10),
+                           (np.repeat(np.arange(m), 10), rng.integers(0, n, m * 10))),
+                          shape=(m, n))
+        problem = QpProblem(c=rng.standard_normal(n), H=H, A=A,
+                            b=A @ rng.uniform(-0.5, 0.5, n),
+                            lower=-np.ones(n), upper=np.ones(n))
+        cfg = SolverConfig(mode=Mode.RP, block_size=100, beta_penalty=1.0,
+                           max_iters=2, seed=1, fixed_iterations=True)
+        tracemalloc.start()
+        try:
+            res = solve(problem, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.iterations == 2 and res.status != Status.DIVERGED
+        assert peak < 100e6
 
 
 class TestBlockOrders:

@@ -4,6 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from racml.engine import solve
 from racml.problems import (
@@ -11,6 +13,8 @@ from racml.problems import (
     Mode,
     QpProblem,
     SolverConfig,
+    as_csc,
+    chunk_indices,
     enumerate_orders,
     enumerate_partitions,
     load_qp_manifest,
@@ -95,6 +99,24 @@ class TestValidateProblem:
         problem = QpProblem(c=np.zeros(8), H=H, A=A, b=np.zeros(2))
         assert problem.H is H
         assert problem.A is A
+
+    @pytest.mark.parametrize("fmt", ["coo", "dia", "bsr"])
+    def test_formats_without_column_slicing_solve_as_csc(self, fmt):
+        n = 40
+        G = sp.random(n, n, density=0.1, random_state=7, format="csc")
+        H = G @ G.T + sp.eye(n)
+        A = sp.random(3, n, density=0.3, random_state=8, format="csc")
+        rng = np.random.default_rng(9)
+        c, b = rng.standard_normal(n), A @ rng.uniform(-0.3, 0.3, n)
+        box = dict(lower=np.full(n, -0.4), upper=np.full(n, 0.4))
+        problem = QpProblem(c=c, H=H.asformat(fmt), A=A.asformat(fmt), b=b, **box)
+        assert problem.H.format == problem.A.format == "csc"
+        cfg = SolverConfig(mode=Mode.RP, block_size=6, beta_penalty=1.0,
+                           max_iters=8, seed=2, fixed_iterations=True)
+        got = solve(problem, cfg)
+        want = solve(QpProblem(c=c, H=as_csc(H), A=as_csc(A), b=b, **box), cfg)
+        assert np.array_equal(got.x, want.x)
+        assert np.array_equal(got.y, want.y)
 
     def test_bound_order_reported(self):
         p = QpProblem(c=np.zeros(1), lower=np.array([1.0]),
@@ -188,6 +210,37 @@ class TestMakePartition:
             make_partition(4, 0)
         with pytest.raises(ValueError):
             make_partition(4, 5)
+
+
+def chunk_indices_loop(indices, block_size):
+    """chunk_indices as a per-chunk Python sort, the reference it replaced."""
+    groups = []
+    for start in range(0, indices.size, block_size):
+        groups.append(tuple(sorted(int(i) for i in indices[start:start + block_size])))
+    return tuple(groups)
+
+
+@st.composite
+def chunk_cases(draw):
+    n = draw(st.integers(1, 120))
+    s = draw(st.one_of(st.integers(1, n), st.just(n)))
+    return np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(n), s
+
+
+class TestChunkIndices:
+    @settings(max_examples=300, deadline=None)
+    @given(chunk_cases())
+    def test_matches_the_sorting_loop(self, case):
+        indices, s = case
+        got = chunk_indices(indices, s)
+        assert got == chunk_indices_loop(indices, s)
+        assert type(got) is tuple
+        assert all(type(g) is tuple and all(type(i) is int for i in g)
+                   for g in got)
+
+    def test_short_chunk_last(self):
+        assert chunk_indices(np.array([4, 0, 3, 1, 2]), 2) == ((0, 4), (1, 3), (2,))
+        assert chunk_indices(np.array([2, 0, 1]), 3) == ((0, 1, 2),)
 
 
 class TestEnumeration:
