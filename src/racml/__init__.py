@@ -20,9 +20,7 @@ from .engine import (
     BlockDefinitenessError,
     BlockSystem,
     ResidualPair,
-    assemble_block_system,
     compute_residuals,
-    dual_update,
     run_sweep,
     solve,
     solve_block,
@@ -50,7 +48,6 @@ from .svm import (
     KernelSpec,
     SvmModel,
     accuracy,
-    assemble_kernel_block,
     compute_bias,
     grid_search,
     kernel_eval,

@@ -20,13 +20,12 @@ from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
 
 from .data_io import density
-from .engine import (BlockSystem, ResidualPair, _cholesky, block_system,
-                     blocks_recur, run_sweeps, solve_block)
-from .problems import Matrix, Mode, SolverConfig, Status, chunk_indices
+from .engine import (BlockSystem, ResidualPair, _chol_solve, _cholesky,
+                     block_system, blocks_recur, run_sweeps, solve_block)
+from .problems import (Matrix, Mode, SolverConfig, Status, as_dense,
+                       chunk_indices)
 
 # Optional instrumentation: called with the element count of each per-block
 # temporary that fit materializes, so tests can bound peak working memory.
@@ -41,13 +40,6 @@ def set_alloc_hook(hook: Optional[Callable[[int], None]]) -> None:
 def _note_alloc(count: int) -> None:
     if _ALLOC_HOOK is not None:
         _ALLOC_HOOK(int(count))
-
-
-def _col_slice(mat, block):
-    """Columns ``block`` of a dense or sparse matrix as a dense array."""
-    if sp.issparse(mat):
-        return np.asarray(mat[:, block].todense(), dtype=float)
-    return mat[:, block]
 
 
 # Denser designs get a small penalty relative to lam; very sparse designs a
@@ -150,6 +142,21 @@ def objective(X: Matrix, y: np.ndarray, beta: np.ndarray,
     return 0.5 * float(r @ r) / n + penalty
 
 
+def _checked_inputs(X: Matrix, y) -> tuple[np.ndarray, np.ndarray]:
+    """y as floats and c = -X'y/n; refuses an empty X, a y of the wrong
+    length, and a non-finite X'y (from a non-finite X, or y in a row X uses)."""
+    n, p = X.shape
+    if n < 1 or p < 1:
+        raise ValueError("X must be non-empty")
+    y = np.asarray(y, dtype=float)
+    if y.size != n:
+        raise ValueError(f"y has length {y.size}, expected {n}")
+    c = np.asarray(-(X.T @ y) / n, dtype=float).ravel()
+    if not np.all(np.isfinite(c)):
+        raise ValueError("X and y must be finite: X'y has non-finite entries")
+    return y, c
+
+
 def _driver_config(spec: ElasticNetSpec, gamma: float, mode: Mode,
                    block_size: int) -> SolverConfig:
     """Driver settings; with ``tol`` None no sweep passes the stopping test."""
@@ -178,20 +185,11 @@ def fit(X: Matrix, y: np.ndarray, spec: ElasticNetSpec) -> ElasticNetModel:
     """
     spec.validate()
     n, p = X.shape
-    if n < 1 or p < 1:
-        raise ValueError("X must be non-empty")
-    y = np.asarray(y, dtype=float)
-    if y.size != n:
-        raise ValueError(f"y has length {y.size}, expected {n}")
+    y, c = _checked_inputs(X, y)
     gamma = resolve_gamma(spec, X)
     mode = Mode(spec.mode)
     block_size = min(spec.block_size, p)
 
-    c = -(X.T @ y) / n
-    c = np.asarray(c, dtype=float).ravel()
-    # a non-finite entry of X, or of y in a row X uses, makes X'y non-finite
-    if not np.all(np.isfinite(c)):
-        raise ValueError("X and y must be finite: X'y has non-finite entries")
     beta = np.zeros(p)
     z = np.zeros(p)
     xi = np.zeros(p)
@@ -199,21 +197,21 @@ def fit(X: Matrix, y: np.ndarray, spec: ElasticNetSpec) -> ElasticNetModel:
 
     # a kept system holds only its s x s factor: not Xg, nor the Gram block
     systems = {} if blocks_recur(mode, p, block_size, spec.iters) else None
-    lower = np.full(block_size, -np.inf)  # coefficient blocks are unbounded
-    upper = np.full(block_size, np.inf)
 
     def gram_system(Xg):
         gram = (Xg.T @ Xg) / n
         _note_alloc(gram.size)
         gram[np.diag_indices_from(gram)] += gamma
-        return BlockSystem(matrix=None, rhs=None, lower=lower[:len(gram)],
-                           upper=upper[:len(gram)], chol=_cholesky(gram))
+        s = len(gram)  # coefficient blocks are unbounded
+        return BlockSystem(matrix=None, rhs=None, lower=np.full(s, -np.inf),
+                           upper=np.full(s, np.inf), bounded=False,
+                           chol=_cholesky(gram))
 
     def sweep(order):
         nonlocal z, xi, r
         for g in order:
             idx = np.asarray(g, dtype=int)
-            Xg = _col_slice(X, idx)
+            Xg = as_dense(X[:, idx])
             _note_alloc(Xg.size)
             # coupling to the other blocks through the running prediction:
             # X_b' X_rest beta_rest / n, without touching the full Gram
@@ -264,7 +262,7 @@ def consensus_fit(X: Matrix, y: np.ndarray,
     """
     spec.validate()
     n, p = X.shape
-    y = np.asarray(y, dtype=float)
+    y, _ = _checked_inputs(X, y)
     gamma = resolve_gamma(spec, X)
     rng = np.random.default_rng(spec.seed)
     # One coefficient copy per sweep block of ``fit`` (at least two, else this
@@ -278,18 +276,16 @@ def consensus_fit(X: Matrix, y: np.ndarray,
     targets = []
     for g in groups:
         idx = np.asarray(g, dtype=int)
-        Xi = X[idx] if not sp.issparse(X) else np.asarray(
-            X[idx].todense(), dtype=float)
-        Xi = np.asarray(Xi, dtype=float)
+        Xi = as_dense(X[idx])
         yi = y[idx]
         w0 = Xi.T @ yi / n
         ni = idx.size
         if p <= ni:
-            chol = np.linalg.cholesky(Xi.T @ Xi / n + gamma * np.eye(p))
+            chol = _cholesky(Xi.T @ Xi / n + gamma * np.eye(p))
             solvers.append(("direct", Xi, chol))
         else:
             # Woodbury route: invert through the small n_i x n_i system.
-            chol = np.linalg.cholesky(Xi @ Xi.T + n * gamma * np.eye(ni))
+            chol = _cholesky(Xi @ Xi.T + n * gamma * np.eye(ni))
             solvers.append(("woodbury", Xi, chol))
         targets.append(w0)
 
@@ -302,9 +298,9 @@ def consensus_fit(X: Matrix, y: np.ndarray,
         for i, ((kind, Xi, chol), w0) in enumerate(zip(solvers, targets)):
             w = w0 + duals[i] + gamma * z
             if kind == "direct":
-                copies[i] = scipy.linalg.cho_solve((chol, True), w)
+                copies[i] = _chol_solve(chol, w)
             else:
-                inner = scipy.linalg.cho_solve((chol, True), Xi @ w)
+                inner = _chol_solve(chol, Xi @ w)
                 copies[i] = (w - Xi.T @ inner) / gamma
         agg = duals.sum(axis=0) - gamma * copies.sum(axis=0)
         denom = (1.0 - spec.alpha) * spec.lam + N * gamma

@@ -9,12 +9,20 @@ then takes one dual ascent step y <- y - beta (Ax - b). Block membership is
 re-randomized per sweep (RAC), fixed with a shuffled order (RP), or fully
 deterministic (CYCLIC).
 
+Each block step is in gradient form, M_b x_b+ = M_b x_b - grad_b L with
+M_b = H_bb + beta A_b'A_b and grad L = c + Hx - A'y + beta A'r, on running
+products c + Hx and r = Ax - b that each step d updates by H[:, b] d and
+A[:, b] d. The dual step and the residuals read the same products, so a
+sweep touches H only through its blocks' column strips, and H may be an
+implicit symmetric operator that yields them, as C-SVC's kernel is.
+
 ``block_orders`` is the one source of block orders and ``run_sweeps`` the one
 sweep driver (stopping rule, divergence guard, residual histories). The QP
-solver here, elastic-net and C-SVC are adapters that supply a ``sweep(order)``
+solver here and elastic-net are adapters that supply a ``sweep(order)``
 callable to it. They share one block step, a ``BlockSystem`` factored by
-``_cholesky`` and solved by ``solve_block``, kept by QP and elastic-net
-(``block_system``) where ``blocks_recur``.
+``_cholesky`` and solved by ``solve_block``, kept (``block_system``) where
+``blocks_recur``. A kept QP system holds only its s x s matrix and factor;
+the block's column strips are gathered again on every visit.
 """
 
 from __future__ import annotations
@@ -29,7 +37,6 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .problems import (
-    Matrix,
     Mode,
     QpProblem,
     SolveResult,
@@ -62,22 +69,18 @@ class BlockDefinitenessError(ArithmeticError):
 class BlockSystem:
     """One block's exact minimization subproblem: min 1/2 x'Mx - r'x over a box.
 
-    Only ``rhs`` changes per visit. ``chol``, M's factor, is set on a kept
-    system; an unbounded solve reads it alone, so a system built with it may
-    leave ``matrix`` None.
+    Only ``rhs`` changes per visit. ``bounded`` False, which the builder of
+    a system over an all-infinite box may set, skips the box test.
+    ``chol``, M's factor, is set on a kept system; an unbounded solve reads
+    it alone, so a system built with it may leave ``matrix`` None.
     """
 
     matrix: Optional[np.ndarray]
     rhs: Optional[np.ndarray]
     lower: np.ndarray
     upper: np.ndarray
-    bounded: Optional[bool] = None
+    bounded: bool = True
     chol: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.bounded is None:
-            self.bounded = bool(np.any(np.isfinite(self.lower)) or
-                                np.any(np.isfinite(self.upper)))
 
 
 def blocks_recur(mode: Mode, n: int, s: int, sweeps: int) -> bool:
@@ -125,67 +128,24 @@ def _dense(mat) -> np.ndarray:
     return mat.toarray() if sp.issparse(mat) else mat
 
 
-@dataclass
-class _QpBlock(BlockSystem):
-    """A QP block's system with the problem slices its rhs is built from."""
-
-    index: Optional[np.ndarray] = None
-    Hb: Optional[Matrix] = None    # n x s columns of H, in H's storage
-    Hbb: Optional[np.ndarray] = None   # s x s, dense
-    Ab: Optional[Matrix] = None    # m x s columns of A, in A's storage
+def _exact_products(problem: QpProblem, x: np.ndarray) -> tuple:
+    """``(c + Hx, Ax - b)`` at x, fresh arrays a sweep may update."""
+    g = problem.c.copy() if problem.H is None else problem.c + problem.H @ x
+    r = np.zeros(0) if problem.A is None else problem.A @ x - problem.b
+    return np.asarray(g, dtype=float), np.asarray(r, dtype=float)
 
 
-def _qp_block(problem: QpProblem, block, beta: float) -> _QpBlock:
-    idx = np.asarray(block, dtype=int)
-    s = idx.size
-    matrix = np.zeros((s, s))
-    Hb = Hbb = Ab = None
-    if problem.H is not None:
-        Hb = problem.H[:, idx]  # columns of symmetric H
-        Hbb = _dense(Hb[idx, :])
-        matrix = matrix + Hbb
-    if problem.A is not None:
-        Ab = problem.A[:, idx]
-        matrix = matrix + beta * _dense(Ab.T @ Ab)
-    return _QpBlock(matrix=matrix, rhs=None, lower=problem.lower[idx],
-                    upper=problem.upper[idx], index=idx, Hb=Hb, Hbb=Hbb, Ab=Ab)
-
-
-def _set_qp_rhs(problem: QpProblem, system: _QpBlock, x: np.ndarray,
-                y: np.ndarray, beta: float) -> None:
-    idx, Hb, Hbb, Ab = system.index, system.Hb, system.Hbb, system.Ab
-    xb = x[idx]
-    rhs = -problem.c[idx]
-    if Hb is not None:
-        # H_{b,rest} x_rest = (H x)_b - H_bb x_b, using column symmetry
-        rhs = rhs - (Hb.T @ x - Hbb @ xb)
-    if Ab is not None:
-        ax_rest = problem.A @ x - Ab @ xb
-        rhs = rhs + Ab.T @ y - beta * (Ab.T @ (ax_rest - problem.b))
-    system.rhs = rhs
-
-
-def assemble_block_system(problem: QpProblem, x: np.ndarray, y: np.ndarray,
-                          block: Sequence[int], beta: float) -> BlockSystem:
-    """Build the exact subproblem for minimizing L over one block of x.
-
-    With all other variables held fixed the gradient condition reads
-
-        (H_bb + beta A_b'A_b) x_b = -(c_b + H_{b,rest} x_rest - A_b'y
-                                      + beta A_b'(A_rest x_rest - b))
-
-    Rows/columns are gathered directly; no permuted copy of H or A is formed.
-    """
-    n = problem.n
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.size != n:
-        raise ValueError(f"x has length {x.size}, expected {n}")
-    if y.size != problem.m:
-        raise ValueError(f"y has length {y.size}, expected {problem.m}")
-    system = _qp_block(problem, block, beta)
-    _set_qp_rhs(problem, system, x, y, beta)
-    return system
+def _qp_system(problem: QpProblem, idx: np.ndarray, Hs, As,
+               beta: float) -> BlockSystem:
+    matrix = np.zeros((idx.size, idx.size))
+    if Hs is not None:
+        matrix = matrix + _dense(Hs[idx])
+    if As is not None:
+        matrix = matrix + beta * _dense(As.T @ As)
+    lower, upper = problem.lower[idx], problem.upper[idx]
+    bounded = bool(np.isfinite(lower).any() or np.isfinite(upper).any())
+    return BlockSystem(matrix=matrix, rhs=None, lower=lower, upper=upper,
+                       bounded=bounded)
 
 
 def _cholesky(matrix: np.ndarray) -> np.ndarray:
@@ -237,7 +197,7 @@ def solve_block(system: BlockSystem) -> np.ndarray:
     if not system.bounded:
         return x
     lower, upper = system.lower, system.upper
-    if np.all(x >= lower) and np.all(x <= upper):
+    if (x >= lower).all() and (x <= upper).all():
         return x  # interior solution is the global minimizer
 
     x = np.clip(x, lower, upper)
@@ -278,35 +238,19 @@ def solve_block(system: BlockSystem) -> np.ndarray:
     return _projected_gradient(matrix, rhs, lower, upper, x)
 
 
-def dual_update(y: np.ndarray, A, x: np.ndarray, b: np.ndarray,
-                beta: float) -> np.ndarray:
-    """Dual ascent step: y - beta * (Ax - b)."""
-    if A is None:
-        return np.asarray(y, dtype=float).copy()
-    r = A @ x - b
-    if y.size != r.size:
-        raise ValueError(f"y has length {y.size}, expected {r.size}")
-    return y - beta * r
-
-
-def compute_residuals(problem: QpProblem, x: np.ndarray,
-                      y: np.ndarray) -> ResidualPair:
+def compute_residuals(problem: QpProblem, x: np.ndarray, y: np.ndarray,
+                      *, _products: Optional[tuple] = None) -> ResidualPair:
     """Primal and dual residuals at (x, y).
 
     primal: ||Ax - b||_inf (1-norm recorded alongside). dual: inf-norm of the
     box-projected stationarity step ||P(x - (Hx + c - A'y)) - x||_inf, which
     vanishes exactly at KKT points and reduces to ||Hx + c - A'y||_inf when
-    the box is inactive.
+    the box is inactive. ``_products``, the running products of x that
+    ``solve`` carries, stand in for recomputing c + Hx and Ax - b.
     """
-    if problem.A is not None:
-        r = problem.A @ x - problem.b
-        primal = float(np.max(np.abs(r))) if r.size else 0.0
-        primal_l1 = float(np.sum(np.abs(r)))
-    else:
-        primal = primal_l1 = 0.0
-    grad = problem.c.copy()
-    if problem.H is not None:
-        grad = grad + problem.H @ x
+    grad, r = _products if _products is not None else _exact_products(problem, x)
+    primal = float(np.max(np.abs(r))) if r.size else 0.0
+    primal_l1 = float(np.sum(np.abs(r)))
     if problem.A is not None:
         grad = grad - problem.A.T @ y
     projected = np.clip(x - grad, problem.lower, problem.upper)
@@ -316,21 +260,39 @@ def compute_residuals(problem: QpProblem, x: np.ndarray,
 
 def run_sweep(problem: QpProblem, x: np.ndarray, y: np.ndarray,
               order: Sequence[Sequence[int]], beta: float,
-              piece_cache: Optional[dict] = None) -> tuple[np.ndarray, np.ndarray]:
+              piece_cache: Optional[dict] = None, *,
+              _products: Optional[tuple] = None
+              ) -> tuple[np.ndarray, np.ndarray]:
     """One full pass: minimize each block in order, then one dual step.
 
     Returns the updated (x, y); the inputs are not modified. ``piece_cache``,
     when given, keeps each block's system and factor (see ``block_system``).
+    ``_products``, the running products of x that ``solve`` carries across
+    sweeps, are updated in place; without them the sweep starts from exact
+    ones.
     """
     x = np.asarray(x, dtype=float).copy()
     y = np.asarray(y, dtype=float)
+    if y.size != problem.m:
+        raise ValueError(f"y has length {y.size}, expected {problem.m}")
+    g, r = _products if _products is not None else _exact_products(problem, x)
     for block in order:
+        idx = np.asarray(block, dtype=int)
+        Hs = None if problem.H is None else problem.H[:, idx]
+        As = None if problem.A is None else problem.A[:, idx]
         system = block_system(piece_cache, block,
-                              lambda: _qp_block(problem, block, beta))
-        _set_qp_rhs(problem, system, x, y, beta)
-        x[system.index] = solve_block(system)
-    y = dual_update(y, problem.A, x, problem.b, beta)
-    return x, y
+                              lambda: _qp_system(problem, idx, Hs, As, beta))
+        xb = x[idx]
+        grad = g[idx] if As is None else g[idx] + As.T @ (beta * r - y)
+        system.rhs = system.matrix @ xb - grad
+        new = solve_block(system)
+        delta = new - xb
+        if Hs is not None:
+            g += Hs @ delta
+        if As is not None:
+            r += As @ delta
+        x[idx] = new
+    return x, y - beta * r
 
 
 def block_orders(mode: Mode, n: int, s: int, rng: np.random.Generator):
@@ -352,7 +314,7 @@ def block_orders(mode: Mode, n: int, s: int, rng: np.random.Generator):
             yield groups
     groups = chunk_indices(rng.permutation(n), s)
     while True:
-        yield tuple(groups[i] for i in rng.permutation(len(groups)))
+        yield tuple([groups[i] for i in rng.permutation(len(groups))])
 
 
 def run_sweeps(sweep: Callable[[Sequence[Sequence[int]]], ResidualPair],
@@ -412,6 +374,7 @@ def solve(problem: QpProblem, config: SolverConfig,
 
     x = np.clip(np.zeros(n), problem.lower, problem.upper)
     y = np.zeros(problem.m)
+    products = _exact_products(problem, x)
 
     recur = blocks_recur(config.mode, n, config.block_size, config.max_iters)
     piece_cache = {} if recur else None
@@ -419,11 +382,12 @@ def solve(problem: QpProblem, config: SolverConfig,
 
     def sweep(order):
         nonlocal x, y
-        x, y = run_sweep(problem, x, y, order, beta, piece_cache=piece_cache)
+        x, y = run_sweep(problem, x, y, order, beta, piece_cache=piece_cache,
+                         _products=products)
         if sweep_hook is not None:
             sweep_hook(next(sweep_numbers), x, y)
-        return compute_residuals(problem, x, y)
+        return compute_residuals(problem, x, y, _products=products)
 
-    initial = compute_residuals(problem, x, y)
+    initial = compute_residuals(problem, x, y, _products=products)
     run = run_sweeps(sweep, config, n, initial_primal=initial.primal)
     return SolveResult(x=x, y=y, **vars(run))

@@ -91,8 +91,10 @@ class QpProblem:
     term / no equality constraints. A sparse ``H`` or ``A`` is stored as
     given when CSR or canonical CSC; any other sparse format, including a
     non-canonical CSC, is stored as ``as_csc`` makes it, since the sweep
-    slices columns. Bounds default to the whole space (``-inf``/``+inf``
-    sentinels).
+    slices columns. ``H`` may also be an implicit symmetric operator: an
+    object with ``shape`` whose ``H[:, idx]`` is the dense n x s column
+    strip and ``H @ x`` the product; validation then checks its shape only.
+    Bounds default to the whole space (``-inf``/``+inf`` sentinels).
     """
 
     c: np.ndarray
@@ -151,10 +153,12 @@ def validate_problem(problem: QpProblem) -> ValidationReport:
     issues: list[str] = []
     n = problem.n
     if problem.H is not None:
-        issues += matrix_violations(problem.H, "H")
+        explicit = isinstance(problem.H, np.ndarray) or sp.issparse(problem.H)
+        if explicit:
+            issues += matrix_violations(problem.H, "H")
         if problem.H.shape != (n, n):
             issues.append(f"H: expected shape ({n}, {n}), got {problem.H.shape}")
-        elif not issues and n:
+        elif explicit and not issues and n:
             # sparse H stays sparse: abs and max work on its stored entries
             H = problem.H if sp.issparse(problem.H) else as_dense(problem.H)
             scale = max(1.0, float(abs(H).max()))

@@ -1,11 +1,12 @@
 """C-parameterized support vector classification on the dual QP.
 
 Training solves  min 1/2 z'Qz - e'z  s.t. y'z = 0, z in [0, C]^n with
-q_ij = y_i y_j K(x_i, x_j), driving the block-sweep engine with kernel
-blocks assembled on demand from raw data rows: each block's s x n strip is
-one batched kernel evaluation, and the full n x n kernel matrix is never
-materialized. The sweep order, stopping rule and divergence guard come from
-the engine's shared driver.
+q_ij = y_i y_j K(x_i, x_j) as a QP through the engine's ``solve``. Q enters
+as an implicit symmetric operator whose column strips are assembled on
+demand from raw data rows: each block's n x s strip is one batched kernel
+evaluation, and the full n x n kernel matrix is never materialized. Block
+steps, kept block factors, the stopping rule and the divergence guard are
+the QP solver's own.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .engine import BlockSystem, ResidualPair, run_sweeps, solve_block
-from .problems import Matrix, Mode, SolverConfig, SweepRun, as_dense
+# solve_block stays importable here, where the benchmark's tracer wraps it
+from .engine import solve, solve_block  # noqa: F401
+from .problems import Matrix, Mode, QpProblem, SolveResult, SolverConfig, as_dense
 
 SUPPORT_THRESHOLD = 1e-8   # duals above this are support vectors
 MARGIN_DELTA = 1e-6        # relative to C: margin means delta*C < z < (1-delta)*C
@@ -86,24 +88,34 @@ def kernel_cross(Xa: np.ndarray, Xb: np.ndarray,
     return np.exp(-d2 / (2.0 * kernel.sigma ** 2))
 
 
-def assemble_kernel_block(X: Matrix, y: np.ndarray, block: Sequence[int],
-                          kernel: KernelSpec, with_strip: bool = False):
-    """Label-weighted kernel sub-matrix for one block.
+class _KernelQ:
+    """Q + ridge I, q_ij = y_i y_j K(x_i, x_j), as an implicit symmetric
+    operator: ``[:, idx]`` is the n x s column strip, computed by one batched
+    kernel evaluation against the data rows."""
 
-    Returns the s x s block Q_{b,b}; with ``with_strip`` also the s x n
-    strip Q_{b,.} the block right-hand side needs. Entries come straight
-    from data rows in one batched kernel evaluation; the full matrix is
-    never built.
-    """
-    Xd = as_dense(X)
-    y = np.asarray(y, dtype=float)
-    idx = np.asarray(block, dtype=int)
-    raw = kernel_cross(Xd[idx], Xd, kernel)
-    strip = (y[idx][:, None] * raw) * y[None, :]
-    qbb = strip[:, idx]
-    if with_strip:
-        return qbb, strip
-    return qbb
+    def __init__(self, X: np.ndarray, y: np.ndarray, kernel: KernelSpec,
+                 ridge: float):
+        self.X, self.y, self.kernel, self.ridge = X, y, kernel, ridge
+        self.shape = (y.size, y.size)
+
+    def __getitem__(self, key) -> np.ndarray:
+        _, idx = key  # the engine asks for column strips only: [:, idx]
+        idx = np.asarray(idx, dtype=int)
+        strip = kernel_cross(self.X, self.X[idx], self.kernel)
+        strip *= self.y[:, None]
+        strip *= self.y[idx]
+        strip[idx, np.arange(idx.size)] += self.ridge
+        return strip
+
+    def __matmul__(self, z: np.ndarray) -> np.ndarray:
+        # strips over z's nonzero entries, a training block's width at a time
+        nz = np.flatnonzero(z)
+        width = default_block_size(self.shape[0])
+        out = np.zeros(self.shape[0])
+        for start in range(0, nz.size, width):
+            cols = nz[start:start + width]
+            out += self[:, cols] @ z[cols]
+        return out
 
 
 def default_block_size(n: int) -> int:
@@ -132,24 +144,23 @@ def default_config(n: int, block_size: Optional[int] = None,
 
 
 @dataclass
-class TrainDiagnostics(SweepRun):
-    """The training sweep run plus the final dual weights and equality dual."""
+class TrainDiagnostics(SolveResult):
+    """The dual QP's solve result, with its x again as the dual weights
+    ``duals``; y holds the multiplier of the equality y'z = 0."""
 
     duals: np.ndarray
-    eq_dual: float
 
 
 def train(X: Matrix, labels: np.ndarray, C: float, kernel: KernelSpec,
           config: Optional[SolverConfig] = None,
           return_diagnostics: bool = False):
-    """Train a classifier by sweeping the dual QP blockwise.
+    """Train a classifier by solving the dual QP with the engine's ``solve``.
 
-    Each block subproblem is Q_{b,b} + beta y_b y_b' (positive definite for
-    a strictly PD kernel block plus the rank-one penalty) with the cross
-    terms taken from a running Q z product, updated incrementally from the
-    assembled strips. The single equality y'z = 0 is handled by the
-    augmented Lagrangian with scalar dual. Stopping, including DIVERGED
-    status, follows the engine's ``run_sweeps``.
+    The QP is c = -e, H = Q + ridge I, A = y', b = 0 over the box [0, C].
+    Kernel blocks are PSD by construction but can be numerically indefinite
+    for wide bandwidths; the ridge, 1e-9 of the largest diagonal entry a
+    block matrix Q_bb + beta y_b y_b' can have, keeps the factorizations
+    honest without moving the optimum measurably.
     """
     kernel.validate()
     Xd = as_dense(X)
@@ -163,44 +174,15 @@ def train(X: Matrix, labels: np.ndarray, C: float, kernel: KernelSpec,
         raise ValueError(f"C must be > 0, got {C}")
     if config is None:
         config = default_config(n)
-    config.validate(n)
-    beta = config.beta_penalty
-
-    z = np.zeros(n)
-    nu = 0.0
-    qz = np.zeros(n)  # running Q @ z
-    t = 0.0           # running y' z
-
-    def sweep(order):
-        nonlocal nu, t, qz
-        for g in order:
-            idx = np.asarray(g, dtype=int)
-            qbb, strip = assemble_kernel_block(
-                Xd, y, idx, kernel, with_strip=True)
-            yb = y[idx]
-            matrix = qbb + beta * np.outer(yb, yb)
-            # kernel blocks are PSD by construction but can be numerically
-            # indefinite for wide bandwidths; a vanishing ridge keeps the
-            # factorization honest without moving the optimum measurably
-            ridge = 1e-9 * float(np.max(np.diag(matrix)))
-            matrix[np.diag_indices_from(matrix)] += ridge
-            cross = qz[idx] - qbb @ z[idx]
-            eq_rest = t - float(yb @ z[idx])
-            rhs = -(-1.0 + cross - nu * yb + beta * yb * eq_rest)
-            system = BlockSystem(matrix=matrix, rhs=rhs,
-                                 lower=np.zeros(idx.size),
-                                 upper=np.full(idx.size, C))
-            new_z = solve_block(system)
-            delta = new_z - z[idx]
-            qz += strip.T @ delta
-            t += float(yb @ delta)
-            z[idx] = new_z
-        nu -= beta * t
-        grad = qz - 1.0 - nu * y
-        dual = float(np.max(np.abs(np.clip(z - grad, 0.0, C) - z)))
-        return ResidualPair(primal=abs(t), dual=dual, primal_l1=abs(t))
-
-    run = run_sweeps(sweep, config, n)
+    # K(x, x) is 1 for the Gaussian kernel and ||x||^2 for the linear one
+    k_max = 1.0 if kernel.kind == "gaussian" else \
+        float(np.max(np.sum(Xd * Xd, axis=1)))
+    ridge = 1e-9 * (k_max + config.beta_penalty)
+    problem = QpProblem(c=np.full(n, -1.0), H=_KernelQ(Xd, y, kernel, ridge),
+                        A=y[None, :], b=np.zeros(1), lower=np.zeros(n),
+                        upper=np.full(n, C))
+    result = solve(problem, config)
+    z = result.x
 
     bias = compute_bias(z, Xd, y, C, kernel)
     support = z > SUPPORT_THRESHOLD
@@ -210,7 +192,7 @@ def train(X: Matrix, labels: np.ndarray, C: float, kernel: KernelSpec,
         support_labels=y[support].copy(),
         bias=bias, kernel=kernel, C=C)
     if return_diagnostics:
-        return model, TrainDiagnostics(duals=z, eq_dual=nu, **vars(run))
+        return model, TrainDiagnostics(duals=z, **vars(result))
     return model
 
 

@@ -472,6 +472,30 @@ class TestConsensus:
         ob = objective(X, y, cons.z, lam, 1.0)
         assert abs(oa - ob) <= 1e-6 * max(1.0, abs(oa))
 
+    # each input fit refuses; at a 40 x 8 design consensus_fit used to fit a
+    # long y silently, divide by zero on an empty X, and fail inside scipy
+    # on a NaN
+    @pytest.mark.parametrize("fitter", [fit, consensus_fit])
+    def test_refuses_a_y_of_the_wrong_length(self, fitter):
+        rng = np.random.default_rng(31)
+        X, y = rng.standard_normal((40, 8)), rng.standard_normal(42)
+        with pytest.raises(ValueError, match="y has length 42, expected 40"):
+            fitter(X, y, ElasticNetSpec(lam=0.1, alpha=0.5, block_size=4))
+
+    @pytest.mark.parametrize("fitter", [fit, consensus_fit])
+    def test_refuses_an_empty_design(self, fitter):
+        with pytest.raises(ValueError, match="non-empty"):
+            fitter(np.zeros((0, 8)), np.zeros(0),
+                   ElasticNetSpec(lam=0.1, alpha=0.5, block_size=4))
+
+    @pytest.mark.parametrize("fitter", [fit, consensus_fit])
+    def test_refuses_non_finite_data(self, fitter):
+        rng = np.random.default_rng(32)
+        X, y = rng.standard_normal((40, 8)), rng.standard_normal(40)
+        X[5, 3] = np.nan
+        with pytest.raises(ValueError, match="must be finite"):
+            fitter(X, y, ElasticNetSpec(lam=0.1, alpha=0.5, block_size=4))
+
 
 class TestSerialization:
     def test_round_trip_inline(self, tmp_path):

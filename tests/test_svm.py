@@ -1,19 +1,20 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from racml import engine
+from racml import engine, svm
 from racml.data_io import gen_blobs
-from racml.problems import Status
+from racml.engine import solve
+from racml.problems import Mode, QpProblem, Status
 from racml.svm import (
     DegenerateModelError,
     DegenerateSplitError,
     KernelSpec,
     SvmModel,
     accuracy,
-    assemble_kernel_block,
     compute_bias,
     decision_values,
     default_block_size,
@@ -66,20 +67,28 @@ class TestKernelEval:
             kernel_eval(np.zeros(1), np.zeros(1), KernelSpec("gaussian", 0.0))
 
 
+def kernel_strip(X, y, block, kernel, ridge=0.0):
+    """The n x s column strip of Q + ridge I that training sweeps with."""
+    return svm._KernelQ(np.asarray(X, dtype=float), np.asarray(y, dtype=float),
+                        kernel, ridge)[:, block]
+
+
 class TestAssembleKernelBlock:
+    """Kernel block assembly: the column strips of the training operator."""
+
     def test_single_point_block(self):
         X = np.array([[0.3, -0.7]])
-        qbb = assemble_kernel_block(X, np.array([-1.0]), [0],
-                                    KernelSpec("gaussian", 2.0))
-        np.testing.assert_allclose(qbb, [[1.0]])
+        strip = kernel_strip(X, np.array([-1.0]), [0],
+                             KernelSpec("gaussian", 2.0))
+        np.testing.assert_allclose(strip, [[1.0]])
 
     def test_two_point_block_with_opposite_labels(self):
         X = np.array([[0.0, 0.0], [1.0, 0.0]])
         y = np.array([1.0, -1.0])
         kernel = KernelSpec("gaussian", 1.0)
         kappa = math.exp(-0.5)
-        qbb = assemble_kernel_block(X, y, [0, 1], kernel)
-        np.testing.assert_allclose(qbb, [[1.0, -kappa], [-kappa, 1.0]],
+        strip = kernel_strip(X, y, [0, 1], kernel)
+        np.testing.assert_allclose(strip, [[1.0, -kappa], [-kappa, 1.0]],
                                    rtol=1e-14)
 
     def test_matches_full_matrix_oracle(self):
@@ -89,19 +98,33 @@ class TestAssembleKernelBlock:
         kernel = KernelSpec("gaussian", 1.3)
         Q = full_kernel_matrix(X, y, kernel)
         for block in ([0, 7, 31], list(range(10, 25)), [49], [3, 3 + 17]):
-            qbb, strip = assemble_kernel_block(
-                X, y, block, kernel, with_strip=True)
-            np.testing.assert_allclose(qbb, Q[np.ix_(block, block)],
+            strip = kernel_strip(X, y, block, kernel)
+            np.testing.assert_allclose(strip[block], Q[np.ix_(block, block)],
                                        atol=1e-14)
-            np.testing.assert_allclose(strip, Q[block, :], atol=1e-14)
+            np.testing.assert_allclose(strip, Q[:, block], atol=1e-14)
+            # the ridge lands on the block's own diagonal entries only
+            ridged = kernel_strip(X, y, block, kernel, ridge=0.25)
+            np.testing.assert_allclose(
+                ridged - strip, 0.25 * np.eye(50)[:, block], atol=1e-14)
 
     def test_block_is_positive_semidefinite(self):
         rng = np.random.default_rng(4)
         X = rng.standard_normal((30, 3))
         y = np.where(rng.random(30) < 0.5, 1.0, -1.0)
-        qbb = assemble_kernel_block(X, y, list(range(0, 30, 2)),
-                                    KernelSpec("gaussian", 0.8))
+        block = list(range(0, 30, 2))
+        qbb = kernel_strip(X, y, block, KernelSpec("gaussian", 0.8))[block]
         assert np.linalg.eigvalsh(qbb)[0] >= -1e-9
+
+    def test_product_matches_full_matrix(self):
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((230, 3))
+        y = np.where(rng.random(230) < 0.5, 1.0, -1.0)
+        kernel = KernelSpec("gaussian", 1.1)
+        z = np.where(rng.random(230) < 0.7, rng.random(230), 0.0)
+        op = svm._KernelQ(X, y, kernel, 0.5)
+        want = (full_kernel_matrix(X, y, kernel) + 0.5 * np.eye(230)) @ z
+        np.testing.assert_allclose(op @ z, want, atol=1e-12)
+        assert not np.any(op @ np.zeros(230))
 
 
 class TestTrain:
@@ -215,6 +238,43 @@ class TestTrain:
     def test_default_penalty_scales_with_blocks(self):
         cfg = default_config(1000, block_size=100)
         assert cfg.beta_penalty == pytest.approx(0.1 * 10)
+
+
+class TestTrainIsTheDualQp:
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_matches_solve_on_the_explicit_ridged_kernel_qp(self, mode):
+        # C-SVC is the QP c = -e, H = Q + ridge I, A = y', b = 0, box [0, C]
+        tr = gen_blobs(20, 2, 3.0, seed=4)
+        X, y = np.asarray(tr.X), tr.y
+        kernel = KernelSpec("gaussian", 1.0)
+        cfg = default_config(40, block_size=10, seed=2, max_iters=50,
+                             tol_primal=1e-9, tol_dual=1e-9, mode=mode)
+        _, diag = train(X, y, 1.0, kernel, cfg, return_diagnostics=True)
+        ridge = 1e-9 * (1.0 + cfg.beta_penalty)  # K(x, x) = 1: Gaussian
+        problem = QpProblem(
+            c=-np.ones(40), H=full_kernel_matrix(X, y, kernel) + ridge * np.eye(40),
+            A=y[None, :], b=np.zeros(1), lower=np.zeros(40), upper=np.ones(40))
+        want = solve(problem, cfg)
+        assert (diag.iterations, diag.status) == (want.iterations, want.status)
+        np.testing.assert_allclose(diag.duals, want.x, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(diag.y, want.y, rtol=0, atol=1e-12)
+
+    def test_rp_training_keeps_no_kernel_strip(self):
+        # RP keeps each block's s x s matrix and factor: 2 n s floats, 3.2 MB
+        # here. Kept n x s strips would add 32 MB, as would the n x n kernel.
+        tr = gen_blobs(1000, 5, 3.0, seed=0)
+        cfg = dataclasses.replace(
+            default_config(2000, block_size=100, seed=1, max_iters=4,
+                           mode=Mode.RP), fixed_iterations=True)
+        tracemalloc.start()
+        try:
+            _, diag = train(tr.X, tr.y, 1.0, KernelSpec("gaussian", 3.0), cfg,
+                            return_diagnostics=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert diag.iterations == 4
+        assert peak < 16e6
 
 
 class TestBias:
