@@ -33,8 +33,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpotrs
 
 from .problems import (
     Mode,
@@ -159,8 +159,17 @@ def _cholesky(matrix: np.ndarray) -> np.ndarray:
 
 
 def _chol_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    # inputs are internally produced; skip scipy's finiteness validation
-    return scipy.linalg.cho_solve((chol, True), rhs, check_finite=False)
+    """Solve M x = rhs given M's lower Cholesky factor, through LAPACK potrs.
+
+    ``chol.T`` is the upper factor as an F-ordered view, so potrs reads it
+    without a copy; ``rhs`` is left as it was. The inputs are produced
+    internally, so the checks ``scipy.linalg.cho_solve`` makes before this
+    same call, which cost more than a small solve, are skipped.
+    """
+    x, info = dpotrs(chol.T, rhs, lower=0)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+    return x
 
 
 def _projected_gradient(matrix, rhs, lower, upper, x0):
@@ -188,14 +197,11 @@ def solve_block(system: BlockSystem) -> np.ndarray:
     projected-gradient fallback finishes to PG_TOL. A system without
     ``chol`` has its matrix factored for this solve only.
     """
-    matrix, rhs = system.matrix, system.rhs
-    s = rhs.size
-    chol = system.chol
-    if chol is None:
-        chol = _cholesky(matrix)
-    x = _chol_solve(chol, rhs)
+    matrix, rhs, chol = system.matrix, system.rhs, system.chol
+    x = _chol_solve(_cholesky(matrix) if chol is None else chol, rhs)
     if not system.bounded:
         return x
+    s = rhs.size
     lower, upper = system.lower, system.upper
     if (x >= lower).all() and (x <= upper).all():
         return x  # interior solution is the global minimizer
@@ -249,12 +255,14 @@ def compute_residuals(problem: QpProblem, x: np.ndarray, y: np.ndarray,
     ``solve`` carries, stand in for recomputing c + Hx and Ax - b.
     """
     grad, r = _products if _products is not None else _exact_products(problem, x)
-    primal = float(np.max(np.abs(r))) if r.size else 0.0
-    primal_l1 = float(np.sum(np.abs(r)))
+    abs_r = np.abs(r)
+    primal = float(abs_r.max()) if r.size else 0.0
+    primal_l1 = float(abs_r.sum())
     if problem.A is not None:
-        grad = grad - problem.A.T @ y
-    projected = np.clip(x - grad, problem.lower, problem.upper)
-    dual = float(np.max(np.abs(projected - x))) if x.size else 0.0
+        grad = grad - problem.A.T.dot(y)
+    # np.clip's wrapper chain, not its arithmetic, dominates at tiny n
+    projected = np.minimum(np.maximum(x - grad, problem.lower), problem.upper)
+    dual = float(np.abs(projected - x).max()) if x.size else 0.0
     return ResidualPair(primal=primal, dual=dual, primal_l1=primal_l1)
 
 
@@ -276,21 +284,24 @@ def run_sweep(problem: QpProblem, x: np.ndarray, y: np.ndarray,
     if y.size != problem.m:
         raise ValueError(f"y has length {y.size}, expected {problem.m}")
     g, r = _products if _products is not None else _exact_products(problem, x)
+    H, A = problem.H, problem.A
+    # .dot (scipy sparse has it too) is @'s BLAS call without its dispatch,
+    # which at tiny s costs more than the product
     for block in order:
         idx = np.asarray(block, dtype=int)
-        Hs = None if problem.H is None else problem.H[:, idx]
-        As = None if problem.A is None else problem.A[:, idx]
+        Hs = None if H is None else H[:, idx]
+        As = None if A is None else A[:, idx]
         system = block_system(piece_cache, block,
                               lambda: _qp_system(problem, idx, Hs, As, beta))
         xb = x[idx]
-        grad = g[idx] if As is None else g[idx] + As.T @ (beta * r - y)
-        system.rhs = system.matrix @ xb - grad
+        grad = g[idx] if As is None else g[idx] + As.T.dot(beta * r - y)
+        system.rhs = system.matrix.dot(xb) - grad
         new = solve_block(system)
         delta = new - xb
         if Hs is not None:
-            g += Hs @ delta
+            g += Hs.dot(delta)
         if As is not None:
-            r += As @ delta
+            r += As.dot(delta)
         x[idx] = new
     return x, y - beta * r
 

@@ -133,6 +133,8 @@ def default_config(n: int, block_size: Optional[int] = None,
                    mode: Mode = Mode.RAC,
                    beta: Optional[float] = None) -> SolverConfig:
     """Training defaults: loose tolerances, few sweeps, beta = 0.1 * #blocks."""
+    if n < 1:
+        raise ValueError(f"training set must be non-empty, got n={n}")
     s = block_size or default_block_size(n)
     s = min(s, n)
     p = math.ceil(n / s)
@@ -166,6 +168,8 @@ def train(X: Matrix, labels: np.ndarray, C: float, kernel: KernelSpec,
     Xd = as_dense(X)
     y = np.asarray(labels, dtype=float)
     n = Xd.shape[0]
+    if n == 0:
+        raise ValueError("training set must be non-empty, got 0 rows")
     if y.size != n:
         raise ValueError(f"labels length {y.size} does not match {n} rows")
     if not np.all(np.isin(y, (-1.0, 1.0))):

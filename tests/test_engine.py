@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from racml.engine import (
     BlockDefinitenessError,
     BlockSystem,
     ResidualPair,
+    _chol_solve,
     block_orders,
     blocks_recur,
     compute_residuals,
@@ -164,6 +166,37 @@ class TestSolveBlock:
                            np.array([-np.inf]), np.array([np.inf]))
         with pytest.raises(BlockDefinitenessError, match="positive definite"):
             solve_block(sys_)
+
+
+@st.composite
+def factored_blocks(draw):
+    """A random SPD block's lower Cholesky factor and a right-hand side."""
+    s = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    G = rng.standard_normal((s, s))
+    shift = draw(st.sampled_from([1e-6, 1e-2, 1.0, float(s)]))
+    chol = np.linalg.cholesky(G @ G.T + shift * np.eye(s))
+    return chol, rng.standard_normal(s) * 10.0 ** draw(st.integers(-3, 3))
+
+
+class TestCholSolve:
+    @settings(max_examples=60, deadline=None)
+    @given(factored_blocks())
+    def test_bit_equal_to_cho_solve(self, case):
+        chol, rhs = case
+        before = rhs.copy()
+        got = _chol_solve(chol, rhs)
+        want = scipy.linalg.cho_solve((chol, True), rhs, check_finite=False)
+        assert np.array_equal(got, want)
+        assert np.array_equal(rhs, before)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("sweeps", [1, 3])  # built per visit, then kept
+    def test_indefinite_block_surfaces_through_solve(self, mode, sweeps):
+        prob = QpProblem(c=np.ones(4), H=np.diag([1.0, -1.0, -2.0, 3.0]))
+        cfg = SolverConfig(mode=mode, block_size=2, max_iters=sweeps)
+        with pytest.raises(BlockDefinitenessError, match="positive definite"):
+            solve(prob, cfg)
 
 
 class TestDualUpdate:

@@ -136,6 +136,12 @@ class TestTrain:
                                      tol_primal=1e-6, tol_dual=1e-6))
         assert accuracy(model, X, y) == 100.0
 
+    def test_empty_dataset_is_an_input_error(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            train(np.zeros((0, 2)), np.zeros(0), 1.0, KernelSpec())
+        with pytest.raises(ValueError, match="non-empty"):
+            default_config(0)
+
     def test_blob_quality(self):
         tr = gen_blobs(100, 2, 6.0, seed=11)
         te = gen_blobs(50, 2, 6.0, seed=12)
