@@ -3,8 +3,8 @@
 Every subcommand prints a machine-readable run record as JSON on stdout
 (full round-trip numeric precision) or, with ``--pretty``, a small human
 table rounded to 4 significant digits. Exit codes: 0 success, 1 solver
-stopped at the iteration cap while tolerances were requested, 2 usage or
-input errors.
+diverged or stopped short of the tolerances it was given, 2 usage or input
+errors.
 """
 
 from __future__ import annotations
@@ -17,11 +17,10 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import data_io, elastic_net, spectral, svm
 from .engine import BlockDefinitenessError, solve
-from .problems import Mode, SolverConfig, Status, load_qp_manifest
+from .problems import Mode, SolverConfig, Status, as_dense, load_qp_manifest
 
 SCHEMA_TAG = "racml/run-record/v1"
 
@@ -84,6 +83,12 @@ def _emit(record: dict, pretty: bool, out: str | None = None) -> None:
         print(text)
 
 
+def _exit_code(status: Status, tolerances_requested: bool) -> int:
+    """1 if the run diverged, or stopped short of tolerances it was given."""
+    return int(status == Status.DIVERGED or
+               (tolerances_requested and status != Status.CONVERGED))
+
+
 def _cmd_qp_solve(args, argv) -> int:
     problem = load_qp_manifest(args.manifest)
     config = SolverConfig(
@@ -106,18 +111,13 @@ def _cmd_qp_solve(args, argv) -> int:
         metrics={"status": result.status, "x": result.x, "y": result.y},
         artifacts=[args.out] if args.out else [])
     _emit(record, args.pretty, args.out)
-    if result.status == Status.MAX_ITERS and not config.fixed_iterations:
-        return 1
-    if result.status == Status.DIVERGED:
-        return 1
-    return 0
+    return _exit_code(result.status, not config.fixed_iterations)
 
 
 def _preprocess(X, center: bool, scale: bool):
     if not (center or scale):
         return X
-    Xd = np.asarray(X.todense(), dtype=float) if sp.issparse(X) else \
-        np.asarray(X, dtype=float).copy()
+    Xd = as_dense(X)  # each step below makes a new array
     if center:
         Xd = Xd - Xd.mean(axis=0)
     if scale:
@@ -157,15 +157,12 @@ def _cmd_en_fit(args, argv) -> int:
                  "nonzeros": int(np.count_nonzero(model.z))},
         artifacts=[args.model] if args.model else [])
     _emit(record, args.pretty)
-    if model.status == Status.DIVERGED or \
-            (args.tol is not None and model.status != Status.CONVERGED):
-        return 1
-    return 0
+    return _exit_code(model.status, args.tol is not None)
 
 
 def _cmd_en_eval(args, argv) -> int:
     model = elastic_net.load_model(args.model)
-    ds = data_io.parse_libsvm(args.data)
+    ds = data_io.parse_libsvm(args.data, declared_features=model.beta.size)
     start = time.perf_counter()
     metrics = elastic_net.evaluate(model, ds.X, ds.y)
     wall = time.perf_counter() - start
@@ -202,12 +199,14 @@ def _cmd_svm_train(args, argv) -> int:
                  "train_accuracy": svm.accuracy(model, ds.X, ds.y)},
         artifacts=[args.model] if args.model else [])
     _emit(record, args.pretty)
-    return 0 if diag.status == Status.CONVERGED else 1
+    return _exit_code(diag.status, True)
 
 
 def _cmd_svm_predict(args, argv) -> int:
     model = svm.load_model(args.model)
-    ds = data_io.parse_libsvm(args.data, classification=args.labels)
+    ds = data_io.parse_libsvm(
+        args.data, declared_features=model.support_points.shape[1],
+        classification=args.labels)
     start = time.perf_counter()
     pred = svm.predict(model, ds.X)
     wall = time.perf_counter() - start

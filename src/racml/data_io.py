@@ -135,25 +135,17 @@ def parse_libsvm(stream: Union[str, Path, TextIO],
 
 def write_libsvm(dataset: Dataset, stream: Union[str, Path, TextIO]) -> None:
     """Write a dataset in canonical sparse text form (zeros omitted)."""
+    X = sp.csr_matrix(dataset.X)  # dense input is compressed first
+    X.sort_indices()
     handle, owns = _open_maybe(stream, "w")
     try:
-        if sp.issparse(dataset.X):
-            X = dataset.X.tocsr()
-            X.sort_indices()
-            for i in range(X.shape[0]):
-                start, end = X.indptr[i], X.indptr[i + 1]
-                fields = [format_value(dataset.y[i])]
-                for j, v in zip(X.indices[start:end], X.data[start:end]):
-                    if v != 0.0:
-                        fields.append(f"{j + 1}:{format_value(v)}")
-                handle.write(" ".join(fields) + "\n")
-        else:
-            X = np.asarray(dataset.X)
-            for i in range(X.shape[0]):
-                fields = [format_value(dataset.y[i])]
-                for j in np.flatnonzero(X[i]):
-                    fields.append(f"{j + 1}:{format_value(X[i, j])}")
-                handle.write(" ".join(fields) + "\n")
+        for i in range(X.shape[0]):
+            start, end = X.indptr[i], X.indptr[i + 1]
+            fields = [format_value(dataset.y[i])]
+            for j, v in zip(X.indices[start:end], X.data[start:end]):
+                if v != 0.0:
+                    fields.append(f"{j + 1}:{format_value(v)}")
+            handle.write(" ".join(fields) + "\n")
     finally:
         if owns:
             handle.close()

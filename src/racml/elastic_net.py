@@ -62,12 +62,15 @@ class ElasticNetSpec:
     tol: Optional[float] = None  # stop early when ||beta - z||_1 <= tol
 
     def validate(self) -> None:
-        if self.lam < 0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
+        # written so that NaN fails every range test
+        if not 0 <= self.lam < math.inf:
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
         if not (0.0 <= self.alpha <= 1.0):
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.gamma is not None and self.gamma <= 0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
+        if self.gamma is not None and not 0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and > 0, got {self.gamma}")
+        if self.tol is not None and not self.tol >= 0:
+            raise ValueError(f"tol must be >= 0, got {self.tol}")
         if self.block_size < 1:
             raise ValueError("block_size must be >= 1")
         if self.iters < 1:

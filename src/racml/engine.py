@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg.lapack import dpotrs
 
 from .problems import (
@@ -43,6 +42,7 @@ from .problems import (
     SolverConfig,
     Status,
     SweepRun,
+    as_dense,
     chunk_indices,
     validate_problem,
 )
@@ -123,11 +123,6 @@ class ResidualPair:
     primal_l1: float
 
 
-def _dense(mat) -> np.ndarray:
-    """An s x s block product as a dense array; dense input passes through."""
-    return mat.toarray() if sp.issparse(mat) else mat
-
-
 def _exact_products(problem: QpProblem, x: np.ndarray) -> tuple:
     """``(c + Hx, Ax - b)`` at x, fresh arrays a sweep may update."""
     g = problem.c.copy() if problem.H is None else problem.c + problem.H @ x
@@ -139,9 +134,9 @@ def _qp_system(problem: QpProblem, idx: np.ndarray, Hs, As,
                beta: float) -> BlockSystem:
     matrix = np.zeros((idx.size, idx.size))
     if Hs is not None:
-        matrix = matrix + _dense(Hs[idx])
+        matrix = matrix + as_dense(Hs[idx])
     if As is not None:
-        matrix = matrix + beta * _dense(As.T @ As)
+        matrix = matrix + beta * as_dense(As.T @ As)
     lower, upper = problem.lower[idx], problem.upper[idx]
     bounded = bool(np.isfinite(lower).any() or np.isfinite(upper).any())
     return BlockSystem(matrix=matrix, rhs=None, lower=lower, upper=upper,
@@ -335,9 +330,9 @@ def run_sweeps(sweep: Callable[[Sequence[Sequence[int]]], ResidualPair],
 
     ``sweep`` advances the caller's iterate by one sweep and returns the
     residuals after it. The run ends DIVERGED once the primal residual
-    exceeds DIVERGENCE_FACTOR times ``initial_primal`` (floored at 1),
-    CONVERGED once both residuals meet ``config``'s tolerances (after the
-    last sweep only, with ``fixed_iterations``), else MAX_ITERS after
+    exceeds DIVERGENCE_FACTOR times ``initial_primal`` (floored at 1) or is
+    NaN, CONVERGED once both residuals meet ``config``'s tolerances (after
+    the last sweep only, with ``fixed_iterations``), else MAX_ITERS after
     ``max_iters`` sweeps.
     """
     rng = np.random.default_rng(config.seed)
@@ -352,7 +347,7 @@ def run_sweeps(sweep: Callable[[Sequence[Sequence[int]]], ResidualPair],
         primal_hist.append(res.primal)
         primal_l1_hist.append(res.primal_l1)
         dual_hist.append(res.dual)
-        if res.primal > divergence_bar:
+        if not res.primal <= divergence_bar:  # a NaN residual diverged too
             status = Status.DIVERGED
             break
         # a fixed-iteration run tests the tolerances after its last sweep only

@@ -32,10 +32,9 @@ class CapacityError(ValueError):
 
 
 def as_dense(mat: Matrix) -> np.ndarray:
-    """Return a dense float64 copy of a dense or sparse matrix."""
-    if sp.issparse(mat):
-        return np.asarray(mat.todense(), dtype=float)
-    return np.asarray(mat, dtype=float)
+    """A dense or sparse matrix as a dense float64 array; dense float64
+    input passes through uncopied."""
+    return np.asarray(mat.toarray() if sp.issparse(mat) else mat, dtype=float)
 
 
 def as_csc(mat: Matrix) -> sp.csc_matrix:
@@ -267,6 +266,31 @@ def make_partition(n: int, block_size: int, seed: int = 0,
     return BlockPartition(chunk_indices(perm, block_size), block_size)
 
 
+def _block_sequences(n: int, p: int, what: str, anchored: bool):
+    """Every sequence of p sorted blocks of n/p indices covering range(n), in
+    lexicographic order. With ``anchored`` each block starts with the smallest
+    index no earlier block holds, so each partition comes once."""
+    if p < 1 or n % p != 0:
+        raise ValueError(f"p must divide n; got n={n}, p={p}")
+    if n > MAX_ENUMERATION_VARS:
+        raise CapacityError(
+            f"{what} enumeration is limited to n <= {MAX_ENUMERATION_VARS}; got n={n}")
+    s = n // p
+
+    def rec(rest: tuple[int, ...], blocks_left: int):
+        if blocks_left == 0:
+            yield ()
+            return
+        lead = rest[:1] if anchored else ()
+        for more in itertools.combinations(rest[len(lead):], s - len(lead)):
+            head = lead + more
+            remaining = tuple(i for i in rest if i not in head)
+            for tail in rec(remaining, blocks_left - 1):
+                yield (head,) + tail
+
+    return rec(tuple(range(n)), p)
+
+
 def enumerate_orders(n: int, p: int) -> list[UpdateOrder]:
     """All distinct block update orders for n variables in p equal blocks.
 
@@ -274,23 +298,8 @@ def enumerate_orders(n: int, p: int) -> list[UpdateOrder]:
     sequence; the sweep is invariant to ordering inside a block, so within a
     block indices are kept sorted. The result has exactly n!/(s!)^p entries.
     """
-    if p < 1 or n % p != 0:
-        raise ValueError(f"p must divide n; got n={n}, p={p}")
-    if n > MAX_ENUMERATION_VARS:
-        raise CapacityError(
-            f"order enumeration is limited to n <= {MAX_ENUMERATION_VARS}; got n={n}")
-    s = n // p
-
-    def rec(rest: tuple[int, ...], blocks_left: int):
-        if blocks_left == 0:
-            yield ()
-            return
-        for head in itertools.combinations(rest, s):
-            remaining = tuple(i for i in rest if i not in head)
-            for tail in rec(remaining, blocks_left - 1):
-                yield (head,) + tail
-
-    return [UpdateOrder(groups) for groups in rec(tuple(range(n)), p)]
+    return [UpdateOrder(groups)
+            for groups in _block_sequences(n, p, "order", anchored=False)]
 
 
 def enumerate_partitions(n: int, p: int) -> list[BlockPartition]:
@@ -300,25 +309,8 @@ def enumerate_partitions(n: int, p: int) -> list[BlockPartition]:
     smallest unassigned index so each partition appears once. The result has
     exactly n!/(p!(s!)^p) entries.
     """
-    if p < 1 or n % p != 0:
-        raise ValueError(f"p must divide n; got n={n}, p={p}")
-    if n > MAX_ENUMERATION_VARS:
-        raise CapacityError(
-            f"partition enumeration is limited to n <= {MAX_ENUMERATION_VARS}; got n={n}")
-    s = n // p
-
-    def rec(rest: tuple[int, ...], blocks_left: int):
-        if blocks_left == 0:
-            yield ()
-            return
-        anchor = rest[0]
-        for tail_of_head in itertools.combinations(rest[1:], s - 1):
-            head = (anchor,) + tail_of_head
-            remaining = tuple(i for i in rest if i not in head)
-            for tail in rec(remaining, blocks_left - 1):
-                yield (head,) + tail
-
-    return [BlockPartition(groups, s) for groups in rec(tuple(range(n)), p)]
+    sequences = _block_sequences(n, p, "partition", anchored=True)
+    return [BlockPartition(groups, n // p) for groups in sequences]
 
 
 class Mode(str, Enum):
@@ -349,12 +341,13 @@ class SolverConfig:
     fixed_iterations: bool = False
 
     def validate(self, n: int) -> None:
-        if self.beta_penalty <= 0:
-            raise ValueError(f"beta_penalty must be > 0, got {self.beta_penalty}")
+        if not 0 < self.beta_penalty < math.inf:
+            raise ValueError(
+                f"beta_penalty must be finite and > 0, got {self.beta_penalty}")
         if not (1 <= self.block_size <= n):
             raise ValueError(
                 f"block_size must be in [1, n]; got {self.block_size} with n={n}")
-        if self.tol_primal <= 0 or self.tol_dual <= 0:
+        if not (self.tol_primal > 0 and self.tol_dual > 0):  # NaN fails too
             raise ValueError("tolerances must be > 0")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")

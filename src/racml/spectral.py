@@ -35,22 +35,19 @@ EDGE_TOL = 1e-9
 SPECTRAL_BOUND = 4.0 / 3.0
 
 # The Kronecker-square check solves an (n+m)^2 eigenproblem over every
-# enumerated order; capped tighter than plain enumeration.
+# enumerated order; capped tighter than plain enumeration, on n and on the
+# lifted size n + m, whose fourth power is the size of the Kronecker square.
 MAX_KRON_VARS = 8
+MAX_KRON_DIM = 16
 
 
-def _dense_pair(H, A) -> tuple[np.ndarray, np.ndarray]:
+def coupling_matrix(H, A, beta: float) -> np.ndarray:
+    """The full quadratic coupling H + beta * A'A seen by one sweep."""
     A = as_dense(A)
     n = A.shape[1]
     H = np.zeros((n, n)) if H is None else as_dense(H)
     if H.shape != (n, n):
         raise ValueError(f"H has shape {H.shape}, expected ({n}, {n})")
-    return H, A
-
-
-def coupling_matrix(H, A, beta: float) -> np.ndarray:
-    """The full quadratic coupling H + beta * A'A seen by one sweep."""
-    H, A = _dense_pair(H, A)
     return H + beta * (A.T @ A)
 
 
@@ -79,17 +76,15 @@ def gauss_seidel_matrix(H, A, beta: float, order: UpdateOrder) -> np.ndarray:
 class IterationMap:
     """The affine map one sweep applies to the stacked state z = (x; y).
 
-    ``lower`` is the Gauss-Seidel matrix of the order, ``remainder`` is
-    lower - (H + beta A'A). The lifted blocks append the dual update, and
-    ``matrix`` is lifted_lower^{-1} lifted_remainder.
+    ``lower`` is the Gauss-Seidel matrix L of the order; ``lifted_lower``
+    appends the dual update, [[L, 0], [beta A, I]], and ``matrix`` is its
+    inverse times the lifted remainder [[L - (H + beta A'A), A'], [0, I]].
     """
 
     beta: float
     A: np.ndarray
     lower: np.ndarray
-    remainder: np.ndarray
     lifted_lower: np.ndarray
-    lifted_remainder: np.ndarray
     matrix: np.ndarray
 
     def offset(self, c: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -106,24 +101,22 @@ def _iteration_map(S: np.ndarray, Ad: np.ndarray, beta: float,
                    order: UpdateOrder) -> IterationMap:
     m, n = Ad.shape
     L = _lower(S, order)
-    R = L - S
-    lifted_lower = np.block([
-        [L, np.zeros((n, m))],
-        [beta * Ad, np.eye(m)],
-    ])
-    lifted_remainder = np.block([
-        [R, Ad.T],
-        [np.zeros((m, n)), np.eye(m)],
-    ])
+    # filled into identities: np.block's dispatch costs more than the
+    # arithmetic at these sizes
+    lifted_lower = np.eye(n + m)
+    lifted_lower[:n, :n] = L
+    lifted_lower[n:, :n] = beta * Ad
+    lifted_remainder = np.eye(n + m)
+    lifted_remainder[:n, :n] = L - S
+    lifted_remainder[:n, n:] = Ad.T
     try:
         M = np.linalg.solve(lifted_lower, lifted_remainder)
     except np.linalg.LinAlgError as exc:
         raise BlockDefinitenessError(
             "the sweep's Gauss-Seidel matrix is singular; a block violates "
             "the positive-definiteness assumption") from exc
-    return IterationMap(beta=beta, A=Ad, lower=L, remainder=R,
-                        lifted_lower=lifted_lower,
-                        lifted_remainder=lifted_remainder, matrix=M)
+    return IterationMap(beta=beta, A=Ad, lower=L, lifted_lower=lifted_lower,
+                        matrix=M)
 
 
 def iteration_map(H, A, beta: float, order: UpdateOrder) -> IterationMap:
@@ -277,19 +270,22 @@ def certify(H, A, beta: float, p: int,
     spectral radius of the expected Kronecker square.
 
     ``kron=None`` computes the Kronecker check automatically when n is
-    within MAX_KRON_VARS; forcing it beyond the cap raises CapacityError.
+    within MAX_KRON_VARS and n + m within MAX_KRON_DIM; forcing it beyond
+    either cap raises CapacityError.
     """
-    Hd, Ad = _dense_pair(H, A)
+    S = coupling_matrix(H, A, beta)
+    Ad = as_dense(A)
     m, n = Ad.shape
+    within_cap = n <= MAX_KRON_VARS and n + m <= MAX_KRON_DIM
     if kron is None:
-        kron = n <= MAX_KRON_VARS
-    elif kron and n > MAX_KRON_VARS:
+        kron = within_cap
+    elif kron and not within_cap:
         raise CapacityError(
-            f"Kronecker check limited to n <= {MAX_KRON_VARS}; got n={n}")
+            f"Kronecker check limited to n <= {MAX_KRON_VARS} and n + m <= "
+            f"{MAX_KRON_DIM}; got n={n}, m={m}")
     if n % p != 0:
         raise ValueError(f"p must divide n; got n={n}, p={p}")
     s = n // p
-    S = Hd + beta * (Ad.T @ Ad)
     cert = ConvergenceCertificate(
         n=n, m=m, p=p, beta=beta,
         assumption1_ok=_blocks_positive_definite(S, s))

@@ -45,7 +45,7 @@ class KernelSpec:
     def validate(self) -> None:
         if self.kind not in ("gaussian", "linear"):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if self.kind == "gaussian" and self.sigma <= 0:
+        if self.kind == "gaussian" and not self.sigma > 0:  # NaN fails too
             raise ValueError(f"sigma must be > 0, got {self.sigma}")
 
 
@@ -135,8 +135,9 @@ def default_config(n: int, block_size: Optional[int] = None,
     """Training defaults: loose tolerances, few sweeps, beta = 0.1 * #blocks."""
     if n < 1:
         raise ValueError(f"training set must be non-empty, got n={n}")
-    s = block_size or default_block_size(n)
-    s = min(s, n)
+    if block_size is not None and block_size < 1:
+        raise ValueError(f"block_size must be >= 1, got {block_size}")
+    s = min(default_block_size(n) if block_size is None else block_size, n)
     p = math.ceil(n / s)
     return SolverConfig(
         mode=mode, block_size=s,

@@ -5,8 +5,16 @@ import pytest
 import scipy.io
 import scipy.sparse as sp
 
-from racml.cli import run
-from racml.data_io import gen_blobs, gen_regression, write_libsvm
+from racml import elastic_net
+from racml.cli import _exit_code, run
+from racml.data_io import (
+    Dataset,
+    gen_blobs,
+    gen_regression,
+    parse_libsvm,
+    write_libsvm,
+)
+from racml.problems import Status
 
 
 @pytest.fixture()
@@ -185,6 +193,50 @@ class TestElasticNetCli:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_center_scale_matches_standardized_fit(self, tmp_path, capsys):
+        ds, _ = gen_regression(30, 6, x_density=1.0, coef_density=1.0,
+                               noise_sd=0.1, seed=5)
+        data = tmp_path / "train.txt"
+        write_libsvm(ds, data)
+        model_path = tmp_path / "model.json"
+        code, rec = run_json(capsys, [
+            "elastic-net", "fit", "--data", str(data), "--lambda", "0.1",
+            "--alpha", "0.5", "--iters", "30", "--block-size", "2",
+            "--seed", "3", "--center", "--scale", "--model", str(model_path)])
+        assert code == 0
+        X = parse_libsvm(data).X.toarray()
+        Z = (X - X.mean(axis=0)) / X.std(axis=0)
+        spec = elastic_net.ElasticNetSpec(lam=0.1, alpha=0.5, block_size=2,
+                                          iters=30, seed=3)
+        expected = elastic_net.fit(Z, ds.y, spec)
+        np.testing.assert_allclose(elastic_net.load_model(model_path).beta,
+                                   expected.beta, rtol=1e-9, atol=1e-12)
+        assert rec["metrics"]["objective"] == pytest.approx(
+            elastic_net.objective(Z, ds.y, expected.beta, 0.1, 0.5), rel=1e-9)
+
+    def test_eval_reads_data_without_the_last_feature(self, tmp_path,
+                                                      capsys):
+        # a file whose last column is all zero names one feature fewer
+        ds, _ = gen_regression(20, 5, x_density=1.0, coef_density=1.0,
+                               seed=6)
+        data = tmp_path / "train.txt"
+        write_libsvm(ds, data)
+        model_path = tmp_path / "model.json"
+        code, _ = run_json(capsys, [
+            "elastic-net", "fit", "--data", str(data), "--lambda", "0.1",
+            "--iters", "5", "--block-size", "2", "--model", str(model_path)])
+        assert code == 0
+        X_test = ds.X.copy()
+        X_test[:, -1] = 0.0
+        test_file = tmp_path / "test.txt"
+        write_libsvm(Dataset(X=X_test, y=ds.y, feature_count=5), test_file)
+        code, rec = run_json(capsys, [
+            "elastic-net", "eval", "--model", str(model_path),
+            "--data", str(test_file)])
+        assert code == 0
+        model = elastic_net.load_model(model_path)
+        assert rec["metrics"] == elastic_net.evaluate(model, X_test, ds.y)
+
     def test_tol_not_reached_exits_one(self, tmp_path, capsys):
         ds, _ = gen_regression(20, 10, seed=1)
         data = tmp_path / "train.txt"
@@ -224,6 +276,34 @@ class TestSvmCli:
         assert rec["metrics"]["best_c"] == 1.0
         assert rec["metrics"]["best_sigma"] == 1.0
         assert len(rec["metrics"]["table"]) == 1
+
+    def test_predict_reads_data_without_the_last_feature(self, tmp_path,
+                                                         capsys):
+        tr = gen_blobs(20, 3, 6.0, seed=0)
+        train_file = tmp_path / "train.txt"
+        write_libsvm(tr, train_file)
+        model_path = tmp_path / "svm.json"
+        code, _ = run_json(capsys, [
+            "svm", "train", "--data", str(train_file), "--max-iter", "50",
+            "--model", str(model_path)])
+        assert code == 0
+        X_test = tr.X.copy()
+        X_test[:, -1] = 0.0
+        test_file = tmp_path / "test.txt"
+        write_libsvm(Dataset(X=X_test, y=tr.y, feature_count=3), test_file)
+        code, rec = run_json(capsys, [
+            "svm", "predict", "--model", str(model_path),
+            "--data", str(test_file), "--labels"])
+        assert code == 0
+        assert len(rec["metrics"]["predictions"]) == 40
+
+
+@pytest.mark.parametrize("status, requested, code", [
+    (Status.CONVERGED, True, 0), (Status.CONVERGED, False, 0),
+    (Status.MAX_ITERS, True, 1), (Status.MAX_ITERS, False, 0),
+    (Status.DIVERGED, True, 1), (Status.DIVERGED, False, 1)])
+def test_exit_code_rule(status, requested, code):
+    assert _exit_code(status, requested) == code
 
 
 class TestSpectralCli:

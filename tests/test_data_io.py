@@ -94,6 +94,14 @@ class TestWrite:
         ds = Dataset(X=np.zeros((1, 3)), y=np.array([-1.0]), feature_count=3)
         assert libsvm_to_string(ds) == "-1\n"
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_dense_and_sparse_write_the_same_text(self, seed):
+        ds = random_dataset(np.random.default_rng(seed))
+        texts = {libsvm_to_string(Dataset(X=fmt(ds.X), y=ds.y,
+                                          feature_count=ds.feature_count))
+                 for fmt in (as_dense, sp.csr_matrix, sp.csc_matrix)}
+        assert len(texts) == 1
+
     def test_sparse_drops_stored_zeros(self):
         X = sp.csc_matrix((np.array([1.0, 0.0]),
                            (np.array([0, 0]), np.array([0, 1]))), shape=(1, 2))

@@ -376,6 +376,15 @@ class TestFit:
             fit(np.eye(2), np.zeros(2),
                 ElasticNetSpec(lam=1.0, alpha=0.5, mode=Mode.CYCLIC))
 
+    @pytest.mark.parametrize("field, value", [
+        ("lam", math.nan), ("lam", math.inf), ("gamma", math.nan),
+        ("gamma", math.inf), ("tol", math.nan), ("tol", -1.0)])
+    def test_non_finite_settings_refused(self, field, value):
+        # each of these used to run to the sweep cap on NaN iterates
+        spec = ElasticNetSpec(**{"lam": 0.1, "alpha": 0.5, field: value})
+        with pytest.raises(ValueError, match=field):
+            fit(np.eye(3), np.ones(3), spec)
+
 
 class TestEvaluate:
     def test_true_generator_zero_loss(self):

@@ -156,6 +156,28 @@ class TestSolveBlock:
         oracle = projected_gradient_oracle(matrix, rhs, lower, upper)
         np.testing.assert_allclose(x, oracle, atol=1e-9)
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_fallback_matches_projected_gradient(self, seed, monkeypatch):
+        # with no active-set pass allowed, the projected-gradient fallback
+        # finishes the solve; every seed's unconstrained minimizer leaves the box
+        monkeypatch.setattr(engine, "ACTIVE_SET_PASS_FACTOR", 0)
+        fallbacks = []
+        fallback = engine._projected_gradient
+        monkeypatch.setattr(engine, "_projected_gradient",
+                            lambda *args: fallbacks.append(1) or fallback(*args))
+        rng = np.random.default_rng(seed)
+        s = 5
+        G = rng.standard_normal((s, s))
+        matrix = G @ G.T + 0.3 * np.eye(s)
+        rhs = rng.standard_normal(s) * 3
+        lower = -rng.random(s)
+        upper = rng.random(s)
+        x = solve_block(BlockSystem(matrix, rhs, lower, upper))
+        assert fallbacks == [1]
+        assert np.all(x >= lower) and np.all(x <= upper)
+        oracle = projected_gradient_oracle(matrix, rhs, lower, upper)
+        np.testing.assert_allclose(x, oracle, atol=1e-9)
+
     def test_one_sided_bounds(self):
         sys_ = BlockSystem(np.eye(2), np.array([5.0, -5.0]),
                            np.array([-np.inf, -1.0]), np.array([1.0, np.inf]))
@@ -398,6 +420,13 @@ class TestSolve:
         res = solve(prob, cfg)
         assert res.status == Status.DIVERGED
         assert res.iterations < 1500
+
+    @pytest.mark.parametrize("beta", [np.nan, np.inf])
+    def test_non_finite_penalty_refused(self, beta):
+        prob = QpProblem(c=np.ones(2), H=np.eye(2), A=np.ones((1, 2)),
+                         b=np.ones(1))
+        with pytest.raises(ValueError, match="beta_penalty"):
+            solve(prob, SolverConfig(block_size=1, beta_penalty=beta))
 
     def test_invalid_problem_rejected(self):
         prob = QpProblem(c=np.zeros(2), H=np.array([[1.0, 2.0], [0.0, 1.0]]))
@@ -735,6 +764,18 @@ class TestBlockOrders:
 
 
 class TestRunSweeps:
+    @pytest.mark.parametrize("fixed", [False, True])
+    def test_nan_residual_stops_diverged(self, fixed):
+        # NaN compares False against every bound; it must not run to the cap
+        def sweep(order):
+            return ResidualPair(primal=np.nan, dual=np.nan, primal_l1=np.nan)
+
+        cfg = SolverConfig(mode=Mode.RP, block_size=2, max_iters=50, seed=0,
+                           fixed_iterations=fixed)
+        run = run_sweeps(sweep, cfg, 4)
+        assert run.status == Status.DIVERGED
+        assert run.iterations == 1
+
     @pytest.mark.parametrize("fixed", [False, True])
     def test_growing_residual_stops_diverged(self, fixed):
         # primal residual 10, 100, 1000, ...: past DIVERGENCE_FACTOR (the

@@ -274,6 +274,19 @@ class TestEnumeration:
         with pytest.raises(CapacityError):
             enumerate_partitions(12, 6)
 
+    def test_sequences_are_lexicographic(self):
+        assert [o.ordered_groups for o in enumerate_orders(4, 2)] == [
+            ((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)),
+            ((1, 2), (0, 3)), ((1, 3), (0, 2)), ((2, 3), (0, 1))]
+        assert [q.groups for q in enumerate_partitions(6, 3)][:4] == [
+            ((0, 1), (2, 3), (4, 5)), ((0, 1), (2, 4), (3, 5)),
+            ((0, 1), (2, 5), (3, 4)), ((0, 2), (1, 3), (4, 5))]
+        assert {q.block_size for q in enumerate_partitions(6, 3)} == {2}
+        with pytest.raises(CapacityError, match="^order enumeration"):
+            enumerate_orders(11, 11)
+        with pytest.raises(CapacityError, match="^partition enumeration"):
+            enumerate_partitions(11, 11)
+
 
 class TestManifest:
     def test_round_trip(self, tmp_path):
@@ -325,6 +338,13 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match="max_iters"):
             SolverConfig(block_size=2, max_iters=0).validate(4)
         SolverConfig(block_size=2).validate(4)  # clean config passes
+
+    @pytest.mark.parametrize("field, value", [
+        ("beta_penalty", float("nan")), ("beta_penalty", float("inf")),
+        ("tol_primal", float("nan")), ("tol_dual", float("nan"))])
+    def test_rejects_non_finite_penalty_and_nan_tolerances(self, field, value):
+        with pytest.raises(ValueError, match=field.split("_")[0]):
+            SolverConfig(block_size=2, **{field: value}).validate(4)
 
 
 class TestGeneratorCompatibility:

@@ -182,6 +182,25 @@ class TestCertifyAgainstReference:
                                    rtol=1e-9, atol=1e-12)
         assert cert.rho_kron == pytest.approx(rho, rel=1e-9, abs=1e-12)
 
+    @pytest.mark.parametrize("n, p", [(4, 2), (6, 3)])
+    def test_matches_on_indefinite_coupling(self, n, p):
+        # H = (1 + a) I - a 11' has eigenvalue 1 - (n - 1) a < 0 while every
+        # block is definite, so S has no square root and certify takes the
+        # general eigenvalue route
+        a = 2.0 / n
+        H = (1.0 + a) * np.eye(n) - a * np.ones((n, n))
+        A = np.random.default_rng(n).standard_normal((1, n))
+        beta = 0.1
+        assert spectral._psd_root(coupling_matrix(H, A, beta)) is None
+        eig_qs, maxima, rho = reference_certificate(H, A, beta, p)
+        cert = certify(H, A, beta, p, kron=True)
+        assert cert.assumption1_ok
+        np.testing.assert_allclose(np.sort(cert.eig_qs.real), eig_qs,
+                                   rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(cert.partition_max_eigs, maxima,
+                                   rtol=1e-9, atol=1e-12)
+        assert cert.rho_kron == pytest.approx(rho, rel=1e-9, abs=1e-12)
+
     def test_orders_are_enumerated_once(self, monkeypatch):
         calls = []
         enumerate_all = spectral.enumerate_orders
@@ -243,6 +262,29 @@ class TestCertify:
             certify(H, A, 1.0, 3)  # p must divide n
         with pytest.raises(CapacityError):
             certify(np.eye(10), np.ones((1, 10)), 1.0, 10, kron=True)
+
+    def test_kron_cap_counts_constraint_rows(self, monkeypatch):
+        # n = 4 with 200 rows of A: the Kronecker square would hold 204^4
+        # floats, about 14 GB. Any request for it fails here, before the
+        # enumeration allocates anything.
+        requested = []
+        averages = spectral._order_averages
+
+        def guarded(S, Ad, beta, p, kron):
+            requested.append(kron)
+            if kron:
+                raise AssertionError("Kronecker square requested past the cap")
+            return averages(S, Ad, beta, p, kron)
+
+        monkeypatch.setattr(spectral, "_order_averages", guarded)
+        H, A = random_instance(7, n=4, m=200)
+        cert = certify(H, A, 1.0, 2)
+        assert requested == [False]
+        assert cert.rho_kron is None and cert.as_ok is None
+        assert cert.lemma2_ok is not None
+        with pytest.raises(CapacityError, match="n \\+ m"):
+            certify(H, A, 1.0, 2, kron=True)
+        assert requested == [False]
 
     def test_json_schema_keys(self):
         cert = certify(None, np.eye(2), 1.0, 2)

@@ -66,6 +66,10 @@ class TestKernelEval:
         with pytest.raises(ValueError):
             kernel_eval(np.zeros(1), np.zeros(1), KernelSpec("gaussian", 0.0))
 
+    def test_nan_sigma_refused(self):
+        with pytest.raises(ValueError, match="sigma"):
+            KernelSpec("gaussian", math.nan).validate()
+
 
 def kernel_strip(X, y, block, kernel, ridge=0.0):
     """The n x s column strip of Q + ridge I that training sweeps with."""
@@ -141,6 +145,12 @@ class TestTrain:
             train(np.zeros((0, 2)), np.zeros(0), 1.0, KernelSpec())
         with pytest.raises(ValueError, match="non-empty"):
             default_config(0)
+
+    @pytest.mark.parametrize("block_size", [0, -5])
+    def test_block_size_below_one_refused(self, block_size):
+        # 0 used to mean the default and -5 a negative penalty
+        with pytest.raises(ValueError, match="block_size"):
+            default_config(40, block_size=block_size)
 
     def test_blob_quality(self):
         tr = gen_blobs(100, 2, 6.0, seed=11)
