@@ -17,10 +17,12 @@ import time
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import data_io, elastic_net, spectral, svm
 from .engine import BlockDefinitenessError, solve
-from .problems import Mode, SolverConfig, Status, as_dense, load_qp_manifest
+from .problems import (Mode, SolverConfig, Status, as_csc, as_dense,
+                       load_qp_manifest)
 
 SCHEMA_TAG = "racml/run-record/v1"
 
@@ -114,17 +116,37 @@ def _cmd_qp_solve(args, argv) -> int:
     return _exit_code(result.status, not config.fixed_iterations)
 
 
+def _unit_sd_columns(X) -> sp.csc_matrix:
+    """Sparse X with each column divided by its population standard
+    deviation (kept where that is 0). The deviation takes two passes over
+    the stored entries, the implicit zeros counted, so X stays sparse."""
+    X = as_csc(X)
+    n, p = X.shape
+    counts = np.diff(X.indptr)
+    mean = np.asarray(X.sum(axis=0)).ravel() / n
+    dev = X.data - np.repeat(mean, counts)
+    stored = np.bincount(np.repeat(np.arange(p), counts), weights=dev * dev,
+                         minlength=p)
+    sd = np.sqrt((stored + (n - counts) * mean * mean) / n)
+    sd[sd == 0.0] = 1.0
+    return sp.csc_matrix((X.data / np.repeat(sd, counts), X.indices,
+                          X.indptr), shape=(n, p))
+
+
 def _preprocess(X, center: bool, scale: bool):
-    if not (center or scale):
-        return X
-    Xd = as_dense(X)  # each step below makes a new array
+    """Center and/or scale X's columns. Centering fills every column, so it
+    makes X dense; scaling alone keeps a sparse X sparse."""
     if center:
-        Xd = Xd - Xd.mean(axis=0)
+        X = as_dense(X)
+        X = X - X.mean(axis=0)
+    if scale and sp.issparse(X):
+        return _unit_sd_columns(X)
     if scale:
-        sd = Xd.std(axis=0)
+        X = as_dense(X)
+        sd = X.std(axis=0)
         sd[sd == 0.0] = 1.0
-        Xd = Xd / sd
-    return Xd
+        X = X / sd
+    return X
 
 
 def _cmd_en_fit(args, argv) -> int:

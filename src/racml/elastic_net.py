@@ -22,8 +22,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .data_io import density
-from .engine import (BlockSystem, ResidualPair, _chol_solve, _cholesky,
-                     block_system, blocks_recur, run_sweeps, solve_block)
+from .engine import (ResidualPair, _chol_solve, _cholesky, block_system,
+                     run_sweeps)
 from .problems import (Matrix, Mode, SolverConfig, Status, as_dense,
                        chunk_indices)
 
@@ -198,19 +198,14 @@ def fit(X: Matrix, y: np.ndarray, spec: ElasticNetSpec) -> ElasticNetModel:
     xi = np.zeros(p)
     r = np.zeros(n)  # running X @ beta
 
-    # a kept system holds only its s x s factor: not Xg, nor the Gram block
-    systems = {} if blocks_recur(mode, p, block_size, spec.iters) else None
-
-    def gram_system(Xg):
+    def gram_factor(Xg):
+        # blocks are unbounded: one kept is its s x s factor, not Xg or Gram
         gram = (Xg.T @ Xg) / n
         _note_alloc(gram.size)
         gram[np.diag_indices_from(gram)] += gamma
-        s = len(gram)  # coefficient blocks are unbounded
-        return BlockSystem(matrix=None, rhs=None, lower=np.full(s, -np.inf),
-                           upper=np.full(s, np.inf), bounded=False,
-                           chol=_cholesky(gram))
+        return _cholesky(gram)
 
-    def sweep(order):
+    def sweep(order, factors):
         nonlocal z, xi, r
         for g in order:
             idx = np.asarray(g, dtype=int)
@@ -219,9 +214,9 @@ def fit(X: Matrix, y: np.ndarray, spec: ElasticNetSpec) -> ElasticNetModel:
             # coupling to the other blocks through the running prediction:
             # X_b' X_rest beta_rest / n, without touching the full Gram
             cross = Xg.T @ (r - Xg @ beta[idx]) / n
-            system = block_system(systems, g, lambda: gram_system(Xg))
-            system.rhs = -(c[idx] + cross - xi[idx] - gamma * z[idx])
-            new_beta = solve_block(system)
+            chol = block_system(factors, g, lambda: gram_factor(Xg))
+            new_beta = _chol_solve(chol, -(c[idx] + cross - xi[idx] -
+                                           gamma * z[idx]))
             r += Xg @ (new_beta - beta[idx])
             beta[idx] = new_beta
         z = z_update(beta, xi, gamma, spec.lam, spec.alpha)
@@ -296,7 +291,7 @@ def consensus_fit(X: Matrix, y: np.ndarray,
     duals = np.zeros((N, p))
     z = np.zeros(p)
 
-    def sweep(_order):
+    def sweep(_order, _cache):
         nonlocal z, duals
         for i, ((kind, Xi, chol), w0) in enumerate(zip(solvers, targets)):
             w = w0 + duals[i] + gamma * z

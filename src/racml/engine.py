@@ -17,12 +17,13 @@ sweep touches H only through its blocks' column strips, and H may be an
 implicit symmetric operator that yields them, as C-SVC's kernel is.
 
 ``block_orders`` is the one source of block orders and ``run_sweeps`` the one
-sweep driver (stopping rule, divergence guard, residual histories). The QP
-solver here and elastic-net are adapters that supply a ``sweep(order)``
-callable to it. They share one block step, a ``BlockSystem`` factored by
-``_cholesky`` and solved by ``solve_block``, kept (``block_system``) where
-``blocks_recur``. A kept QP system holds only its s x s matrix and factor;
-the block's column strips are gathered again on every visit.
+sweep driver: stopping rule, divergence guard, residual histories, and the
+block cache, one dict it hands every ``sweep(order, cache)`` where
+``blocks_recur`` (else None). The QP solver here and elastic-net are adapters
+that supply that callable. A QP block is a ``BlockSystem`` built factored,
+never written again and solved for each visit's rhs by ``solve_block``; kept
+(``block_system``), it holds only its s x s matrix and factor, and its column
+strips are gathered again on every visit. Elastic-net keeps bare factors.
 """
 
 from __future__ import annotations
@@ -65,22 +66,20 @@ class BlockDefinitenessError(ArithmeticError):
     """
 
 
-@dataclass
+@dataclass(frozen=True)
 class BlockSystem:
     """One block's exact minimization subproblem: min 1/2 x'Mx - r'x over a box.
 
-    Only ``rhs`` changes per visit. ``bounded`` False, which the builder of
-    a system over an all-infinite box may set, skips the box test.
-    ``chol``, M's factor, is set on a kept system; an unbounded solve reads
-    it alone, so a system built with it may leave ``matrix`` None.
+    Built with ``chol``, M's lower Cholesky factor; the rhs r of a visit is
+    passed to ``solve_block``. ``bounded`` False, for a box with no finite
+    bound, skips the box test.
     """
 
-    matrix: Optional[np.ndarray]
-    rhs: Optional[np.ndarray]
+    matrix: np.ndarray
+    chol: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    bounded: bool = True
-    chol: Optional[np.ndarray] = None
+    bounded: bool
 
 
 def blocks_recur(mode: Mode, n: int, s: int, sweeps: int) -> bool:
@@ -97,16 +96,14 @@ def blocks_recur(mode: Mode, n: int, s: int, sweeps: int) -> bool:
 
 
 def block_system(cache: Optional[dict], block: Sequence[int],
-                 build: Callable[[], BlockSystem]) -> BlockSystem:
-    """``cache``'s system for ``block``, built, factored and kept on the first
-    visit; with ``cache`` None every visit builds its own."""
+                 build: Callable[[], object]):
+    """``cache``'s entry for ``block``, built and kept on the first visit;
+    with ``cache`` None every visit builds its own."""
     if cache is None:
         return build()
     key = tuple(block)
     if key not in cache:
-        system = cache[key] = build()
-        if system.chol is None:
-            system.chol = _cholesky(system.matrix)
+        cache[key] = build()
     return cache[key]
 
 
@@ -139,8 +136,8 @@ def _qp_system(problem: QpProblem, idx: np.ndarray, Hs, As,
         matrix = matrix + beta * as_dense(As.T @ As)
     lower, upper = problem.lower[idx], problem.upper[idx]
     bounded = bool(np.isfinite(lower).any() or np.isfinite(upper).any())
-    return BlockSystem(matrix=matrix, rhs=None, lower=lower, upper=upper,
-                       bounded=bounded)
+    return BlockSystem(matrix=matrix, chol=_cholesky(matrix), lower=lower,
+                       upper=upper, bounded=bounded)
 
 
 def _cholesky(matrix: np.ndarray) -> np.ndarray:
@@ -181,7 +178,7 @@ def _projected_gradient(matrix, rhs, lower, upper, x0):
     return x
 
 
-def solve_block(system: BlockSystem) -> np.ndarray:
+def solve_block(system: BlockSystem, rhs: np.ndarray) -> np.ndarray:
     """Exactly minimize 1/2 x'Mx - r'x over the block's box.
 
     Unbounded blocks are a single SPD solve. Bounded blocks run a finite
@@ -189,15 +186,13 @@ def solve_block(system: BlockSystem) -> np.ndarray:
     clamp violators (the active set only grows within a pass), then release
     any bound whose multiplier has the wrong sign and repeat. A pass budget
     of ACTIVE_SET_PASS_FACTOR * s guards against cycling, after which a
-    projected-gradient fallback finishes to PG_TOL. A system without
-    ``chol`` has its matrix factored for this solve only.
+    projected-gradient fallback finishes to PG_TOL.
     """
-    matrix, rhs, chol = system.matrix, system.rhs, system.chol
-    x = _chol_solve(_cholesky(matrix) if chol is None else chol, rhs)
+    x = _chol_solve(system.chol, rhs)
     if not system.bounded:
         return x
     s = rhs.size
-    lower, upper = system.lower, system.upper
+    matrix, lower, upper = system.matrix, system.lower, system.upper
     if (x >= lower).all() and (x <= upper).all():
         return x  # interior solution is the global minimizer
 
@@ -290,8 +285,7 @@ def run_sweep(problem: QpProblem, x: np.ndarray, y: np.ndarray,
                               lambda: _qp_system(problem, idx, Hs, As, beta))
         xb = x[idx]
         grad = g[idx] if As is None else g[idx] + As.T.dot(beta * r - y)
-        system.rhs = system.matrix.dot(xb) - grad
-        new = solve_block(system)
+        new = solve_block(system, system.matrix.dot(xb) - grad)
         delta = new - xb
         if Hs is not None:
             g += Hs.dot(delta)
@@ -323,27 +317,29 @@ def block_orders(mode: Mode, n: int, s: int, rng: np.random.Generator):
         yield tuple([groups[i] for i in rng.permutation(len(groups))])
 
 
-def run_sweeps(sweep: Callable[[Sequence[Sequence[int]]], ResidualPair],
-               config: SolverConfig, n: int,
-               initial_primal: float = 0.0) -> SweepRun:
-    """Call ``sweep(order)`` once per block order of ``config.mode``.
+def run_sweeps(sweep: Callable[..., ResidualPair], config: SolverConfig,
+               n: int, initial_primal: float = 0.0) -> SweepRun:
+    """Call ``sweep(order, cache)`` once per block order of ``config.mode``.
 
     ``sweep`` advances the caller's iterate by one sweep and returns the
-    residuals after it. The run ends DIVERGED once the primal residual
-    exceeds DIVERGENCE_FACTOR times ``initial_primal`` (floored at 1) or is
-    NaN, CONVERGED once both residuals meet ``config``'s tolerances (after
-    the last sweep only, with ``fixed_iterations``), else MAX_ITERS after
-    ``max_iters`` sweeps.
+    residuals after it. ``cache``, for ``block_system``, is one dict for the
+    whole run where ``blocks_recur``, else None. The run ends DIVERGED once
+    the primal residual exceeds DIVERGENCE_FACTOR times ``initial_primal``
+    (floored at 1) or is NaN, CONVERGED once both residuals meet ``config``'s
+    tolerances (after the last sweep only, with ``fixed_iterations``), else
+    MAX_ITERS after ``max_iters`` sweeps.
     """
     rng = np.random.default_rng(config.seed)
     orders = block_orders(config.mode, n, config.block_size, rng)
+    recur = blocks_recur(config.mode, n, config.block_size, config.max_iters)
+    cache = {} if recur else None
     divergence_bar = DIVERGENCE_FACTOR * max(initial_primal, 1.0)
     primal_hist: list[float] = []
     primal_l1_hist: list[float] = []
     dual_hist: list[float] = []
     status = Status.MAX_ITERS
     for k in range(1, config.max_iters + 1):
-        res = sweep(next(orders))
+        res = sweep(next(orders), cache)
         primal_hist.append(res.primal)
         primal_l1_hist.append(res.primal_l1)
         dual_hist.append(res.dual)
@@ -365,8 +361,7 @@ def solve(problem: QpProblem, config: SolverConfig,
           sweep_hook=None) -> SolveResult:
     """Run the randomized multi-block sweep until tolerance or iteration cap.
 
-    Block orders come from ``block_orders``, stopping from ``run_sweeps``,
-    and ``blocks_recur`` decides whether block systems are kept.
+    Block orders, stopping and kept block systems come from ``run_sweeps``.
 
     ``sweep_hook(k, x, y)``, when given, observes the iterate after sweep k
     (1-based); it must not mutate its arguments.
@@ -382,13 +377,11 @@ def solve(problem: QpProblem, config: SolverConfig,
     y = np.zeros(problem.m)
     products = _exact_products(problem, x)
 
-    recur = blocks_recur(config.mode, n, config.block_size, config.max_iters)
-    piece_cache = {} if recur else None
     sweep_numbers = itertools.count(1)
 
-    def sweep(order):
+    def sweep(order, piece_cache):
         nonlocal x, y
-        x, y = run_sweep(problem, x, y, order, beta, piece_cache=piece_cache,
+        x, y = run_sweep(problem, x, y, order, beta, piece_cache,
                          _products=products)
         if sweep_hook is not None:
             sweep_hook(next(sweep_numbers), x, y)

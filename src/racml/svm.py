@@ -175,7 +175,9 @@ def train(X: Matrix, labels: np.ndarray, C: float, kernel: KernelSpec,
         raise ValueError(f"labels length {y.size} does not match {n} rows")
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise ValueError("labels must be -1 or +1")
-    if C <= 0:
+    if not np.all(np.isfinite(Xd)):
+        raise ValueError("X must be finite: it has NaN or infinite entries")
+    if not C > 0:  # NaN fails too
         raise ValueError(f"C must be > 0, got {C}")
     if config is None:
         config = default_config(n)
@@ -246,6 +248,10 @@ def decision_values(model: SvmModel, X_query: Matrix) -> np.ndarray:
         raise ValueError(
             f"query has {Xq.shape[1]} features, model expects "
             f"{model.support_points.shape[1]}")
+    finite = np.isfinite(Xq).all(axis=1)
+    if not finite.all():
+        raise ValueError("query rows must be finite: row "
+                         f"{int(np.argmin(finite))} has NaN or infinite entries")
     k = kernel_cross(Xq, model.support_points, model.kernel)
     return k @ (model.support_labels * model.support_duals) + model.bias
 

@@ -214,6 +214,33 @@ class TestElasticNetCli:
         assert rec["metrics"]["objective"] == pytest.approx(
             elastic_net.objective(Z, ds.y, expected.beta, 0.1, 0.5), rel=1e-9)
 
+    def test_scale_alone_keeps_sparse_data_sparse(self, tmp_path, capsys,
+                                                  monkeypatch):
+        ds, _ = gen_regression(60, 400, x_density=0.03, noise_sd=0.1, seed=7)
+        data = tmp_path / "train.txt"
+        write_libsvm(ds, data)
+        designs = []
+        fit = elastic_net.fit
+        monkeypatch.setattr(elastic_net, "fit", lambda X, *args:
+                            designs.append(X) or fit(X, *args))
+        model_path = tmp_path / "model.json"
+        code, _ = run_json(capsys, [
+            "elastic-net", "fit", "--data", str(data), "--lambda", "0.05",
+            "--alpha", "0.5", "--iters", "20", "--block-size", "50",
+            "--seed", "4", "--scale", "--model", str(model_path)])
+        assert code == 0
+        assert len(designs) == 1 and sp.issparse(designs[0])
+        X = parse_libsvm(data).X.toarray()
+        sd = X.std(axis=0)
+        sd[sd == 0.0] = 1.0
+        np.testing.assert_allclose(designs[0].toarray(), X / sd,
+                                   rtol=1e-12, atol=1e-14)
+        spec = elastic_net.ElasticNetSpec(lam=0.05, alpha=0.5, block_size=50,
+                                          iters=20, seed=4)
+        expected = fit(X / sd, ds.y, spec)
+        assert np.max(np.abs(elastic_net.load_model(model_path).beta -
+                             expected.beta)) <= 1e-10
+
     def test_eval_reads_data_without_the_last_feature(self, tmp_path,
                                                       capsys):
         # a file whose last column is all zero names one feature fewer

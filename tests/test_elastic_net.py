@@ -286,11 +286,14 @@ class TestFit:
             block_system(cache, *args))
         cached = fit(X, y, spec)
         cached_calls = len(factored)
-        # a kept system holds its factor only, not the Gram block
-        assert all(system.matrix is None and system.chol is not None
-                   for system in kept[0].values())
+        # a kept entry is the block's s x s lower factor only, not the Gram
+        assert kept[0]
+        for chol in kept[0].values():
+            assert isinstance(chol, np.ndarray) and chol.shape == (s, s)
+            assert np.array_equal(chol, np.tril(chol))
+            assert np.all(np.diag(chol) > 0)
         factored.clear()
-        monkeypatch.setattr(en, "blocks_recur", lambda *args: False)
+        monkeypatch.setattr(engine, "blocks_recur", lambda *args: False)
         uncached = fit(X, y, spec)
         orders = engine.block_orders(Mode.RAC, p, s,
                                      np.random.default_rng(spec.seed))

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -63,11 +64,19 @@ def random_problem(seed, n=6, m=2, bounded=False, h_scale=1.0):
 
 
 def assemble_block_system(problem, x, y, block, beta):
-    """The system a sweep from (x, y) solves for ``block``, kept by the
-    sweep's cache with the rhs of that visit."""
-    cache = {}
-    run_sweep(problem, x, y, (tuple(block),), beta, piece_cache=cache)
-    return cache[tuple(block)]
+    """The system a sweep from (x, y) solves for ``block`` and the rhs of
+    that visit, as ``solve_block`` receives them."""
+    seen = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "solve_block", lambda system, rhs:
+                      seen.append((system, rhs)) or solve_block(system, rhs))
+        run_sweep(problem, x, y, (tuple(block),), beta)
+    return seen[0]
+
+
+def factored(matrix, lower, upper):
+    """A bounded block system over ``matrix``, built factored."""
+    return BlockSystem(matrix, engine._cholesky(matrix), lower, upper, True)
 
 
 def dual_update(y, A, x, b, beta):
@@ -80,15 +89,15 @@ class TestAssembleBlockSystem:
     def test_hand_example(self):
         p = QpProblem(c=np.zeros(2), H=np.eye(2),
                       A=np.array([[1.0, 1.0]]), b=np.array([2.0]))
-        sys_ = assemble_block_system(p, np.zeros(2), np.zeros(1), [0], 1.0)
+        sys_, rhs = assemble_block_system(p, np.zeros(2), np.zeros(1), [0], 1.0)
         np.testing.assert_allclose(sys_.matrix, [[2.0]])
-        np.testing.assert_allclose(sys_.rhs, [2.0])
+        np.testing.assert_allclose(rhs, [2.0])
 
     def test_all_zero_data(self):
         p = QpProblem(c=np.zeros(2), A=np.eye(2), b=np.zeros(2))
-        sys_ = assemble_block_system(p, np.zeros(2), np.zeros(2), [0], 1.0)
+        sys_, rhs = assemble_block_system(p, np.zeros(2), np.zeros(2), [0], 1.0)
         np.testing.assert_allclose(sys_.matrix, [[1.0]])
-        np.testing.assert_allclose(sys_.rhs, [0.0])
+        np.testing.assert_allclose(rhs, [0.0])
 
     @pytest.mark.parametrize("seed", range(8))
     def test_rhs_is_negative_gradient(self, seed):
@@ -106,8 +115,8 @@ class TestAssembleBlockSystem:
             return augmented_lagrangian(prob, full, y, beta)
 
         grad = fd_gradient(f, x[np.array(block)])
-        sys_ = assemble_block_system(prob, x, y, block, beta)
-        residual = sys_.matrix @ x[np.array(block)] - sys_.rhs
+        sys_, rhs = assemble_block_system(prob, x, y, block, beta)
+        residual = sys_.matrix @ x[np.array(block)] - rhs
         np.testing.assert_allclose(residual, grad, atol=1e-6)
 
     def test_dimension_mismatch(self):
@@ -131,15 +140,15 @@ def projected_gradient_oracle(matrix, rhs, lower, upper, iters=400000, tol=1e-12
 
 class TestSolveBlock:
     def test_scalar(self):
-        sys_ = BlockSystem(np.array([[2.0]]), np.array([2.0]),
-                           np.array([-np.inf]), np.array([np.inf]))
-        np.testing.assert_allclose(solve_block(sys_), [1.0])
+        sys_ = factored(np.array([[2.0]]), np.array([-np.inf]),
+                        np.array([np.inf]))
+        np.testing.assert_allclose(solve_block(sys_, np.array([2.0])), [1.0])
 
     def test_separable_clamp(self):
         # separable quadratic: brute-force answer is coordinatewise clamp
-        sys_ = BlockSystem(np.eye(2), np.array([5.0, -5.0]),
-                           np.zeros(2), np.ones(2))
-        np.testing.assert_allclose(solve_block(sys_), [1.0, 0.0])
+        sys_ = factored(np.eye(2), np.zeros(2), np.ones(2))
+        np.testing.assert_allclose(solve_block(sys_, np.array([5.0, -5.0])),
+                                   [1.0, 0.0])
 
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_projected_gradient(self, seed):
@@ -150,8 +159,7 @@ class TestSolveBlock:
         rhs = rng.standard_normal(s) * 3
         lower = -rng.random(s)
         upper = rng.random(s)
-        sys_ = BlockSystem(matrix, rhs, lower, upper)
-        x = solve_block(sys_)
+        x = solve_block(factored(matrix, lower, upper), rhs)
         assert np.all(x >= lower - 1e-12) and np.all(x <= upper + 1e-12)
         oracle = projected_gradient_oracle(matrix, rhs, lower, upper)
         np.testing.assert_allclose(x, oracle, atol=1e-9)
@@ -172,22 +180,31 @@ class TestSolveBlock:
         rhs = rng.standard_normal(s) * 3
         lower = -rng.random(s)
         upper = rng.random(s)
-        x = solve_block(BlockSystem(matrix, rhs, lower, upper))
+        x = solve_block(factored(matrix, lower, upper), rhs)
         assert fallbacks == [1]
         assert np.all(x >= lower) and np.all(x <= upper)
         oracle = projected_gradient_oracle(matrix, rhs, lower, upper)
         np.testing.assert_allclose(x, oracle, atol=1e-9)
 
     def test_one_sided_bounds(self):
-        sys_ = BlockSystem(np.eye(2), np.array([5.0, -5.0]),
-                           np.array([-np.inf, -1.0]), np.array([1.0, np.inf]))
-        np.testing.assert_allclose(solve_block(sys_), [1.0, -1.0])
+        sys_ = factored(np.eye(2), np.array([-np.inf, -1.0]),
+                        np.array([1.0, np.inf]))
+        np.testing.assert_allclose(solve_block(sys_, np.array([5.0, -5.0])),
+                                   [1.0, -1.0])
 
     def test_not_positive_definite(self):
-        sys_ = BlockSystem(np.zeros((1, 1)), np.ones(1),
-                           np.array([-np.inf]), np.array([np.inf]))
+        # a block system is factored as it is built, before any solve
+        prob = QpProblem(c=np.ones(1), H=np.zeros((1, 1)))
+        solves = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "solve_block",
+                          lambda *args: solves.append(args))
+            with pytest.raises(BlockDefinitenessError,
+                               match="positive definite"):
+                run_sweep(prob, np.zeros(1), np.zeros(0), ((0,),), 1.0)
+        assert solves == []
         with pytest.raises(BlockDefinitenessError, match="positive definite"):
-            solve_block(sys_)
+            engine._cholesky(np.zeros((1, 1)))
 
 
 @st.composite
@@ -398,8 +415,8 @@ class TestSolve:
             for start in (0, 2, 4):
                 block = sorted(int(i) for i in perm[start:start + 2])
                 before = augmented_lagrangian(prob, x, y, beta)
-                sys_ = assemble_block_system(prob, x, y, block, beta)
-                x[block] = solve_block(sys_)
+                x[block] = solve_block(
+                    *assemble_block_system(prob, x, y, block, beta))
                 after = augmented_lagrangian(prob, x, y, beta)
                 assert after <= before + 1e-10
                 assert np.all(x >= prob.lower) and np.all(x <= prob.upper)
@@ -571,6 +588,38 @@ class TestBlockCache:
         for pieces in cache.values():
             np.testing.assert_allclose(pieces.chol @ pieces.chol.T,
                                        pieces.matrix, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", [Mode.RAC, Mode.RP])
+    def test_kept_systems_are_never_written(self, mode, monkeypatch):
+        # every kept system is the object built on its block's first visit,
+        # with the arrays it had then, through sweep 40 of a bounded solve
+        prob = random_problem(9, n=6, m=2, bounded=True)
+        caches = []
+        block_system = engine.block_system
+        monkeypatch.setattr(engine, "block_system", lambda cache, *args:
+                            caches.append(cache) or block_system(cache, *args))
+        first_seen = {}
+
+        def hook(k, x, y):
+            for key, system in caches[0].items():
+                if key not in first_seen:
+                    first_seen[key] = (system, {
+                        f.name: np.copy(getattr(system, f.name))
+                        for f in dataclasses.fields(system)})
+
+        cfg = SolverConfig(mode=mode, block_size=2, beta_penalty=0.8,
+                           max_iters=40, tol_primal=1e-16, tol_dual=1e-16,
+                           seed=5, fixed_iterations=True)
+        solve(prob, cfg, sweep_hook=hook)
+        cache = caches[0]
+        assert all(c is cache for c in caches)
+        assert set(first_seen) == set(cache)
+        for key, (system, arrays) in first_seen.items():
+            assert cache[key] is system
+            for name, value in arrays.items():
+                assert np.array_equal(getattr(system, name), value)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                system.chol = np.eye(2)
 
 
 def sparse_problem(seed, n=80, m=6, bounded=False):
@@ -764,10 +813,29 @@ class TestBlockOrders:
 
 
 class TestRunSweeps:
+    @pytest.mark.parametrize("mode, n, s, iters", [
+        (Mode.RP, 10, 2, 1), (Mode.RP, 10, 2, 5), (Mode.CYCLIC, 10, 3, 4),
+        (Mode.RAC, 6, 2, 5), (Mode.RAC, 6, 2, 6), (Mode.RAC, 65, 1, 3)])
+    def test_one_cache_dict_where_blocks_recur(self, mode, n, s, iters):
+        caches = []
+
+        def sweep(order, cache):
+            caches.append(cache)
+            return ResidualPair(primal=1.0, dual=1.0, primal_l1=1.0)
+
+        cfg = SolverConfig(mode=mode, block_size=s, max_iters=iters, seed=0)
+        run_sweeps(sweep, cfg, n)
+        assert len(caches) == iters
+        if blocks_recur(mode, n, s, iters):
+            assert caches[0] == {}
+            assert all(cache is caches[0] for cache in caches)
+        else:
+            assert caches == [None] * iters
+
     @pytest.mark.parametrize("fixed", [False, True])
     def test_nan_residual_stops_diverged(self, fixed):
         # NaN compares False against every bound; it must not run to the cap
-        def sweep(order):
+        def sweep(order, cache):
             return ResidualPair(primal=np.nan, dual=np.nan, primal_l1=np.nan)
 
         cfg = SolverConfig(mode=Mode.RP, block_size=2, max_iters=50, seed=0,
@@ -783,7 +851,7 @@ class TestRunSweeps:
         primal = iter(10.0 ** np.arange(1, 200))
         orders = []
 
-        def sweep(order):
+        def sweep(order, cache):
             orders.append(order)
             p = next(primal)
             return ResidualPair(primal=p, dual=p, primal_l1=p)

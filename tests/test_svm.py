@@ -146,6 +146,21 @@ class TestTrain:
         with pytest.raises(ValueError, match="non-empty"):
             default_config(0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_X_refused(self, bad):
+        # it used to surface as "no support vectors", naming the wrong cause
+        tr = gen_blobs(10, 2, 6.0, seed=3)
+        X = np.array(tr.X)
+        X[4, 1] = bad
+        with pytest.raises(ValueError, match="X must be finite"):
+            train(X, tr.y, 1.0, KernelSpec())
+
+    @pytest.mark.parametrize("C", [0.0, -1.0, np.nan])
+    def test_C_not_positive_refused(self, C):
+        tr = gen_blobs(10, 2, 6.0, seed=3)
+        with pytest.raises(ValueError, match="C must be > 0"):
+            train(tr.X, tr.y, C, KernelSpec())
+
     @pytest.mark.parametrize("block_size", [0, -5])
     def test_block_size_below_one_refused(self, block_size):
         # 0 used to mean the default and -5 a negative penalty
@@ -407,7 +422,27 @@ class TestPredict:
                                    atol=1e-12)
 
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_query_row_refused(self, bad):
+        # a NaN row used to be classified -1 without a word
+        tr = gen_blobs(20, 2, 6.0, seed=16)
+        model = train(tr.X, tr.y, 1.0, KernelSpec("gaussian", 1.0))
+        probes = np.array(tr.X[:5])
+        probes[3, 0] = bad
+        with pytest.raises(ValueError, match="row 3"):
+            predict(model, probes)
+        with pytest.raises(ValueError, match="row 3"):
+            decision_values(model, probes)
+
+
 class TestGridSearch:
+    def test_non_finite_X_refused(self):
+        tr = gen_blobs(25, 2, 6.0, seed=19)
+        X = np.array(tr.X)
+        X[:, 0] = np.nan
+        with pytest.raises(ValueError, match="X must be finite"):
+            grid_search(X, tr.y, [1.0], [1.0], holdout=0.3, seed=0)
+
     def test_single_cell(self):
         tr = gen_blobs(25, 2, 6.0, seed=19)
         best, table = grid_search(tr.X, tr.y, [1.0], [1.0], holdout=0.3,
