@@ -1,14 +1,12 @@
 """Randomized multi-block sweep solver for QP, regression and SVM."""
 
 from .problems import (
-    BlockPartition,
     CapacityError,
     Mode,
     QpProblem,
     SolveResult,
     SolverConfig,
     Status,
-    UpdateOrder,
     ValidationReport,
     enumerate_orders,
     enumerate_partitions,

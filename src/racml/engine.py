@@ -31,13 +31,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dpotrs
 
 from .problems import (
     Mode,
+    Order,
     QpProblem,
     SolveResult,
     SolverConfig,
@@ -257,7 +258,7 @@ def compute_residuals(problem: QpProblem, x: np.ndarray, y: np.ndarray,
 
 
 def run_sweep(problem: QpProblem, x: np.ndarray, y: np.ndarray,
-              order: Sequence[Sequence[int]], beta: float,
+              order: Order, beta: float,
               piece_cache: Optional[dict] = None, *,
               _products: Optional[tuple] = None
               ) -> tuple[np.ndarray, np.ndarray]:
@@ -295,7 +296,8 @@ def run_sweep(problem: QpProblem, x: np.ndarray, y: np.ndarray,
     return x, y - beta * r
 
 
-def block_orders(mode: Mode, n: int, s: int, rng: np.random.Generator):
+def block_orders(mode: Mode, n: int, s: int,
+                 rng: np.random.Generator) -> Iterator[Order]:
     """Yield one sweep's block order per draw, without end.
 
     RAC draws a fresh random partition every sweep; RP draws its partition

@@ -189,50 +189,13 @@ def validate_problem(problem: QpProblem) -> ValidationReport:
     return ValidationReport(tuple(issues))
 
 
-@dataclass(frozen=True)
-class BlockPartition:
-    """Disjoint grouping of the variable indices {0, ..., n-1} into blocks.
-
-    Every group has the nominal size except possibly the last, which holds
-    the remainder when the block size does not divide n.
-    """
-
-    groups: tuple[tuple[int, ...], ...]
-    block_size: int
-
-    @property
-    def n(self) -> int:
-        return sum(len(g) for g in self.groups)
-
-    @property
-    def p(self) -> int:
-        return len(self.groups)
-
-    def covers(self, n: int) -> bool:
-        seen = sorted(i for g in self.groups for i in g)
-        return seen == list(range(n))
+# A block order: the blocks one sweep updates, in sweep order, each a
+# sorted tuple of variable indices. Its blocks as a frozenset identify the
+# partition; a full order's indices, sorted, are range(n).
+Order = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class UpdateOrder:
-    """A block partition together with the order in which blocks are swept."""
-
-    ordered_groups: tuple[tuple[int, ...], ...]
-
-    @property
-    def n(self) -> int:
-        return sum(len(g) for g in self.ordered_groups)
-
-    @property
-    def p(self) -> int:
-        return len(self.ordered_groups)
-
-    def partition_key(self) -> frozenset[tuple[int, ...]]:
-        """Order-insensitive identity of the underlying partition."""
-        return frozenset(self.ordered_groups)
-
-
-def chunk_indices(indices: np.ndarray, block_size: int) -> tuple[tuple[int, ...], ...]:
+def chunk_indices(indices: np.ndarray, block_size: int) -> Order:
     """Split an index vector into consecutive chunks of the block size.
 
     Each chunk is sorted internally; block membership is a set property and
@@ -249,7 +212,7 @@ def chunk_indices(indices: np.ndarray, block_size: int) -> tuple[tuple[int, ...]
 
 
 def make_partition(n: int, block_size: int, seed: int = 0,
-                   randomize: bool = False) -> BlockPartition:
+                   randomize: bool = False) -> Order:
     """Group n variables into blocks of the given size.
 
     With ``randomize`` the indices are drawn without replacement from a
@@ -263,7 +226,7 @@ def make_partition(n: int, block_size: int, seed: int = 0,
         perm = np.random.default_rng(seed).permutation(n)
     else:
         perm = np.arange(n)
-    return BlockPartition(chunk_indices(perm, block_size), block_size)
+    return chunk_indices(perm, block_size)
 
 
 def _block_sequences(n: int, p: int, what: str, anchored: bool):
@@ -291,26 +254,24 @@ def _block_sequences(n: int, p: int, what: str, anchored: bool):
     return rec(tuple(range(n)), p)
 
 
-def enumerate_orders(n: int, p: int) -> list[UpdateOrder]:
+def enumerate_orders(n: int, p: int) -> list[Order]:
     """All distinct block update orders for n variables in p equal blocks.
 
     Two orders are distinct when they differ in block membership or in block
     sequence; the sweep is invariant to ordering inside a block, so within a
     block indices are kept sorted. The result has exactly n!/(s!)^p entries.
     """
-    return [UpdateOrder(groups)
-            for groups in _block_sequences(n, p, "order", anchored=False)]
+    return list(_block_sequences(n, p, "order", anchored=False))
 
 
-def enumerate_partitions(n: int, p: int) -> list[BlockPartition]:
+def enumerate_partitions(n: int, p: int) -> list[Order]:
     """All distinct partitions of n variables into p equal blocks.
 
     Block order is irrelevant here; the first block is anchored to the
     smallest unassigned index so each partition appears once. The result has
     exactly n!/(p!(s!)^p) entries.
     """
-    sequences = _block_sequences(n, p, "partition", anchored=True)
-    return [BlockPartition(groups, n // p) for groups in sequences]
+    return list(_block_sequences(n, p, "partition", anchored=True))
 
 
 class Mode(str, Enum):

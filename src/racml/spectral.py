@@ -23,8 +23,8 @@ import numpy as np
 from .engine import BlockDefinitenessError
 from .problems import (
     CapacityError,
+    Order,
     QpProblem,
-    UpdateOrder,
     as_dense,
     enumerate_orders,
 )
@@ -51,25 +51,33 @@ def coupling_matrix(H, A, beta: float) -> np.ndarray:
     return H + beta * (A.T @ A)
 
 
-def _lower(S: np.ndarray, order: UpdateOrder) -> np.ndarray:
-    """Entries of S whose row block is updated at or after their column block."""
-    n = S.shape[0]
-    if order.n != n:
-        raise ValueError(f"order covers {order.n} indices, expected {n}")
-    pos = np.empty(n, dtype=int)
-    for k, group in enumerate(order.ordered_groups):
+def _checked_coupling(H, A, beta: float, order: Order) -> np.ndarray:
+    """The coupling matrix, once ``order`` is known to partition range(n):
+    a missing, repeated or out-of-range index raises ValueError."""
+    S = coupling_matrix(H, A, beta)
+    if sorted(i for block in order for i in block) != list(range(len(S))):
+        raise ValueError(f"order {order} does not partition range({len(S)})")
+    return S
+
+
+def _lower(S: np.ndarray, order: Order) -> np.ndarray:
+    """Entries of S whose row block is updated at or after their column
+    block; ``order`` must partition range(n)."""
+    pos = np.empty(S.shape[0], dtype=int)
+    for k, group in enumerate(order):
         pos[list(group)] = k
     return np.where(pos[:, None] >= pos[None, :], S, 0.0)
 
 
-def gauss_seidel_matrix(H, A, beta: float, order: UpdateOrder) -> np.ndarray:
+def gauss_seidel_matrix(H, A, beta: float, order: Order) -> np.ndarray:
     """Block lower-triangular part of the coupling matrix along an order.
 
     Entry block (i, j) equals H_{gi,gj} + beta A_gi'A_gj whenever block gi is
     updated at or after gj in the sweep, and zero otherwise: exactly the
-    system the Gauss-Seidel pass applies to the new iterate.
+    system the Gauss-Seidel pass applies to the new iterate. Raises
+    ValueError unless ``order`` partitions range(n).
     """
-    return _lower(coupling_matrix(H, A, beta), order)
+    return _lower(_checked_coupling(H, A, beta, order), order)
 
 
 @dataclass(frozen=True)
@@ -98,7 +106,7 @@ class IterationMap:
 
 
 def _iteration_map(S: np.ndarray, Ad: np.ndarray, beta: float,
-                   order: UpdateOrder) -> IterationMap:
+                   order: Order) -> IterationMap:
     m, n = Ad.shape
     L = _lower(S, order)
     # filled into identities: np.block's dispatch costs more than the
@@ -119,9 +127,11 @@ def _iteration_map(S: np.ndarray, Ad: np.ndarray, beta: float,
                         matrix=M)
 
 
-def iteration_map(H, A, beta: float, order: UpdateOrder) -> IterationMap:
-    """Assemble the sweep map for one block order."""
-    return _iteration_map(coupling_matrix(H, A, beta), as_dense(A), beta, order)
+def iteration_map(H, A, beta: float, order: Order) -> IterationMap:
+    """Assemble the sweep map for one block order; raises ValueError unless
+    ``order`` partitions range(n)."""
+    S = _checked_coupling(H, A, beta, order)
+    return _iteration_map(S, as_dense(A), beta, order)
 
 
 def _order_averages(S: np.ndarray, Ad: np.ndarray, beta: float, p: int,
@@ -144,7 +154,7 @@ def _order_averages(S: np.ndarray, Ad: np.ndarray, beta: float, p: int,
         L_inv = np.linalg.inv(bundle.lower)
         Q += L_inv
         M_avg += bundle.matrix
-        partition_Q[order.partition_key()] += L_inv
+        partition_Q[frozenset(order)] += L_inv
         if kron:
             K += np.kron(bundle.matrix, bundle.matrix)
     Q /= len(orders)

@@ -84,8 +84,15 @@ def kernel_cross(Xa: np.ndarray, Xb: np.ndarray,
         return Xa @ Xb.T
     sq_a = np.sum(Xa * Xa, axis=1)[:, None]
     sq_b = np.sum(Xb * Xb, axis=1)[None, :]
-    d2 = np.maximum(sq_a + sq_b - 2.0 * (Xa @ Xb.T), 0.0)
-    return np.exp(-d2 / (2.0 * kernel.sigma ** 2))
+    # exp(-max(sq_a + sq_b - 2P, 0) / (2 sigma^2)) for P = Xa Xb', built in
+    # P's buffer: -2P + (sq_a + sq_b) rounds exactly as (sq_a + sq_b) - 2P
+    out = Xa @ Xb.T
+    out *= -2.0
+    out += sq_a + sq_b
+    np.maximum(out, 0.0, out=out)
+    np.negative(out, out=out)
+    out /= 2.0 * kernel.sigma ** 2
+    return np.exp(out, out=out)
 
 
 class _KernelQ:

@@ -154,7 +154,7 @@ class TestEngineTheoryConsistency:
             orders = enumerate_orders(n, 3)
             order = orders[int(rng.integers(len(orders)))]
             z = rng.standard_normal(n + m)
-            x1, y1 = run_sweep(prob, z[:n], z[n:], order.ordered_groups, beta)
+            x1, y1 = run_sweep(prob, z[:n], z[n:], order, beta)
             bundle = iteration_map(H, A, beta, order)
             assert np.max(np.abs(np.concatenate([x1, y1])
                                  - bundle.apply(z, c, b))) <= 1e-10

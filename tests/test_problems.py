@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from racml.engine import solve
+from racml.engine import block_orders, solve
 from racml.problems import (
     CapacityError,
     Mode,
@@ -181,12 +181,10 @@ class TestMatrixViolations:
 
 class TestMakePartition:
     def test_consecutive_chunks(self):
-        part = make_partition(4, 2, randomize=False)
-        assert part.groups == ((0, 1), (2, 3))
+        assert make_partition(4, 2, randomize=False) == ((0, 1), (2, 3))
 
     def test_remainder_block(self):
-        part = make_partition(5, 2, randomize=False)
-        assert part.groups == ((0, 1), (2, 3), (4,))
+        assert make_partition(5, 2, randomize=False) == ((0, 1), (2, 3), (4,))
 
     def test_randomized_is_deterministic(self):
         a = make_partition(12, 5, seed=99, randomize=True)
@@ -200,8 +198,8 @@ class TestMakePartition:
         n = int(rng.integers(1, 40))
         s = int(rng.integers(1, n + 1))
         part = make_partition(n, s, seed=seed, randomize=bool(seed % 2))
-        assert part.covers(n)
-        sizes = [len(g) for g in part.groups]
+        assert sorted(i for g in part for i in g) == list(range(n))
+        sizes = [len(g) for g in part]
         assert all(sz == s for sz in sizes[:-1])
         assert sizes[-1] == (n % s or s)
 
@@ -210,6 +208,22 @@ class TestMakePartition:
             make_partition(4, 0)
         with pytest.raises(ValueError):
             make_partition(4, 5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 60).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(1, n), st.integers(0, 2**32 - 1))))
+    def test_agrees_with_the_sweep_orders(self, case):
+        # make_partition and block_orders are one source of block orders
+        n, s, seed = case
+        rac = next(block_orders(Mode.RAC, n, s, np.random.default_rng(seed)))
+        assert rac == make_partition(n, s, seed, randomize=True)
+        cyclic = next(block_orders(Mode.CYCLIC, n, s,
+                                   np.random.default_rng(seed)))
+        assert cyclic == make_partition(n, s, seed, randomize=False)
+        rp = block_orders(Mode.RP, n, s, np.random.default_rng(seed))
+        partition = frozenset(make_partition(n, s, seed, randomize=True))
+        assert frozenset(next(rp)) == partition
+        assert frozenset(next(rp)) == partition
 
 
 def chunk_indices_loop(indices, block_size):
@@ -250,12 +264,12 @@ class TestEnumeration:
             orders = enumerate_orders(n, p)
             expected = math.factorial(n) // math.factorial(s) ** p
             assert len(orders) == expected
-            assert len(set(o.ordered_groups for o in orders)) == expected
+            assert len(set(orders)) == expected
             partitions = enumerate_partitions(n, p)
             expected_parts = expected // math.factorial(p)
             assert len(partitions) == expected_parts
             # the partitions underlying the orders are exactly these
-            assert len({o.partition_key() for o in orders}) == expected_parts
+            assert len({frozenset(o) for o in orders}) == expected_parts
 
     def test_spec_counts(self):
         assert len(enumerate_orders(4, 2)) == 6
@@ -264,7 +278,7 @@ class TestEnumeration:
 
     def test_each_order_covers(self):
         for o in enumerate_orders(4, 2):
-            assert sorted(i for g in o.ordered_groups for i in g) == [0, 1, 2, 3]
+            assert sorted(i for g in o for i in g) == [0, 1, 2, 3]
 
     def test_guards(self):
         with pytest.raises(ValueError):
@@ -275,13 +289,13 @@ class TestEnumeration:
             enumerate_partitions(12, 6)
 
     def test_sequences_are_lexicographic(self):
-        assert [o.ordered_groups for o in enumerate_orders(4, 2)] == [
+        assert enumerate_orders(4, 2) == [
             ((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)),
             ((1, 2), (0, 3)), ((1, 3), (0, 2)), ((2, 3), (0, 1))]
-        assert [q.groups for q in enumerate_partitions(6, 3)][:4] == [
+        assert enumerate_partitions(6, 3)[:4] == [
             ((0, 1), (2, 3), (4, 5)), ((0, 1), (2, 4), (3, 5)),
             ((0, 1), (2, 5), (3, 4)), ((0, 2), (1, 3), (4, 5))]
-        assert {q.block_size for q in enumerate_partitions(6, 3)} == {2}
+        assert {len(g) for q in enumerate_partitions(6, 3) for g in q} == {2}
         with pytest.raises(CapacityError, match="^order enumeration"):
             enumerate_orders(11, 11)
         with pytest.raises(CapacityError, match="^partition enumeration"):

@@ -8,7 +8,6 @@ from racml.engine import BlockDefinitenessError, compute_residuals, run_sweep
 from racml.problems import (
     CapacityError,
     QpProblem,
-    UpdateOrder,
     enumerate_orders,
     enumerate_partitions,
 )
@@ -36,8 +35,7 @@ def random_instance(seed, n=4, m=2, h_zero=False):
 
 class TestGaussSeidelMatrix:
     def test_identity_data_gives_identity(self):
-        L = gauss_seidel_matrix(None, np.eye(2), 1.0,
-                                UpdateOrder(((0,), (1,))))
+        L = gauss_seidel_matrix(None, np.eye(2), 1.0, ((0,), (1,)))
         np.testing.assert_array_equal(L, np.eye(2))
 
     @pytest.mark.parametrize("seed", range(5))
@@ -48,7 +46,7 @@ class TestGaussSeidelMatrix:
         S = coupling_matrix(H, A, 0.7)
         for order in enumerate_orders(4, 2):
             L = gauss_seidel_matrix(H, A, 0.7, order)
-            g1, g2 = order.ordered_groups
+            g1, g2 = order
             np.testing.assert_allclose(L[np.ix_(g1, g1)], S[np.ix_(g1, g1)])
             np.testing.assert_allclose(L[np.ix_(g2, g2)], S[np.ix_(g2, g2)])
             np.testing.assert_allclose(L[np.ix_(g2, g1)], S[np.ix_(g2, g1)])
@@ -58,16 +56,31 @@ class TestGaussSeidelMatrix:
     def test_lower_left_is_cross_coupling(self):
         H, A = random_instance(11)
         beta = 1.3
-        order = UpdateOrder(((1, 3), (0, 2)))
+        order = ((1, 3), (0, 2))
         L = gauss_seidel_matrix(H, A, beta, order)
         expected = H[np.ix_((0, 2), (1, 3))] + \
             beta * A[:, (0, 2)].T @ A[:, (1, 3)]
         np.testing.assert_allclose(L[np.ix_((0, 2), (1, 3))], expected)
 
+    @pytest.mark.parametrize("order", [
+        ((0, 0), (1, 2)),          # repeated index, 3 missing
+        ((0, 1), (1, 2)),          # index in two blocks, 3 missing
+        ((0, 1), (2, -1)),         # -1 would alias index 3
+        ((0, 1), (2, 4)),          # out of range
+        ((0, 1), (2,)),            # missing index
+        ((0, 1), (2, 3), (4,)),    # one index too many
+    ])
+    def test_order_must_partition_the_indices(self, order):
+        # left unchecked, unlisted indices read uninitialized block positions
+        with pytest.raises(ValueError, match="does not partition range"):
+            gauss_seidel_matrix(2 * np.eye(4), np.ones((1, 4)), 1.0, order)
+        with pytest.raises(ValueError, match="does not partition range"):
+            iteration_map(2 * np.eye(4), np.ones((1, 4)), 1.0, order)
+
 
 class TestIterationMap:
     def test_single_block_hand_computation(self):
-        im = iteration_map(None, np.eye(1), 1.0, UpdateOrder(((0,),)))
+        im = iteration_map(None, np.eye(1), 1.0, ((0,),))
         np.testing.assert_allclose(im.matrix, [[0.0, 1.0], [0.0, 0.0]])
 
     @pytest.mark.parametrize("seed", range(4))
@@ -94,7 +107,7 @@ class TestIterationMap:
         prob = QpProblem(c=c, H=H, A=A, b=b)
         z = rng.standard_normal(8)
         order = enumerate_orders(6, 3)[seed * 7]
-        x1, y1 = run_sweep(prob, z[:6], z[6:], order.ordered_groups, beta)
+        x1, y1 = run_sweep(prob, z[:6], z[6:], order, beta)
         im = iteration_map(H, A, beta, order)
         np.testing.assert_allclose(np.concatenate([x1, y1]),
                                    im.apply(z, c, b), atol=1e-10)
@@ -102,7 +115,7 @@ class TestIterationMap:
     def test_singular_sweep_matrix_raises(self):
         A = np.array([[1.0, 0.0], [2.0, 0.0]])  # zero column
         with pytest.raises(BlockDefinitenessError):
-            iteration_map(None, A, 1.0, UpdateOrder(((0,), (1,))))
+            iteration_map(None, A, 1.0, ((0,), (1,)))
 
 
 class TestExpectedOperators:
@@ -152,8 +165,8 @@ def reference_certificate(H, A, beta, p):
             for o in orders) / len(orders)
     maxima = []
     for partition in enumerate_partitions(n, p):
-        perms = list(itertools.permutations(partition.groups))
-        Qp = sum(np.linalg.inv(gauss_seidel_matrix(H, A, beta, UpdateOrder(g)))
+        perms = list(itertools.permutations(partition))
+        Qp = sum(np.linalg.inv(gauss_seidel_matrix(H, A, beta, g))
                  for g in perms) / len(perms)
         maxima.append(float(np.max(np.linalg.eigvals(Qp @ S).real)))
     maps = [iteration_map(H, A, beta, o).matrix for o in orders]

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from racml import engine, svm
 from racml.data_io import gen_blobs
@@ -69,6 +71,30 @@ class TestKernelEval:
     def test_nan_sigma_refused(self):
         with pytest.raises(ValueError, match="sigma"):
             KernelSpec("gaussian", math.nan).validate()
+
+
+def kernel_cross_reference(Xa, Xb, sigma):
+    """The Gaussian kernel strip as one temporary per operation."""
+    sq_a = np.sum(Xa * Xa, axis=1)[:, None]
+    sq_b = np.sum(Xb * Xb, axis=1)[None, :]
+    d2 = np.maximum(sq_a + sq_b - 2.0 * (Xa @ Xb.T), 0.0)
+    return np.exp(-d2 / (2.0 * sigma ** 2))
+
+
+class TestKernelCross:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 12), st.integers(1, 6),
+           st.floats(1e-3, 1e3), st.floats(1e-2, 1e2),
+           st.integers(0, 2**32 - 1))
+    def test_bit_equal_to_the_reference(self, na, nb, d, scale, sigma, seed):
+        # rows shared by Xa and Xb put squared distances at zero, where
+        # rounding can make them negative and the clamp acts
+        rng = np.random.default_rng(seed)
+        Xa = scale * rng.standard_normal((na, d))
+        Xb = np.vstack([Xa[:nb // 2],
+                        scale * rng.standard_normal((nb - nb // 2, d))])
+        got = kernel_cross(Xa, Xb, KernelSpec("gaussian", sigma))
+        assert np.array_equal(got, kernel_cross_reference(Xa, Xb, sigma))
 
 
 def kernel_strip(X, y, block, kernel, ridge=0.0):
