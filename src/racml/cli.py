@@ -107,8 +107,7 @@ def _cmd_qp_solve(args, argv) -> int:
         residuals={
             "primal": result.primal_residual,
             "dual": result.dual_residual,
-            "primal_l1": float(result.primal_l1_history[-1])
-            if result.iterations else None,
+            "primal_l1": float(np.abs(result.r).sum()),
         },
         metrics={"status": result.status, "x": result.x, "y": result.y},
         artifacts=[args.out] if args.out else [])
@@ -364,7 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--alpha", type=float, default=1.0,
                    help="l1/l2 mix: 1 = lasso, 0 = ridge")
     f.add_argument("--gamma", default="auto",
-                   help="splitting penalty, or 'auto' for the density rule")
+                   help="splitting penalty, or 'auto' for lambda (1 when "
+                        "lambda is 0)")
     f.add_argument("--iters", type=int, default=10, help="sweep count")
     f.add_argument("--block-size", type=int, default=100,
                    help="coefficients per block")

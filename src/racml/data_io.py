@@ -192,6 +192,8 @@ def gen_blobs(n_per_class: int, dim: int = 2, center_distance: float = 6.0,
     """
     if n_per_class < 1:
         raise ValueError("n_per_class must be >= 1")
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
     rng = np.random.default_rng(seed)
     shift = np.zeros(dim)
     shift[0] = center_distance / 2.0

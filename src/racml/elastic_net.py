@@ -21,7 +21,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .data_io import density
 from .engine import (ResidualPair, _chol_solve, _cholesky, block_system,
                      run_sweeps)
 from .problems import (Matrix, Mode, SolverConfig, Status, as_dense,
@@ -42,19 +41,13 @@ def _note_alloc(count: int) -> None:
         _ALLOC_HOOK(int(count))
 
 
-# Denser designs get a small penalty relative to lam; very sparse designs a
-# full-lam penalty. The density crossover mirrors the solver's tuning; lam=0
-# (plain least squares) falls back to 1.
-AUTO_GAMMA_DENSITY = 0.005
-
-
 @dataclass(frozen=True)
 class ElasticNetSpec:
     """Regression hyperparameters and sweep settings."""
 
     lam: float
     alpha: float
-    gamma: Optional[float] = None  # None resolves by design density
+    gamma: Optional[float] = None  # None resolves to lam, or 1 when lam = 0
     block_size: int = 100
     iters: int = 10
     mode: Mode = Mode.RAC
@@ -93,14 +86,11 @@ class ElasticNetModel:
     status: Status = Status.MAX_ITERS
 
 
-def resolve_gamma(spec: ElasticNetSpec, X: Matrix) -> float:
+def resolve_gamma(spec: ElasticNetSpec) -> float:
+    """The splitting penalty: ``spec.gamma``, else lam, else 1 (lam = 0)."""
     if spec.gamma is not None:
         return spec.gamma
-    if spec.lam == 0.0:
-        return 1.0
-    if density(X) >= AUTO_GAMMA_DENSITY:
-        return 0.1 * spec.lam
-    return spec.lam
+    return spec.lam if spec.lam > 0.0 else 1.0
 
 
 def soft_threshold(a, b):
@@ -189,7 +179,7 @@ def fit(X: Matrix, y: np.ndarray, spec: ElasticNetSpec) -> ElasticNetModel:
     spec.validate()
     n, p = X.shape
     y, c = _checked_inputs(X, y)
-    gamma = resolve_gamma(spec, X)
+    gamma = resolve_gamma(spec)
     mode = Mode(spec.mode)
     block_size = min(spec.block_size, p)
 
@@ -222,12 +212,12 @@ def fit(X: Matrix, y: np.ndarray, spec: ElasticNetSpec) -> ElasticNetModel:
         z = z_update(beta, xi, gamma, spec.lam, spec.alpha)
         xi = xi - gamma * (beta - z)
         residual = float(np.sum(np.abs(beta - z)))
-        return ResidualPair(primal=residual, dual=0.0, primal_l1=residual)
+        return ResidualPair(primal=residual, dual=0.0)
 
     run = run_sweeps(sweep, _driver_config(spec, gamma, mode, block_size), p)
     return ElasticNetModel(beta=beta, z=z, xi=xi, spec=spec, gamma=gamma,
                            iterations=run.iterations,
-                           residual=float(run.primal_l1_history[-1]),
+                           residual=run.primal_residual,
                            status=run.status)
 
 
@@ -261,7 +251,7 @@ def consensus_fit(X: Matrix, y: np.ndarray,
     spec.validate()
     n, p = X.shape
     y, _ = _checked_inputs(X, y)
-    gamma = resolve_gamma(spec, X)
+    gamma = resolve_gamma(spec)
     rng = np.random.default_rng(spec.seed)
     # One coefficient copy per sweep block of ``fit`` (at least two, else this
     # degenerates into the plain two-block splitting); each copy owns an equal
@@ -305,7 +295,7 @@ def consensus_fit(X: Matrix, y: np.ndarray,
         z = soft_threshold(agg, spec.lam * spec.alpha) / denom
         duals -= gamma * (copies - z)
         residual = float(np.mean(np.sum(np.abs(copies - z), axis=1)))
-        return ResidualPair(primal=residual, dual=0.0, primal_l1=residual)
+        return ResidualPair(primal=residual, dual=0.0)
 
     # The copies form one block updated all at once, so the driver's single
     # cyclic order carries nothing the sweep needs.
@@ -313,7 +303,7 @@ def consensus_fit(X: Matrix, y: np.ndarray,
     return ElasticNetModel(beta=copies.mean(axis=0), z=z,
                            xi=duals.mean(axis=0), spec=spec, gamma=gamma,
                            iterations=run.iterations,
-                           residual=float(run.primal_l1_history[-1]),
+                           residual=run.primal_residual,
                            status=run.status)
 
 

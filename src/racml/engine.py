@@ -110,15 +110,10 @@ def block_system(cache: Optional[dict], block: Sequence[int],
 
 @dataclass(frozen=True)
 class ResidualPair:
-    """Primal infeasibility and box-projected stationarity, both inf-norms.
-
-    ``primal_l1`` records the 1-norm of the equality violation alongside the
-    inf-norm that drives termination.
-    """
+    """Primal infeasibility and box-projected stationarity, both inf-norms."""
 
     primal: float
     dual: float
-    primal_l1: float
 
 
 def _exact_products(problem: QpProblem, x: np.ndarray) -> tuple:
@@ -239,22 +234,19 @@ def compute_residuals(problem: QpProblem, x: np.ndarray, y: np.ndarray,
                       *, _products: Optional[tuple] = None) -> ResidualPair:
     """Primal and dual residuals at (x, y).
 
-    primal: ||Ax - b||_inf (1-norm recorded alongside). dual: inf-norm of the
-    box-projected stationarity step ||P(x - (Hx + c - A'y)) - x||_inf, which
-    vanishes exactly at KKT points and reduces to ||Hx + c - A'y||_inf when
-    the box is inactive. ``_products``, the running products of x that
+    primal: ||Ax - b||_inf. dual: inf-norm of the box-projected stationarity
+    step ||P(x - (Hx + c - A'y)) - x||_inf, which vanishes exactly at KKT
+    points and reduces to ||Hx + c - A'y||_inf when the box is inactive. ``_products``, the running products of x that
     ``solve`` carries, stand in for recomputing c + Hx and Ax - b.
     """
     grad, r = _products if _products is not None else _exact_products(problem, x)
-    abs_r = np.abs(r)
-    primal = float(abs_r.max()) if r.size else 0.0
-    primal_l1 = float(abs_r.sum())
+    primal = float(np.abs(r).max()) if r.size else 0.0
     if problem.A is not None:
         grad = grad - problem.A.T.dot(y)
     # np.clip's wrapper chain, not its arithmetic, dominates at tiny n
     projected = np.minimum(np.maximum(x - grad, problem.lower), problem.upper)
     dual = float(np.abs(projected - x).max()) if x.size else 0.0
-    return ResidualPair(primal=primal, dual=dual, primal_l1=primal_l1)
+    return ResidualPair(primal=primal, dual=dual)
 
 
 def run_sweep(problem: QpProblem, x: np.ndarray, y: np.ndarray,
@@ -337,13 +329,11 @@ def run_sweeps(sweep: Callable[..., ResidualPair], config: SolverConfig,
     cache = {} if recur else None
     divergence_bar = DIVERGENCE_FACTOR * max(initial_primal, 1.0)
     primal_hist: list[float] = []
-    primal_l1_hist: list[float] = []
     dual_hist: list[float] = []
     status = Status.MAX_ITERS
     for k in range(1, config.max_iters + 1):
         res = sweep(next(orders), cache)
         primal_hist.append(res.primal)
-        primal_l1_hist.append(res.primal_l1)
         dual_hist.append(res.dual)
         if not res.primal <= divergence_bar:  # a NaN residual diverged too
             status = Status.DIVERGED
@@ -355,7 +345,6 @@ def run_sweeps(sweep: Callable[..., ResidualPair], config: SolverConfig,
             break
     return SweepRun(iterations=len(primal_hist), status=status,
                     primal_residual_history=np.asarray(primal_hist),
-                    primal_l1_history=np.asarray(primal_l1_hist),
                     dual_residual_history=np.asarray(dual_hist))
 
 
@@ -364,6 +353,8 @@ def solve(problem: QpProblem, config: SolverConfig,
     """Run the randomized multi-block sweep until tolerance or iteration cap.
 
     Block orders, stopping and kept block systems come from ``run_sweeps``.
+    The result carries the final running products ``g = c + Hx`` and
+    ``r = Ax - b`` the last residuals were read from.
 
     ``sweep_hook(k, x, y)``, when given, observes the iterate after sweep k
     (1-based); it must not mutate its arguments.
@@ -391,4 +382,5 @@ def solve(problem: QpProblem, config: SolverConfig,
 
     initial = compute_residuals(problem, x, y, _products=products)
     run = run_sweeps(sweep, config, n, initial_primal=initial.primal)
-    return SolveResult(x=x, y=y, **vars(run))
+    g, r = products
+    return SolveResult(x=x, y=y, g=g, r=r, **vars(run))

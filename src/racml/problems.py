@@ -321,7 +321,6 @@ class SweepRun:
     iterations: int
     status: Status
     primal_residual_history: np.ndarray
-    primal_l1_history: np.ndarray
     dual_residual_history: np.ndarray
 
     @property
@@ -335,10 +334,14 @@ class SweepRun:
 
 @dataclass
 class SolveResult(SweepRun):
-    """Output of a solve: the sweep run plus the final primal/dual point."""
+    """Output of a solve: the sweep run plus the final primal/dual point and
+    the running products the sweep carried to it, ``g = c + Hx`` and
+    ``r = Ax - b`` (empty without A), as the last residuals read them."""
 
     x: np.ndarray
     y: np.ndarray
+    g: np.ndarray
+    r: np.ndarray
 
 
 def _read_vector(path: Path) -> np.ndarray:

@@ -283,6 +283,8 @@ def certify(H, A, beta: float, p: int,
     within MAX_KRON_VARS and n + m within MAX_KRON_DIM; forcing it beyond
     either cap raises CapacityError.
     """
+    if p < 1:
+        raise ValueError(f"p must be >= 1, got p={p}")
     S = coupling_matrix(H, A, beta)
     Ad = as_dense(A)
     m, n = Ad.shape

@@ -156,7 +156,8 @@ def default_config(n: int, block_size: Optional[int] = None,
 @dataclass
 class TrainDiagnostics(SolveResult):
     """The dual QP's solve result, with its x again as the dual weights
-    ``duals``; y holds the multiplier of the equality y'z = 0."""
+    ``duals``; y holds the multiplier of the equality y'z = 0, g is
+    (Q + ridge I) z - e and r the scalar y'z."""
 
     duals: np.ndarray
 
@@ -198,7 +199,9 @@ def train(X: Matrix, labels: np.ndarray, C: float, kernel: KernelSpec,
     result = solve(problem, config)
     z = result.x
 
-    bias = compute_bias(z, Xd, y, C, kernel)
+    # g = c + (Q + ridge I) z and (Qz)_i = y_i sum_j y_j z_j K(x_j, x_i), so
+    # y * (g - c - ridge z) are the decision scores, with no kernel pass
+    bias = compute_bias(z, y * (result.g - problem.c - ridge * z), y, C)
     support = z > SUPPORT_THRESHOLD
     model = SvmModel(
         support_points=Xd[support].copy(),
@@ -210,31 +213,25 @@ def train(X: Matrix, labels: np.ndarray, C: float, kernel: KernelSpec,
     return model
 
 
-def compute_bias(duals: np.ndarray, X: Matrix, labels: np.ndarray,
-                 C: float, kernel: KernelSpec) -> float:
-    """Bias from margin support vectors, b = mean(y_i - sum_j y_j z_j K(x_j, x_i)).
+def compute_bias(duals: np.ndarray, scores: np.ndarray, labels: np.ndarray,
+                 C: float) -> float:
+    """Bias from margin support vectors, b = mean(y_i - scores_i), where
+    scores_i = sum_j y_j z_j K(x_j, x_i) is the decision value without b.
 
     When no dual sits strictly between the bounds, falls back to the
     midpoint of the interval the bound KKT conditions allow.
     """
-    Xd = as_dense(X)
     y = np.asarray(labels, dtype=float)
     z = np.asarray(duals, dtype=float)
-    support = z > SUPPORT_THRESHOLD
-    if not np.any(support):
+    if not np.any(z > SUPPORT_THRESHOLD):
         raise DegenerateModelError("no support vectors; cannot recover a bias")
     margin = (z > MARGIN_DELTA * C) & (z < (1.0 - MARGIN_DELTA) * C)
-    coeffs = y[support] * z[support]
+    vals = y - np.asarray(scores, dtype=float)
     if np.any(margin):
-        k = kernel_cross(Xd[margin], Xd[support], kernel)
-        g = k @ coeffs
-        return float(np.mean(y[margin] - g))
+        return float(np.mean(vals[margin]))
     # All duals at a bound: b is only bracketed. At z_i = 0 optimality needs
     # y_i f(x_i) >= 1, at z_i = C it needs y_i f(x_i) <= 1; each combination
-    # of bound and label turns y_i - g_i into a one-sided bound on b.
-    k = kernel_cross(Xd, Xd[support], kernel)
-    g = k @ coeffs
-    vals = y - g
+    # of bound and label turns y_i - scores_i into a one-sided bound on b.
     at_upper = z >= (1.0 - MARGIN_DELTA) * C
     at_lower = ~at_upper
     lower_bnds = vals[(at_lower & (y > 0)) | (at_upper & (y < 0))]

@@ -148,6 +148,19 @@ class TestQpSolve:
         assert code == 0
         assert rec["iterations"] == 3
 
+    def test_primal_l1_is_the_one_norm_at_the_recorded_x(
+            self, tiny_qp_manifest, capsys):
+        # stopped after 2 sweeps, while x1 + x2 = 2 is still violated
+        code, rec = run_json(capsys, [
+            "qp", "solve", "--manifest", str(tiny_qp_manifest),
+            "--block-size", "1", "--max-iter", "2", "--fixed-iterations"])
+        assert code == 0
+        want = abs(sum(rec["metrics"]["x"]) - 2.0)
+        assert want > 1e-3
+        assert rec["residuals"]["primal_l1"] == pytest.approx(want, rel=1e-12)
+        # one constraint row: the 1-norm and the inf-norm coincide
+        assert rec["residuals"]["primal_l1"] == rec["residuals"]["primal"]
+
 
 class TestElasticNetCli:
     def test_fit_then_eval_matches_ridge_closed_form(self, tmp_path, capsys):
@@ -346,6 +359,15 @@ class TestSpectralCli:
         assert doc["n"] == 2 and doc["m"] == 2 and doc["p"] == 2
         assert doc["record"]["schema"].startswith("racml/")
 
+    @pytest.mark.parametrize("blocks", ["0", "-2"])
+    def test_nonpositive_blocks_exit_two(self, identity_manifest, blocks,
+                                         capsys):
+        assert run(["spectral", "certify", "--manifest",
+                    str(identity_manifest), "--blocks", blocks]) == 2
+        captured = capsys.readouterr()
+        assert f"racml: error: p must be >= 1, got p={blocks}" in captured.err
+        assert captured.out == ""
+
 
 class TestGenCli:
     def test_regression_writes_dataset_and_truth(self, tmp_path, capsys):
@@ -370,6 +392,14 @@ class TestGenCli:
         assert code == 0
         assert rec["metrics"]["rows"] == 10
         assert out.exists()
+
+    def test_blobs_zero_dim_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "blobs.txt"
+        assert run(["gen", "blobs", "--n-per-class", "5", "--dim", "0",
+                    "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "racml: error: dim must be >= 1, got 0" in captured.err
+        assert not out.exists()
 
 
 class TestThreadEnv:

@@ -19,6 +19,7 @@ from racml.elastic_net import (
     z_update,
 )
 from racml import engine
+from racml.data_io import gen_regression
 from racml.problems import Mode, Status
 
 
@@ -81,8 +82,11 @@ def cd_elastic_net(X, y, lam, alpha, iters=100000, tol=1e-12):
         for j in range(p):
             bj = beta[j]
             rho = cols[j] @ r / n + col_sq[j] * bj
-            new = np.sign(rho) * max(abs(rho) - lam * alpha, 0.0) / \
-                (col_sq[j] + lam * (1 - alpha))
+            denom = col_sq[j] + lam * (1 - alpha)
+            # an all-zero column with alpha = 1 leaves only lam*|beta_j|,
+            # minimized at 0 (the formula would divide 0 by 0)
+            new = np.sign(rho) * max(abs(rho) - lam * alpha, 0.0) / denom \
+                if denom > 0 else 0.0
             if new != bj:
                 r -= cols[j] * (new - bj)
                 delta = max(delta, abs(new - bj))
@@ -139,19 +143,29 @@ class TestZUpdate:
 
 class TestResolveGamma:
     def test_explicit_wins(self):
-        assert resolve_gamma(ElasticNetSpec(lam=1.0, alpha=1.0, gamma=2.5),
-                             np.eye(3)) == 2.5
+        assert resolve_gamma(
+            ElasticNetSpec(lam=1.0, alpha=1.0, gamma=2.5)) == 2.5
 
-    def test_density_rule(self):
-        dense = np.ones((10, 10))
-        spec = ElasticNetSpec(lam=0.4, alpha=1.0)
-        assert resolve_gamma(spec, dense) == pytest.approx(0.04)
-        sparse = sp.csc_matrix((1000, 1000))
-        assert resolve_gamma(spec, sparse) == pytest.approx(0.4)
+    def test_default_is_lam(self):
+        assert resolve_gamma(ElasticNetSpec(lam=0.4, alpha=1.0)) == 0.4
+        assert resolve_gamma(ElasticNetSpec(lam=1e-3, alpha=0.9)) == 1e-3
 
     def test_lam_zero_default(self):
-        assert resolve_gamma(ElasticNetSpec(lam=0.0, alpha=1.0),
-                             np.ones((2, 2))) == 1.0
+        assert resolve_gamma(ElasticNetSpec(lam=0.0, alpha=1.0)) == 1.0
+
+    def test_default_descends_on_a_wide_sparse_design(self):
+        # a penalty of lam / 10 on this 1% design (the former rule for
+        # designs at least 0.5% dense) left RAC above the objective at
+        # beta = 0 after 100 sweeps; the default penalty lam descends
+        ds, _ = gen_regression(200, 2000, x_density=0.01, coef_density=0.1,
+                               noise_sd=0.1, seed=0)
+        lam, alpha = 1e-3, 0.9
+        model = fit(ds.X, ds.y, ElasticNetSpec(lam=lam, alpha=alpha,
+                                               iters=100))
+        at_zero = objective(ds.X, ds.y, np.zeros(2000), lam, alpha)
+        assert objective(ds.X, ds.y, model.beta, lam, alpha) < at_zero
+        assert objective(ds.X, ds.y, model.z, lam, alpha) < at_zero
+        assert model.gamma == lam
 
 
 class TestFit:
@@ -187,6 +201,22 @@ class TestFit:
             tol=1e-11))
         o_ref = objective(X, y, oracle, lam, alpha)
         o_got = objective(X, y, model.z, lam, alpha)
+        assert abs(o_got - o_ref) <= 1e-4 * abs(o_ref)
+
+    def test_lasso_with_all_zero_columns_matches_coordinate_descent(self):
+        # at 5% density a 100 x 1000 design has columns with no entry; with
+        # alpha = 1 their coordinates are 0 at the optimum
+        ds, _ = gen_regression(100, 1000, x_density=0.05, coef_density=0.1,
+                               noise_sd=0.1, seed=0)
+        empty = np.asarray(abs(ds.X).sum(axis=0)).ravel() == 0
+        assert empty.any()
+        lam, alpha = 0.05, 1.0
+        oracle = cd_elastic_net(ds.X, ds.y, lam, alpha)
+        assert np.all(np.isfinite(oracle)) and not oracle[empty].any()
+        model = fit(ds.X, ds.y, ElasticNetSpec(
+            lam=lam, alpha=alpha, iters=5000, seed=2, tol=1e-8))
+        o_ref = objective(ds.X, ds.y, oracle, lam, alpha)
+        o_got = objective(ds.X, ds.y, model.z, lam, alpha)
         assert abs(o_got - o_ref) <= 1e-4 * abs(o_ref)
 
     def test_mixed_alpha_matches_coordinate_descent(self):

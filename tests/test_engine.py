@@ -273,7 +273,6 @@ class TestResiduals:
                       b=np.array([1.0, 1.0]))
         res = compute_residuals(p, np.array([1.0, 0.7]), np.zeros(2))
         assert res.primal == pytest.approx(0.3)
-        assert res.primal_l1 == pytest.approx(0.3)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_zero_dual_iff_projected_stationarity(self, seed):
@@ -347,7 +346,6 @@ class TestSolve:
         assert res.iterations == 7
         assert len(res.primal_residual_history) == 7
         assert len(res.dual_residual_history) == 7
-        assert len(res.primal_l1_history) == 7
 
     def test_converged_implies_tolerances(self):
         prob = random_problem(1)
@@ -678,7 +676,7 @@ class TestSparseBlocks:
             assert_near(xs, xd)
             assert_near(ys, yd)
             rs, rd = compute_residuals(sparse, xs, ys), compute_residuals(dense, xd, yd)
-            for field in ("primal", "dual", "primal_l1"):
+            for field in ("primal", "dual"):
                 assert_near(getattr(rs, field), getattr(rd, field))
         assert xs.any() and ys.any()
 
@@ -690,8 +688,8 @@ class TestSparseBlocks:
                            max_iters=15, seed=6, fixed_iterations=True)
         got, want = solve(sparse, cfg), solve(dense_twin(sparse), cfg)
         assert got.iterations == want.iterations == 15
-        for field in ("x", "y", "primal_residual_history",
-                      "primal_l1_history", "dual_residual_history"):
+        for field in ("x", "y", "g", "r", "primal_residual_history",
+                      "dual_residual_history"):
             assert_near(getattr(got, field), getattr(want, field))
 
     def test_large_sparse_solve_stays_within_memory_bound(self):
@@ -782,6 +780,51 @@ class TestRunningProducts:
             assert np.max(np.abs(running - exact)) <= self.BOUND * scale
 
 
+def assert_rel(got, want, tol=1e-12):
+    """Agreement to ``tol`` of ``want``'s inf-norm, floored at 1."""
+    assert got.shape == want.shape
+    scale = max(1.0, float(np.max(np.abs(want), initial=0.0)))
+    assert np.max(np.abs(got - want), initial=0.0) <= tol * scale
+
+
+class TestSolveResultProducts:
+    # the g = c + Hx and r = Ax - b a solve returns are the running products
+    # its last residuals read, and match recomputation at its x
+
+    @pytest.mark.parametrize("form", ["dense", "csc", "csr"])
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_products_match_recomputation(self, form, mode):
+        prob = sparse_problem(5, bounded=True)
+        H, A = prob.H, prob.A
+        if form == "dense":
+            H, A = H.toarray(), A.toarray()
+        elif form == "csr":
+            H, A = H.tocsr(), A.tocsr()
+        prob = dataclasses.replace(prob, H=H, A=A)
+        cfg = SolverConfig(mode=mode, block_size=9, max_iters=30, seed=2)
+        res = solve(prob, cfg)
+        assert_rel(res.g, prob.c + H @ res.x)
+        assert_rel(res.r, A @ res.x - prob.b)
+        assert res.primal_residual == float(np.abs(res.r).max())
+
+    def test_without_H_g_is_c(self):
+        prob = QpProblem(c=np.linspace(-1.0, 1.0, 6), A=np.eye(6) + 0.1,
+                         b=np.full(6, 0.5), lower=np.zeros(6),
+                         upper=np.ones(6))
+        res = solve(prob, SolverConfig(block_size=2, max_iters=30))
+        assert np.array_equal(res.g, prob.c)
+        assert_rel(res.r, prob.A @ res.x - prob.b)
+
+    def test_without_A_r_is_empty(self):
+        prob = random_problem(3, bounded=True)
+        prob = QpProblem(c=prob.c, H=prob.H, lower=prob.lower,
+                         upper=prob.upper)
+        res = solve(prob, SolverConfig(block_size=2, max_iters=30))
+        assert_rel(res.g, prob.c + prob.H @ res.x)
+        assert res.r.shape == (0,)
+        assert res.primal_residual == 0.0
+
+
 class TestBlockOrders:
     @settings(max_examples=200, deadline=None)
     @given(order_cases())
@@ -821,7 +864,7 @@ class TestRunSweeps:
 
         def sweep(order, cache):
             caches.append(cache)
-            return ResidualPair(primal=1.0, dual=1.0, primal_l1=1.0)
+            return ResidualPair(primal=1.0, dual=1.0)
 
         cfg = SolverConfig(mode=mode, block_size=s, max_iters=iters, seed=0)
         run_sweeps(sweep, cfg, n)
@@ -836,7 +879,7 @@ class TestRunSweeps:
     def test_nan_residual_stops_diverged(self, fixed):
         # NaN compares False against every bound; it must not run to the cap
         def sweep(order, cache):
-            return ResidualPair(primal=np.nan, dual=np.nan, primal_l1=np.nan)
+            return ResidualPair(primal=np.nan, dual=np.nan)
 
         cfg = SolverConfig(mode=Mode.RP, block_size=2, max_iters=50, seed=0,
                            fixed_iterations=fixed)
@@ -854,7 +897,7 @@ class TestRunSweeps:
         def sweep(order, cache):
             orders.append(order)
             p = next(primal)
-            return ResidualPair(primal=p, dual=p, primal_l1=p)
+            return ResidualPair(primal=p, dual=p)
 
         cfg = SolverConfig(mode=Mode.RAC, block_size=2, max_iters=100, seed=0,
                            fixed_iterations=fixed)

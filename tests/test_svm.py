@@ -376,27 +376,77 @@ class TestBias:
             assert b_i == pytest.approx(model.bias, abs=1e-6)
 
     def test_interval_rule_when_all_duals_at_bounds(self):
-        # two points, both duals pinned at C: the bias is bracketed by the
-        # bound conditions and lands mid-interval
-        X = np.array([[1.0], [-1.0]])
+        # two points x = 1 and x = -1, both duals pinned at C: the bias is
+        # bracketed by the bound conditions and lands mid-interval; with the
+        # linear kernel K(x_i, x_j) = x_i x_j, so K = [[1, -1], [-1, 1]]
         y = np.array([1.0, -1.0])
         C = 0.25
         duals = np.array([C, C])
-        kernel = KernelSpec("linear")
         g = np.array([
             duals[0] * y[0] * 1.0 + duals[1] * y[1] * -1.0,
             duals[0] * y[0] * -1.0 + duals[1] * y[1] * 1.0,
         ])
         vals = y - g
         expected = (max(vals[1], -np.inf) + min(vals[0], np.inf)) / 2
-        got = compute_bias(duals, X, y, C, kernel)
+        got = compute_bias(duals, g, y, C)
         assert got == pytest.approx(expected)
 
     def test_no_support_vectors_is_degenerate(self):
-        X = np.array([[1.0], [-1.0]])
         with pytest.raises(DegenerateModelError):
-            compute_bias(np.zeros(2), X, np.array([1.0, -1.0]), 1.0,
-                         KernelSpec("linear"))
+            compute_bias(np.zeros(2), np.zeros(2), np.array([1.0, -1.0]), 1.0)
+
+    # (C, center distance): interior duals on the margin; every dual at C
+    @pytest.mark.parametrize("C, distance, margin", [
+        (1.0, 2.0, True), (1e-2, 1.0, False)])
+    def test_train_bias_matches_explicit_kernel_scores(self, C, distance,
+                                                       margin):
+        # train reads the decision scores from the solve's running product
+        # g; fed scores from the explicit kernel, compute_bias agrees
+        tr = gen_blobs(30, 2, distance, seed=3)
+        kernel = KernelSpec("gaussian", 1.0)
+        cfg = default_config(60, block_size=10, seed=1, max_iters=50)
+        model, diag = train(tr.X, tr.y, C, kernel, cfg,
+                            return_diagnostics=True)
+        z = diag.duals
+        on_margin = (z > svm.MARGIN_DELTA * C) & \
+            (z < (1.0 - svm.MARGIN_DELTA) * C)
+        assert on_margin.any() == margin
+        scores = tr.y * (full_kernel_matrix(tr.X, tr.y, kernel) @ z)
+        assert model.bias == pytest.approx(compute_bias(z, scores, tr.y, C),
+                                           rel=0, abs=1e-14)
+
+    def test_no_kernel_evaluation_after_the_solve(self, monkeypatch):
+        solved = []
+
+        def solve_then_mark(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            solved.append(True)
+            return result
+
+        def guarded_cross(*args, **kwargs):
+            assert not solved, "kernel evaluated after the solve returned"
+            return kernel_cross(*args, **kwargs)
+
+        monkeypatch.setattr(svm, "solve", solve_then_mark)
+        monkeypatch.setattr(svm, "kernel_cross", guarded_cross)
+        tr = gen_blobs(20, 2, 2.0, seed=6)
+        model = train(tr.X, tr.y, 1.0, KernelSpec("gaussian", 1.0))
+        assert solved and math.isfinite(model.bias)
+
+    def test_diagnostics_carry_the_dual_qp_products(self):
+        # g = (Q + ridge I) z - e and r = y'z, against the explicit kernel
+        tr = gen_blobs(25, 3, 2.0, seed=8)
+        kernel = KernelSpec("gaussian", 1.5)
+        cfg = default_config(50, block_size=10, seed=4, max_iters=20)
+        _, diag = train(tr.X, tr.y, 1.0, kernel, cfg, return_diagnostics=True)
+        z = diag.duals
+        ridge = 1e-9 * (1.0 + cfg.beta_penalty)
+        Q = full_kernel_matrix(tr.X, tr.y, kernel)
+        want_g = Q @ z + ridge * z - 1.0
+        scale = max(1.0, float(np.max(np.abs(want_g))))
+        assert np.max(np.abs(diag.g - want_g)) <= 1e-12 * scale
+        assert diag.r.shape == (1,)
+        assert abs(diag.r[0] - tr.y @ z) <= 1e-12 * max(1.0, np.sum(z))
 
 
 class TestPredict:
