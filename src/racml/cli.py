@@ -268,11 +268,8 @@ def _cmd_svm_grid(args, argv) -> int:
 
 def _cmd_spectral_certify(args, argv) -> int:
     problem = load_qp_manifest(args.manifest)
-    n = problem.n
-    H = problem.H
-    A = problem.A if problem.A is not None else np.zeros((0, n))
     start = time.perf_counter()
-    cert = spectral.certify(H, A, args.beta, args.blocks,
+    cert = spectral.certify(problem.H, problem.A, args.beta, args.blocks,
                             kron=True if args.kron else None)
     wall = time.perf_counter() - start
     record = _record(argv, {"beta": args.beta, "blocks": args.blocks,

@@ -202,13 +202,3 @@ def gen_blobs(n_per_class: int, dim: int = 2, center_distance: float = 6.0,
     X = np.vstack([pos, neg])
     y = np.concatenate([np.ones(n_per_class), -np.ones(n_per_class)])
     return Dataset(X=X, y=y, feature_count=dim)
-
-
-def density(X: Matrix) -> float:
-    """Fraction of stored nonzero entries."""
-    total = X.shape[0] * X.shape[1]
-    if total == 0:
-        return 0.0
-    if sp.issparse(X):
-        return X.count_nonzero() / total
-    return float(np.count_nonzero(X)) / total

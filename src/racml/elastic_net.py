@@ -20,10 +20,11 @@ from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from .engine import (ResidualPair, _chol_solve, _cholesky, block_system,
                      run_sweeps)
-from .problems import (Matrix, Mode, SolverConfig, Status, as_dense,
+from .problems import (Matrix, Mode, SolverConfig, Status, as_csc, as_dense,
                        chunk_indices)
 
 # Optional instrumentation: called with the element count of each per-block
@@ -135,9 +136,13 @@ def objective(X: Matrix, y: np.ndarray, beta: np.ndarray,
     return 0.5 * float(r @ r) / n + penalty
 
 
-def _checked_inputs(X: Matrix, y) -> tuple[np.ndarray, np.ndarray]:
-    """y as floats and c = -X'y/n; refuses an empty X, a y of the wrong
-    length, and a non-finite X'y (from a non-finite X, or y in a row X uses)."""
+def _checked_inputs(X: Matrix, y) -> tuple[Matrix, np.ndarray, np.ndarray]:
+    """X as QpProblem stores a matrix (sparse other than CSR through
+    ``as_csc``), y as floats and c = -X'y/n; refuses an empty X, a y of the
+    wrong length, and a non-finite X'y (from a non-finite X, or y in a row X
+    uses)."""
+    if sp.issparse(X) and X.format != "csr":
+        X = as_csc(X)
     n, p = X.shape
     if n < 1 or p < 1:
         raise ValueError("X must be non-empty")
@@ -147,7 +152,7 @@ def _checked_inputs(X: Matrix, y) -> tuple[np.ndarray, np.ndarray]:
     c = np.asarray(-(X.T @ y) / n, dtype=float).ravel()
     if not np.all(np.isfinite(c)):
         raise ValueError("X and y must be finite: X'y has non-finite entries")
-    return y, c
+    return X, y, c
 
 
 def _driver_config(spec: ElasticNetSpec, gamma: float, mode: Mode,
@@ -178,7 +183,7 @@ def fit(X: Matrix, y: np.ndarray, spec: ElasticNetSpec) -> ElasticNetModel:
     """
     spec.validate()
     n, p = X.shape
-    y, c = _checked_inputs(X, y)
+    X, y, c = _checked_inputs(X, y)
     gamma = resolve_gamma(spec)
     mode = Mode(spec.mode)
     block_size = min(spec.block_size, p)
@@ -250,7 +255,7 @@ def consensus_fit(X: Matrix, y: np.ndarray,
     """
     spec.validate()
     n, p = X.shape
-    y, _ = _checked_inputs(X, y)
+    X, y, _ = _checked_inputs(X, y)
     gamma = resolve_gamma(spec)
     rng = np.random.default_rng(spec.seed)
     # One coefficient copy per sweep block of ``fit`` (at least two, else this

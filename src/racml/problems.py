@@ -377,6 +377,8 @@ def load_qp_manifest(path) -> QpProblem:
 
     n = int(spec["n"])
     m = int(spec.get("m") or 0)
+    if not spec.get("c"):
+        raise ValueError(f"manifest {path} names no objective vector \"c\"")
     c = _read_vector(resolve("c"))
     if c.size != n:
         raise ValueError(f"manifest n={n} but c has {c.size} entries")

@@ -41,23 +41,35 @@ MAX_KRON_VARS = 8
 MAX_KRON_DIM = 16
 
 
-def coupling_matrix(H, A, beta: float) -> np.ndarray:
-    """The full quadratic coupling H + beta * A'A seen by one sweep."""
-    A = as_dense(A)
-    n = A.shape[1]
+def _coupling(H, A, beta: float,
+              order: Optional[Order] = None) -> tuple[np.ndarray, np.ndarray]:
+    """The coupling matrix H + beta * A'A and A as a dense m x n array.
+
+    ``A=None`` has no rows (m = 0), and H then sets n. Refuses a beta that
+    is not finite and > 0, a non-square H, a non-finite H or A, and an
+    ``order`` given that does not partition range(n).
+    """
+    if not 0 < beta < math.inf:
+        raise ValueError(f"beta must be finite and > 0, got {beta}")
+    if A is None:
+        if H is None:
+            raise ValueError("H and A cannot both be None")
+        A = np.zeros((0, len(as_dense(H))))
+    Ad = as_dense(A)
+    n = Ad.shape[1]
     H = np.zeros((n, n)) if H is None else as_dense(H)
     if H.shape != (n, n):
         raise ValueError(f"H has shape {H.shape}, expected ({n}, {n})")
-    return H + beta * (A.T @ A)
+    if not (np.all(np.isfinite(H)) and np.all(np.isfinite(Ad))):
+        raise ValueError("H and A must be finite")
+    if order is not None and sorted(i for g in order for i in g) != list(range(n)):
+        raise ValueError(f"order {order} does not partition range({n})")
+    return H + beta * (Ad.T @ Ad), Ad
 
 
-def _checked_coupling(H, A, beta: float, order: Order) -> np.ndarray:
-    """The coupling matrix, once ``order`` is known to partition range(n):
-    a missing, repeated or out-of-range index raises ValueError."""
-    S = coupling_matrix(H, A, beta)
-    if sorted(i for block in order for i in block) != list(range(len(S))):
-        raise ValueError(f"order {order} does not partition range({len(S)})")
-    return S
+def coupling_matrix(H, A, beta: float) -> np.ndarray:
+    """The full quadratic coupling H + beta * A'A seen by one sweep."""
+    return _coupling(H, A, beta)[0]
 
 
 def _lower(S: np.ndarray, order: Order) -> np.ndarray:
@@ -69,6 +81,32 @@ def _lower(S: np.ndarray, order: Order) -> np.ndarray:
     return np.where(pos[:, None] >= pos[None, :], S, 0.0)
 
 
+def _lower_inv(S: np.ndarray, order: Order) -> np.ndarray:
+    """L^{-1} for the Gauss-Seidel matrix L of ``order``; a singular L
+    raises BlockDefinitenessError."""
+    try:
+        return np.linalg.inv(_lower(S, order))
+    except np.linalg.LinAlgError as exc:
+        raise BlockDefinitenessError(
+            "the sweep's Gauss-Seidel matrix is singular; a block violates "
+            "the positive-definiteness assumption") from exc
+
+
+def _sweep_map(X: np.ndarray, S: np.ndarray, Ad: np.ndarray,
+               beta: float) -> np.ndarray:
+    """[[I - XS, XA'], [-beta A (I - XS), I - beta A X A']].
+
+    With X = L^{-1} this is the sweep map of one order; with X = Q, the
+    average of L^{-1} over the orders, it is the expected sweep map.
+    """
+    m, n = Ad.shape
+    XS = X @ S
+    return np.block([
+        [np.eye(n) - XS, X @ Ad.T],
+        [-beta * Ad + beta * (Ad @ XS), np.eye(m) - beta * (Ad @ X @ Ad.T)],
+    ])
+
+
 def gauss_seidel_matrix(H, A, beta: float, order: Order) -> np.ndarray:
     """Block lower-triangular part of the coupling matrix along an order.
 
@@ -77,61 +115,40 @@ def gauss_seidel_matrix(H, A, beta: float, order: Order) -> np.ndarray:
     system the Gauss-Seidel pass applies to the new iterate. Raises
     ValueError unless ``order`` partitions range(n).
     """
-    return _lower(_checked_coupling(H, A, beta, order), order)
+    return _lower(_coupling(H, A, beta, order)[0], order)
 
 
 @dataclass(frozen=True)
 class IterationMap:
     """The affine map one sweep applies to the stacked state z = (x; y).
 
-    ``lower`` is the Gauss-Seidel matrix L of the order; ``lifted_lower``
-    appends the dual update, [[L, 0], [beta A, I]], and ``matrix`` is its
-    inverse times the lifted remainder [[L - (H + beta A'A), A'], [0, I]].
+    ``lower_inv`` is L^{-1} for the Gauss-Seidel matrix L of the order, and
+    ``matrix`` is the block formula of ``_sweep_map`` in it.
     """
 
     beta: float
     A: np.ndarray
-    lower: np.ndarray
-    lifted_lower: np.ndarray
+    lower_inv: np.ndarray
     matrix: np.ndarray
 
     def offset(self, c: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Constant term of the sweep map for objective c and rhs b."""
-        top = -np.asarray(c, dtype=float) + self.beta * (self.A.T @ b)
-        bottom = self.beta * np.asarray(b, dtype=float)
-        return np.linalg.solve(self.lifted_lower, np.concatenate([top, bottom]))
+        """Constant term of the sweep map for objective c and rhs b: the
+        lifted [[L^{-1}, 0], [-beta A L^{-1}, I]] times (beta A'b - c; beta b)."""
+        t = self.lower_inv @ (self.beta * (self.A.T @ b) - c)
+        return np.concatenate([t, self.beta * (b - self.A @ t)])
 
     def apply(self, z: np.ndarray, c: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self.matrix @ z + self.offset(c, b)
 
 
-def _iteration_map(S: np.ndarray, Ad: np.ndarray, beta: float,
-                   order: Order) -> IterationMap:
-    m, n = Ad.shape
-    L = _lower(S, order)
-    # filled into identities: np.block's dispatch costs more than the
-    # arithmetic at these sizes
-    lifted_lower = np.eye(n + m)
-    lifted_lower[:n, :n] = L
-    lifted_lower[n:, :n] = beta * Ad
-    lifted_remainder = np.eye(n + m)
-    lifted_remainder[:n, :n] = L - S
-    lifted_remainder[:n, n:] = Ad.T
-    try:
-        M = np.linalg.solve(lifted_lower, lifted_remainder)
-    except np.linalg.LinAlgError as exc:
-        raise BlockDefinitenessError(
-            "the sweep's Gauss-Seidel matrix is singular; a block violates "
-            "the positive-definiteness assumption") from exc
-    return IterationMap(beta=beta, A=Ad, lower=L, lifted_lower=lifted_lower,
-                        matrix=M)
-
-
 def iteration_map(H, A, beta: float, order: Order) -> IterationMap:
     """Assemble the sweep map for one block order; raises ValueError unless
-    ``order`` partitions range(n)."""
-    S = _checked_coupling(H, A, beta, order)
-    return _iteration_map(S, as_dense(A), beta, order)
+    ``order`` partitions range(n), and BlockDefinitenessError when its
+    Gauss-Seidel matrix is singular."""
+    S, Ad = _coupling(H, A, beta, order)
+    L_inv = _lower_inv(S, order)
+    return IterationMap(beta=beta, A=Ad, lower_inv=L_inv,
+                        matrix=_sweep_map(L_inv, S, Ad, beta))
 
 
 def _order_averages(S: np.ndarray, Ad: np.ndarray, beta: float, p: int,
@@ -141,35 +158,24 @@ def _order_averages(S: np.ndarray, Ad: np.ndarray, beta: float, p: int,
     Returns Q and M as in ``expected_operators``, the mean of the inverses
     over each partition's orders (listed in order of first appearance, which
     is ``enumerate_partitions`` order) and, with ``kron``, the expected
-    Kronecker square.
+    Kronecker square. A singular sweep raises BlockDefinitenessError.
     """
     m, n = Ad.shape
     orders = enumerate_orders(n, p)
     Q = np.zeros((n, n))
-    M_avg = np.zeros((n + m, n + m))
     K = np.zeros(((n + m) ** 2, (n + m) ** 2)) if kron else None
     partition_Q = defaultdict(lambda: np.zeros((n, n)))
     for order in orders:
-        bundle = _iteration_map(S, Ad, beta, order)
-        L_inv = np.linalg.inv(bundle.lower)
+        L_inv = _lower_inv(S, order)
         Q += L_inv
-        M_avg += bundle.matrix
         partition_Q[frozenset(order)] += L_inv
         if kron:
-            K += np.kron(bundle.matrix, bundle.matrix)
+            M_order = _sweep_map(L_inv, S, Ad, beta)
+            K += np.kron(M_order, M_order)
     Q /= len(orders)
-    M_avg /= len(orders)
-    QS = Q @ S
-    M = np.block([
-        [np.eye(n) - QS, Q @ Ad.T],
-        [-beta * Ad + beta * (Ad @ QS), np.eye(m) - beta * (Ad @ Q @ Ad.T)],
-    ])
-    if np.max(np.abs(M - M_avg)) > 1e-10:
-        raise ArithmeticError(
-            "expected sweep map disagrees between block formula and direct "
-            f"average by {np.max(np.abs(M - M_avg)):.3e}")
     partition_means = [total / math.factorial(p) for total in partition_Q.values()]
-    return Q, M, partition_means, None if K is None else K / len(orders)
+    return (Q, _sweep_map(Q, S, Ad, beta), partition_means,
+            None if K is None else K / len(orders))
 
 
 def expected_operators(H, A, beta: float, p: int
@@ -177,17 +183,12 @@ def expected_operators(H, A, beta: float, p: int
     """Uniform expectations over every admissible order.
 
     Returns (Q, S, M) where S is the coupling matrix, Q the average of the
-    inverted Gauss-Seidel matrices, and M the expected sweep map assembled
-    from the closed block formula
-
-        M = [[I - QS, QA'], [-beta A + beta A QS, I - beta A Q A']].
-
-    The formula is cross-checked against the directly averaged sweep maps;
-    disagreement beyond 1e-10 raises, since the two constructions must
-    coincide.
+    inverted Gauss-Seidel matrices, and M the expected sweep map. A sweep
+    map is affine in L^{-1}, so M is ``_sweep_map`` at Q. A singular
+    Gauss-Seidel matrix raises BlockDefinitenessError.
     """
-    S = coupling_matrix(H, A, beta)
-    Q, M, _, _ = _order_averages(S, as_dense(A), beta, p, kron=False)
+    S, Ad = _coupling(H, A, beta)
+    Q, M, _, _ = _order_averages(S, Ad, beta, p, kron=False)
     return Q, S, M
 
 
@@ -277,7 +278,8 @@ def certify(H, A, beta: float, p: int,
     semidefiniteness of the per-partition averages (whose maxima bound the
     global spectrum through eigenvalue subadditivity of Hermitian sums); the
     expected-map spectrum; and, for instances within the Kronecker cap, the
-    spectral radius of the expected Kronecker square.
+    spectral radius of the expected Kronecker square, all from the maps of
+    ``_sweep_map``. A singular sweep leaves only the first verdict.
 
     ``kron=None`` computes the Kronecker check automatically when n is
     within MAX_KRON_VARS and n + m within MAX_KRON_DIM; forcing it beyond
@@ -285,8 +287,7 @@ def certify(H, A, beta: float, p: int,
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got p={p}")
-    S = coupling_matrix(H, A, beta)
-    Ad = as_dense(A)
+    S, Ad = _coupling(H, A, beta)
     m, n = Ad.shape
     within_cap = n <= MAX_KRON_VARS and n + m <= MAX_KRON_DIM
     if kron is None:
@@ -304,8 +305,8 @@ def certify(H, A, beta: float, p: int,
 
     try:
         Q, M, partition_means, K = _order_averages(S, Ad, beta, p, kron)
-    except (np.linalg.LinAlgError, BlockDefinitenessError, ArithmeticError):
-        # singular or numerically untrustworthy sweeps: only the block
+    except BlockDefinitenessError:
+        # a singular Gauss-Seidel matrix has no sweep map: only the block
         # positive-definiteness verdict is reportable
         return cert
 

@@ -334,6 +334,8 @@ def save_model(model: SvmModel, path) -> None:
     """
     path = Path(path)
     sidecar = path.with_suffix(".bin")
+    if sidecar == path:
+        raise ValueError(f"model path {path} is its own .bin sidecar")
     n_sv, dim = model.support_points.shape
     payload = np.concatenate([
         model.support_duals, model.support_labels,

@@ -317,6 +317,19 @@ class TestSvmCli:
         assert rec["metrics"]["best_sigma"] == 1.0
         assert len(rec["metrics"]["table"]) == 1
 
+    def test_model_path_that_is_its_own_sidecar_exits_two(self, tmp_path,
+                                                          capsys):
+        # m.bin's sidecar is m.bin: the header would overwrite the duals
+        train_file = tmp_path / "train.txt"
+        write_libsvm(gen_blobs(10, 2, 6.0, seed=0), train_file)
+        model_path = tmp_path / "m.bin"
+        assert run(["svm", "train", "--data", str(train_file),
+                    "--max-iter", "5", "--model", str(model_path)]) == 2
+        captured = capsys.readouterr()
+        assert "is its own .bin sidecar" in captured.err
+        assert captured.out == ""
+        assert not model_path.exists()
+
     def test_predict_reads_data_without_the_last_feature(self, tmp_path,
                                                          capsys):
         tr = gen_blobs(20, 3, 6.0, seed=0)
@@ -336,6 +349,18 @@ class TestSvmCli:
             "--data", str(test_file), "--labels"])
         assert code == 0
         assert len(rec["metrics"]["predictions"]) == 40
+
+
+@pytest.mark.parametrize("command", [["qp", "solve", "--block-size", "1"],
+                                     ["spectral", "certify", "--blocks", "1"]])
+def test_manifest_without_c_exits_two(tiny_qp_manifest, command, capsys):
+    spec = json.loads(tiny_qp_manifest.read_text())
+    del spec["c"]
+    tiny_qp_manifest.write_text(json.dumps(spec))
+    assert run(command + ["--manifest", str(tiny_qp_manifest)]) == 2
+    captured = capsys.readouterr()
+    assert 'names no objective vector "c"' in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("status, requested, code", [
@@ -367,6 +392,24 @@ class TestSpectralCli:
         captured = capsys.readouterr()
         assert f"racml: error: p must be >= 1, got p={blocks}" in captured.err
         assert captured.out == ""
+
+    def test_nan_beta_exits_two(self, identity_manifest, capsys):
+        assert run(["spectral", "certify", "--manifest",
+                    str(identity_manifest), "--beta", "nan",
+                    "--blocks", "2"]) == 2
+        captured = capsys.readouterr()
+        assert "racml: error: beta must be finite and > 0" in captured.err
+        assert captured.out == ""
+
+    def test_manifest_without_a_certifies_with_no_rows(self, tmp_path, capsys):
+        scipy.io.mmwrite(tmp_path / "H.mtx", sp.csc_matrix(2.0 * np.eye(2)))
+        (tmp_path / "c.txt").write_text("0\n0\n")
+        manifest = tmp_path / "qp.json"
+        manifest.write_text(json.dumps({"n": 2, "H": "H.mtx", "c": "c.txt"}))
+        code, doc = run_json(capsys, ["spectral", "certify", "--manifest",
+                                      str(manifest), "--blocks", "2"])
+        assert code == 0
+        assert doc["m"] == 0 and doc["lemma2_ok"] is True
 
 
 class TestGenCli:

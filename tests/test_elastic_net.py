@@ -372,6 +372,21 @@ class TestFit:
         assert model.beta.shape == (40,)
         assert np.all(np.isfinite(model.beta))
 
+    @pytest.mark.parametrize("fmt", ["coo", "dia", "bsr"])
+    @pytest.mark.parametrize("fitter", [fit, consensus_fit])
+    def test_unsliceable_sparse_formats_fit_as_csc(self, fitter, fmt):
+        # COO (sp.random's default), DIA and BSR have no column slicing
+        X = sp.random(30, 20, density=0.3, random_state=16, format="csc")
+        y = np.random.default_rng(16).standard_normal(30)
+        spec = ElasticNetSpec(lam=0.05, alpha=0.7, block_size=6, iters=15,
+                              seed=3)
+        want = fitter(X, y, spec)
+        got = fitter(X.asformat(fmt), y, spec)
+        for name in ("beta", "z", "xi"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert (got.iterations, got.residual, got.status) == \
+            (want.iterations, want.residual, want.status)
+
     @pytest.mark.parametrize("fitter", [fit, consensus_fit])
     def test_status_says_why_the_run_stopped(self, fitter):
         rng = np.random.default_rng(14)

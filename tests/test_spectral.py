@@ -117,6 +117,14 @@ class TestIterationMap:
         with pytest.raises(BlockDefinitenessError):
             iteration_map(None, A, 1.0, ((0,), (1,)))
 
+    def test_lower_inv_inverts_the_gauss_seidel_matrix(self):
+        H, A = random_instance(5, n=6, m=2)
+        for order in enumerate_orders(6, 3)[:10]:
+            im = iteration_map(H, A, 0.7, order)
+            L = gauss_seidel_matrix(H, A, 0.7, order)
+            np.testing.assert_allclose(im.lower_inv @ L, np.eye(6),
+                                       atol=1e-12)
+
 
 class TestExpectedOperators:
     def test_identity_case(self):
@@ -135,6 +143,12 @@ class TestExpectedOperators:
         manual /= 6
         Q, _, _ = expected_operators(H, A, 1.0, 2)
         np.testing.assert_allclose(Q, manual, atol=1e-14)
+
+    def test_singular_sweep_raises(self):
+        # the instance of TestCertify.test_degenerate_block_flagged
+        A = np.array([[1.0, 0.0], [2.0, 0.0]])
+        with pytest.raises(BlockDefinitenessError):
+            expected_operators(None, A, 1.0, 2)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_formula_matches_direct_average(self, seed):
@@ -306,6 +320,49 @@ class TestCertify:
                     "lemma2_ok", "as_ok", "n", "m", "p", "beta"):
             assert key in doc
         assert doc["eig_QS"] == [[1.0, 0.0], [1.0, 0.0]]
+
+
+class TestCouplingInputs:
+    def test_absent_a_is_zero_rows(self):
+        H, _ = random_instance(8, n=4)
+        no_rows = np.zeros((0, 4))
+        order = ((2, 0), (1, 3))
+        np.testing.assert_array_equal(coupling_matrix(H, None, 0.5), H)
+        np.testing.assert_array_equal(gauss_seidel_matrix(H, None, 0.5, order),
+                                      gauss_seidel_matrix(H, no_rows, 0.5, order))
+        got = iteration_map(H, None, 0.5, order)
+        want = iteration_map(H, no_rows, 0.5, order)
+        np.testing.assert_array_equal(got.matrix, want.matrix)
+        c = np.arange(4.0)
+        np.testing.assert_array_equal(got.apply(np.ones(4), c, np.zeros(0)),
+                                      want.apply(np.ones(4), c, np.zeros(0)))
+        for got, want in zip(expected_operators(H, None, 0.5, 2),
+                             expected_operators(H, no_rows, 0.5, 2)):
+            np.testing.assert_array_equal(got, want)
+        got = certify(H, None, 0.5, 2).to_json_dict()
+        assert got == certify(H, no_rows, 0.5, 2).to_json_dict()
+        assert got["m"] == 0 and got["lemma2_ok"] and got["as_ok"]
+
+    def test_absent_h_and_a_refused(self):
+        with pytest.raises(ValueError, match="H and A"):
+            certify(None, None, 1.0, 1)
+
+    @pytest.mark.parametrize("beta", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_beta_must_be_finite_and_positive(self, beta):
+        H, A = random_instance(9)
+        for call in (lambda: certify(H, A, beta, 2),
+                     lambda: expected_operators(H, A, beta, 2),
+                     lambda: iteration_map(H, A, beta, ((0, 1), (2, 3)))):
+            with pytest.raises(ValueError, match="beta must be finite"):
+                call()
+
+    @pytest.mark.parametrize("bad", ["H", "A"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_data_refused(self, bad, value):
+        H, A = random_instance(9)
+        (H if bad == "H" else A)[1, 1] = value
+        with pytest.raises(ValueError, match="H and A must be finite"):
+            certify(H, A, 1.0, 2)
 
 
 class TestKktResidual:
