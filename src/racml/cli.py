@@ -194,6 +194,8 @@ def _cmd_en_eval(args, argv) -> int:
 
 
 def _cmd_svm_train(args, argv) -> int:
+    if args.model:
+        svm.model_sidecar(args.model)  # refuse a bad path before training
     ds = data_io.parse_libsvm(args.data, classification=True)
     n = ds.X.shape[0]
     config = svm.default_config(

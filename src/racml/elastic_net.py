@@ -9,6 +9,12 @@ formed); the z block has a closed-form shrinkage update.
 ``consensus_fit`` solves the same objective with the classical two-block
 consensus splitting (per-sample-group coefficient copies tied to a global
 z), as a baseline.
+
+A sparse design is stored as canonical CSC and stays sparse: ``fit``
+works on each block's column slice as stored and makes only its s x s
+Gram dense, and ``consensus_fit`` makes dense only the n_i x n_i (or p x p,
+when p <= n_i) system each sample group factors. A dense design takes the
+same operations with no copy.
 """
 
 from __future__ import annotations
@@ -137,11 +143,11 @@ def objective(X: Matrix, y: np.ndarray, beta: np.ndarray,
 
 
 def _checked_inputs(X: Matrix, y) -> tuple[Matrix, np.ndarray, np.ndarray]:
-    """X as QpProblem stores a matrix (sparse other than CSR through
-    ``as_csc``), y as floats and c = -X'y/n; refuses an empty X, a y of the
+    """X with any sparse format stored as canonical CSC (``fit`` gathers
+    columns), y as floats and c = -X'y/n; refuses an empty X, a y of the
     wrong length, and a non-finite X'y (from a non-finite X, or y in a row X
     uses)."""
-    if sp.issparse(X) and X.format != "csr":
+    if sp.issparse(X):
         X = as_csc(X)
     n, p = X.shape
     if n < 1 or p < 1:
@@ -172,10 +178,13 @@ def fit(X: Matrix, y: np.ndarray, spec: ElasticNetSpec) -> ElasticNetModel:
         (X_b'X_b/n + gamma I) beta_b = -(c_b + cross_b - xi_b - gamma z_b)
 
     with c = -X'y/n and the cross term computed from the running prediction
-    X beta (never forming the full Gram matrix); then z is updated in closed
-    form and the dual takes one step xi <- xi - gamma (beta - z). Runs
-    exactly ``spec.iters`` sweeps, or stops earlier once ||beta - z||_1 falls
-    below ``spec.tol`` when a tolerance is configured; the model's
+    X beta (never forming the full Gram matrix). A sparse X_b is the stored
+    column slice: the cross term and the prediction update are sparse
+    products, and only the s x s Gram X_b'X_b is made dense. Then z is
+    updated in closed form and the dual takes one step
+    xi <- xi - gamma (beta - z). Runs exactly ``spec.iters`` sweeps, or
+    stops earlier once ||beta - z||_1 falls below ``spec.tol`` when a
+    tolerance is configured; the model's
     ``status`` says which (CONVERGED within ``tol``, MAX_ITERS otherwise,
     DIVERGED if the residual blew up). With lam=0 the splitting residual
     vanishes identically after every z-step, so use the fixed-sweep protocol
@@ -195,7 +204,7 @@ def fit(X: Matrix, y: np.ndarray, spec: ElasticNetSpec) -> ElasticNetModel:
 
     def gram_factor(Xg):
         # blocks are unbounded: one kept is its s x s factor, not Xg or Gram
-        gram = (Xg.T @ Xg) / n
+        gram = as_dense(Xg.T @ Xg) / n
         _note_alloc(gram.size)
         gram[np.diag_indices_from(gram)] += gamma
         return _cholesky(gram)
@@ -204,8 +213,8 @@ def fit(X: Matrix, y: np.ndarray, spec: ElasticNetSpec) -> ElasticNetModel:
         nonlocal z, xi, r
         for g in order:
             idx = np.asarray(g, dtype=int)
-            Xg = as_dense(X[:, idx])
-            _note_alloc(Xg.size)
+            Xg = X[:, idx]  # a sparse X's columns stay in CSC
+            _note_alloc(Xg.nnz if sp.issparse(Xg) else Xg.size)
             # coupling to the other blocks through the running prediction:
             # X_b' X_rest beta_rest / n, without touching the full Gram
             cross = Xg.T @ (r - Xg @ beta[idx]) / n
@@ -269,16 +278,16 @@ def consensus_fit(X: Matrix, y: np.ndarray,
     targets = []
     for g in groups:
         idx = np.asarray(g, dtype=int)
-        Xi = as_dense(X[idx])
+        Xi = X[idx]  # a sparse group stays sparse
         yi = y[idx]
         w0 = Xi.T @ yi / n
         ni = idx.size
         if p <= ni:
-            chol = _cholesky(Xi.T @ Xi / n + gamma * np.eye(p))
+            chol = _cholesky(as_dense(Xi.T @ Xi) / n + gamma * np.eye(p))
             solvers.append(("direct", Xi, chol))
         else:
             # Woodbury route: invert through the small n_i x n_i system.
-            chol = _cholesky(Xi @ Xi.T + n * gamma * np.eye(ni))
+            chol = _cholesky(as_dense(Xi @ Xi.T) + n * gamma * np.eye(ni))
             solvers.append(("woodbury", Xi, chol))
         targets.append(w0)
 

@@ -327,15 +327,23 @@ def grid_search(X: Matrix, labels: np.ndarray, C_grid: Sequence[float],
     return (best["c"], best["sigma"]), table
 
 
+def model_sidecar(path) -> Path:
+    """The ``.bin`` sidecar ``save_model`` writes beside ``path``; refuses a
+    path that is its own sidecar (the header would overwrite the duals)."""
+    path = Path(path)
+    sidecar = path.with_suffix(".bin")
+    if sidecar == path:
+        raise ValueError(f"model path {path} is its own .bin sidecar")
+    return sidecar
+
+
 def save_model(model: SvmModel, path) -> None:
     """JSON header plus a little-endian float64 sidecar of the support set.
 
     The sidecar packs duals, labels, then points row-major.
     """
     path = Path(path)
-    sidecar = path.with_suffix(".bin")
-    if sidecar == path:
-        raise ValueError(f"model path {path} is its own .bin sidecar")
+    sidecar = model_sidecar(path)
     n_sv, dim = model.support_points.shape
     payload = np.concatenate([
         model.support_duals, model.support_labels,

@@ -5,7 +5,7 @@ import pytest
 import scipy.io
 import scipy.sparse as sp
 
-from racml import elastic_net
+from racml import elastic_net, svm
 from racml.cli import _exit_code, run
 from racml.data_io import (
     Dataset,
@@ -318,8 +318,14 @@ class TestSvmCli:
         assert len(rec["metrics"]["table"]) == 1
 
     def test_model_path_that_is_its_own_sidecar_exits_two(self, tmp_path,
-                                                          capsys):
-        # m.bin's sidecar is m.bin: the header would overwrite the duals
+                                                          capsys,
+                                                          monkeypatch):
+        # m.bin's sidecar is m.bin: the header would overwrite the duals;
+        # the path is refused before any training
+        def no_training(*args, **kwargs):
+            raise AssertionError("svm.train ran before the path was refused")
+
+        monkeypatch.setattr(svm, "train", no_training)
         train_file = tmp_path / "train.txt"
         write_libsvm(gen_blobs(10, 2, 6.0, seed=0), train_file)
         model_path = tmp_path / "m.bin"

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -291,9 +292,17 @@ class TestFit:
         finally:
             en.set_alloc_hook(None)
         assert model.iterations == 4
-        # each sweep gathers every n x s column block; the s x s Grams are
-        # built on the first sweep only
-        assert seen.count(n * s) == 4 * (p // s)
+        # each sweep gathers every column block as a sparse slice, noting
+        # its stored entries; the s x s Grams are built on the first sweep
+        # only, each right after its block's gather
+        orders = engine.block_orders(Mode.RP, p, s, np.random.default_rng(2))
+        want = []
+        for sweep in range(4):
+            for g in next(orders):
+                want.append(X[:, list(g)].nnz)
+                if sweep == 0:
+                    want.append(s * s)
+        assert seen == want
         assert seen.count(s * s) == p // s
 
     def test_rac_on_small_p_factors_each_distinct_block_once(self,
@@ -372,10 +381,11 @@ class TestFit:
         assert model.beta.shape == (40,)
         assert np.all(np.isfinite(model.beta))
 
-    @pytest.mark.parametrize("fmt", ["coo", "dia", "bsr"])
+    @pytest.mark.parametrize("fmt", ["coo", "dia", "bsr", "csr"])
     @pytest.mark.parametrize("fitter", [fit, consensus_fit])
     def test_unsliceable_sparse_formats_fit_as_csc(self, fitter, fmt):
-        # COO (sp.random's default), DIA and BSR have no column slicing
+        # COO (sp.random's default), DIA and BSR have no column slicing, and
+        # CSR slices columns slowly: every sparse design is fitted as CSC
         X = sp.random(30, 20, density=0.3, random_state=16, format="csc")
         y = np.random.default_rng(16).standard_normal(30)
         spec = ElasticNetSpec(lam=0.05, alpha=0.7, block_size=6, iters=15,
@@ -386,6 +396,42 @@ class TestFit:
             assert np.array_equal(getattr(got, name), getattr(want, name))
         assert (got.iterations, got.residual, got.status) == \
             (want.iterations, want.residual, want.status)
+
+    # (n, p, block_size): fit's blocks recur (p <= 64) or not; consensus_fit
+    # takes its p x p route on the tall design and Woodbury on the others
+    @pytest.mark.parametrize("n, p, s", [(120, 10, 4), (50, 64, 8),
+                                         (200, 300, 50)])
+    @pytest.mark.parametrize("mode", [Mode.RAC, Mode.RP])
+    @pytest.mark.parametrize("fitter", [fit, consensus_fit])
+    def test_sparse_design_matches_dense(self, fitter, mode, n, p, s):
+        X = sp.random(n, p, density=0.1, random_state=18, format="csc")
+        y = np.random.default_rng(18).standard_normal(n)
+        spec = ElasticNetSpec(lam=0.01, alpha=0.5, block_size=s, iters=30,
+                              mode=mode, seed=4)
+        want = fitter(X.toarray(), y, spec)
+        got = fitter(X, y, spec)
+        for name in ("beta", "z", "xi"):
+            ref = getattr(want, name)
+            assert np.max(np.abs(getattr(got, name) - ref)) <= \
+                1e-12 * np.max(np.abs(ref))
+        assert (got.iterations, got.status) == (want.iterations, want.status)
+
+    @pytest.mark.parametrize("fitter, s", [(fit, 100), (consensus_fit, 2000)])
+    def test_wide_sparse_design_stays_sparse(self, fitter, s):
+        # the dense design would be 160 MB, ten times the bound; consensus_fit
+        # takes large blocks, since it keeps p/s copies of the coefficients
+        n, p, bound = 1000, 20000, 16 * 2**20
+        X = sp.random(n, p, density=0.001, random_state=19, format="csc")
+        y = np.random.default_rng(19).standard_normal(n)
+        spec = ElasticNetSpec(lam=0.01, alpha=0.9, block_size=s, iters=2)
+        assert n * p * 8 >= 8 * bound
+        tracemalloc.start()
+        try:
+            fitter(X, y, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
     @pytest.mark.parametrize("fitter", [fit, consensus_fit])
     def test_status_says_why_the_run_stopped(self, fitter):
