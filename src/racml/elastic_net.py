@@ -10,11 +10,12 @@ formed); the z block has a closed-form shrinkage update.
 consensus splitting (per-sample-group coefficient copies tied to a global
 z), as a baseline.
 
-A sparse design is stored as canonical CSC and stays sparse: ``fit``
-works on each block's column slice as stored and makes only its s x s
-Gram dense, and ``consensus_fit`` makes dense only the n_i x n_i (or p x p,
-when p <= n_i) system each sample group factors. A dense design takes the
-same operations with no copy.
+A sparse design is stored as canonical CSC. A slice of it whose stored
+entries fill at most ``SPARSE_SLICE_DENSITY`` of it stays sparse: ``fit``
+works on such a column block as stored and makes only its s x s Gram dense,
+and ``consensus_fit`` makes dense only the n_i x n_i (or p x p, when
+p <= n_i) system such a sample group factors. A denser slice is made dense
+and takes a dense design's operations; a dense design is not copied.
 """
 
 from __future__ import annotations
@@ -142,13 +143,32 @@ def objective(X: Matrix, y: np.ndarray, beta: np.ndarray,
     return 0.5 * float(r @ r) / n + penalty
 
 
+# A sparse slice of X (a block of fit's columns, a group of consensus_fit's
+# samples) whose stored entries fill more than this share of it is made
+# dense, since above it scipy's sparse products cost more than BLAS. One
+# fit block visit on a 1000 x 100 slice, Gram included, took 0.50 ms sparse
+# against 0.83 ms dense at 1% density, 1.2 against 0.84 ms at 5% and 28
+# against 1.2 ms full (2-core x86 host, numpy 2.4, scipy 1.17).
+SPARSE_SLICE_DENSITY = 0.02
+
+
+def _block_operand(S: Matrix) -> Matrix:
+    """A slice of X as the sweep multiplies it: sparse as stored while its
+    entries fill at most ``SPARSE_SLICE_DENSITY`` of it, dense otherwise (a
+    dense slice passes through)."""
+    n, s = S.shape
+    if sp.issparse(S) and S.nnz > SPARSE_SLICE_DENSITY * n * s:
+        return S.toarray()
+    return S
+
+
 def _checked_inputs(X: Matrix, y) -> tuple[Matrix, np.ndarray, np.ndarray]:
-    """X with any sparse format stored as canonical CSC (``fit`` gathers
-    columns), y as floats and c = -X'y/n; refuses an empty X, a y of the
-    wrong length, and a non-finite X'y (from a non-finite X, or y in a row X
-    uses)."""
-    if sp.issparse(X):
-        X = as_csc(X)
+    """X as float64 (any sparse format stored as canonical CSC, since ``fit``
+    gathers columns), y as floats and c = -X'y/n; refuses an empty X, a y of
+    the wrong length, and a non-finite X'y (from a non-finite X, or y in a
+    row X uses)."""
+    X = as_csc(X).astype(float, copy=False) if sp.issparse(X) else \
+        np.asarray(X, dtype=float)
     n, p = X.shape
     if n < 1 or p < 1:
         raise ValueError("X must be non-empty")
@@ -178,17 +198,17 @@ def fit(X: Matrix, y: np.ndarray, spec: ElasticNetSpec) -> ElasticNetModel:
         (X_b'X_b/n + gamma I) beta_b = -(c_b + cross_b - xi_b - gamma z_b)
 
     with c = -X'y/n and the cross term computed from the running prediction
-    X beta (never forming the full Gram matrix). A sparse X_b is the stored
-    column slice: the cross term and the prediction update are sparse
-    products, and only the s x s Gram X_b'X_b is made dense. Then z is
-    updated in closed form and the dual takes one step
+    X beta (never forming the full Gram matrix). A sparse X_b that fills at
+    most ``SPARSE_SLICE_DENSITY`` of its n x s stays the stored column slice:
+    the cross term and the prediction update are sparse products, and only
+    the s x s Gram X_b'X_b is made dense; a denser X_b is made dense. Then z
+    is updated in closed form and the dual takes one step
     xi <- xi - gamma (beta - z). Runs exactly ``spec.iters`` sweeps, or
     stops earlier once ||beta - z||_1 falls below ``spec.tol`` when a
-    tolerance is configured; the model's
-    ``status`` says which (CONVERGED within ``tol``, MAX_ITERS otherwise,
-    DIVERGED if the residual blew up). With lam=0 the splitting residual
-    vanishes identically after every z-step, so use the fixed-sweep protocol
-    there.
+    tolerance is configured; the model's ``status`` says which (CONVERGED
+    within ``tol``, MAX_ITERS otherwise, DIVERGED if the residual blew up).
+    With lam=0 the splitting residual vanishes identically after every
+    z-step, so use the fixed-sweep protocol there.
     """
     spec.validate()
     n, p = X.shape
@@ -213,7 +233,7 @@ def fit(X: Matrix, y: np.ndarray, spec: ElasticNetSpec) -> ElasticNetModel:
         nonlocal z, xi, r
         for g in order:
             idx = np.asarray(g, dtype=int)
-            Xg = X[:, idx]  # a sparse X's columns stay in CSC
+            Xg = _block_operand(X[:, idx])
             _note_alloc(Xg.nnz if sp.issparse(Xg) else Xg.size)
             # coupling to the other blocks through the running prediction:
             # X_b' X_rest beta_rest / n, without touching the full Gram
@@ -278,7 +298,7 @@ def consensus_fit(X: Matrix, y: np.ndarray,
     targets = []
     for g in groups:
         idx = np.asarray(g, dtype=int)
-        Xi = X[idx]  # a sparse group stays sparse
+        Xi = _block_operand(X[idx])
         yi = y[idx]
         w0 = Xi.T @ yi / n
         ni = idx.size

@@ -101,12 +101,10 @@ def _sweep_map(X: np.ndarray, S: np.ndarray, Ad: np.ndarray,
     """
     m, n = Ad.shape
     XS = X @ S
-    out = np.empty((n + m, n + m))  # filled by quadrant: np.block costs more
-    out[:n, :n] = np.eye(n) - XS
-    out[:n, n:] = X @ Ad.T
-    out[n:, :n] = -beta * Ad + beta * (Ad @ XS)
-    out[n:, n:] = np.eye(m) - beta * (Ad @ X @ Ad.T)
-    return out
+    return np.block([
+        [np.eye(n) - XS, X @ Ad.T],
+        [-beta * Ad + beta * (Ad @ XS), np.eye(m) - beta * (Ad @ X @ Ad.T)],
+    ])
 
 
 def gauss_seidel_matrix(H, A, beta: float, order: Order) -> np.ndarray:

@@ -403,8 +403,11 @@ class TestFit:
                                          (200, 300, 50)])
     @pytest.mark.parametrize("mode", [Mode.RAC, Mode.RP])
     @pytest.mark.parametrize("fitter", [fit, consensus_fit])
-    def test_sparse_design_matches_dense(self, fitter, mode, n, p, s):
-        X = sp.random(n, p, density=0.1, random_state=18, format="csc")
+    # at 1% the slices stay sparse, at 30% they are made dense
+    @pytest.mark.parametrize("density", [0.01, 0.3])
+    def test_sparse_design_matches_dense(self, density, fitter, mode, n, p,
+                                         s):
+        X = sp.random(n, p, density=density, random_state=18, format="csc")
         y = np.random.default_rng(18).standard_normal(n)
         spec = ElasticNetSpec(lam=0.01, alpha=0.5, block_size=s, iters=30,
                               mode=mode, seed=4)
@@ -415,6 +418,50 @@ class TestFit:
             assert np.max(np.abs(getattr(got, name) - ref)) <= \
                 1e-12 * np.max(np.abs(ref))
         assert (got.iterations, got.status) == (want.iterations, want.status)
+
+    def test_filled_column_blocks_are_gathered_dense(self):
+        # the hook notes n x s for a slice made dense and the stored entries
+        # for one kept sparse; every gather is followed by its Gram
+        n, p, s = 40, 60, 10
+        X = sp.random(n, p, density=0.005, random_state=21, format="lil")
+        X[:, :3] = 1.0  # blocks holding these columns fill their slices
+        X = X.tocsc()
+        seen = []
+        en.set_alloc_hook(seen.append)
+        try:
+            fit(X, np.ones(n), ElasticNetSpec(lam=0.1, alpha=0.5,
+                                              block_size=s, iters=1, seed=3))
+        finally:
+            en.set_alloc_hook(None)
+        order = next(engine.block_orders(Mode.RAC, p, s,
+                                         np.random.default_rng(3)))
+        nnz = [X[:, list(g)].nnz for g in order]
+        want = [n * s if k > en.SPARSE_SLICE_DENSITY * n * s else k
+                for k in nnz]
+        assert seen[::2] == want
+        assert n * s in want and min(want) < n * s
+
+    # float32 X was multiplied in float32 and a bool X's Gram counted
+    # logically until X was stored as float64
+    @pytest.mark.parametrize("dtype", [np.float32, bool])
+    @pytest.mark.parametrize("density", [0.01, 0.3])
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("fitter", [fit, consensus_fit])
+    def test_design_of_another_dtype_fits_as_float64(self, fitter, sparse,
+                                                     density, dtype):
+        X = sp.random(200, 300, density=density, random_state=22,
+                      format="csc", dtype=float, data_rvs=lambda k:
+                      np.random.default_rng(22).integers(1, 4, k))
+        X = X.astype(dtype)
+        y = np.random.default_rng(22).standard_normal(200)
+        spec = ElasticNetSpec(lam=0.01, alpha=0.5, block_size=50, iters=20)
+        twin = X.astype(float)
+        if not sparse:
+            X, twin = X.toarray(), twin.toarray()
+        want = fitter(twin, y, spec)
+        got = fitter(X, y, spec)
+        for name in ("beta", "z", "xi"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
 
     @pytest.mark.parametrize("fitter, s", [(fit, 100), (consensus_fit, 2000)])
     def test_wide_sparse_design_stays_sparse(self, fitter, s):

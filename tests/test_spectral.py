@@ -83,18 +83,6 @@ class TestIterationMap:
         im = iteration_map(None, np.eye(1), 1.0, ((0,),))
         np.testing.assert_allclose(im.matrix, [[0.0, 1.0], [0.0, 0.0]])
 
-    @pytest.mark.parametrize("m", [0, 2])
-    def test_sweep_map_is_the_block_formula(self, m):
-        # filled quadrant by quadrant, bit-equal to assembling the blocks
-        rng = np.random.default_rng(61)
-        X, S = rng.standard_normal((6, 6)), rng.standard_normal((6, 6))
-        A, beta = rng.standard_normal((m, 6)), 0.7
-        XS = X @ S
-        want = np.block([
-            [np.eye(6) - XS, X @ A.T],
-            [-beta * A + beta * (A @ XS), np.eye(m) - beta * (A @ X @ A.T)]])
-        assert np.array_equal(spectral._sweep_map(X, S, A, beta), want)
-
     @pytest.mark.parametrize("seed", range(4))
     def test_kkt_point_is_fixed_point(self, seed):
         H, A = random_instance(seed, n=4, m=2)
