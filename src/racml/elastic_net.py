@@ -327,9 +327,14 @@ def consensus_fit(X: Matrix, y: np.ndarray,
         agg = duals.sum(axis=0) - gamma * copies.sum(axis=0)
         denom = (1.0 - spec.alpha) * spec.lam + N * gamma
         z = soft_threshold(agg, spec.lam * spec.alpha) / denom
-        duals -= gamma * (copies - z)
-        residual = float(np.mean(np.sum(np.abs(copies - z), axis=1)))
-        return ResidualPair(primal=residual, dual=0.0)
+        # a copy at a time, so the temporaries are p long, not N x p
+        gaps = np.empty(N)
+        for i in range(N):
+            gap = copies[i] - z
+            gaps[i] = np.sum(np.abs(gap))
+            gap *= gamma
+            duals[i] -= gap
+        return ResidualPair(primal=float(np.mean(gaps)), dual=0.0)
 
     # The copies form one block updated all at once, so the driver's single
     # cyclic order carries nothing the sweep needs.

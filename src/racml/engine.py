@@ -13,8 +13,10 @@ Each block step is in gradient form, M_b x_b+ = M_b x_b - grad_b L with
 M_b = H_bb + beta A_b'A_b and grad L = c + Hx - A'y + beta A'r, on running
 products c + Hx and r = Ax - b that each step d updates by H[:, b] d and
 A[:, b] d. The dual step and the residuals read the same products, so a
-sweep touches H only through its blocks' column strips, and H may be an
-implicit symmetric operator that yields them, as C-SVC's kernel is.
+sweep reads H in two ways only: the s x s block H_bb, when a block's system
+is built, and after the solve the columns of H[:, b] where d is nonzero
+(none for a step that leaves the block where it was). H may thus be an
+implicit symmetric operator that yields both, as C-SVC's kernel is.
 
 ``block_orders`` is the one source of block orders and ``run_sweeps`` the one
 sweep driver: stopping rule, divergence guard, residual histories, and the
@@ -22,8 +24,9 @@ block cache, one dict it hands every ``sweep(order, cache)`` where
 ``blocks_recur`` (else None). The QP solver here and elastic-net are adapters
 that supply that callable. A QP block is a ``BlockSystem`` built factored,
 never written again and solved for each visit's rhs by ``solve_block``; kept
-(``block_system``), it holds only its s x s matrix and factor, and its column
-strips are gathered again on every visit. Elastic-net keeps bare factors.
+(``block_system``), it holds only its s x s matrix and factor; the m x s
+strip of A and the changed columns of H are gathered again on every visit.
+Elastic-net keeps bare factors.
 """
 
 from __future__ import annotations
@@ -123,11 +126,11 @@ def _exact_products(problem: QpProblem, x: np.ndarray) -> tuple:
     return np.asarray(g, dtype=float), np.asarray(r, dtype=float)
 
 
-def _qp_system(problem: QpProblem, idx: np.ndarray, Hs, As,
+def _qp_system(problem: QpProblem, idx: np.ndarray, As,
                beta: float) -> BlockSystem:
     matrix = np.zeros((idx.size, idx.size))
-    if Hs is not None:
-        matrix = matrix + as_dense(Hs[idx])
+    if problem.H is not None:
+        matrix = matrix + as_dense(problem.H[np.ix_(idx, idx)])
     if As is not None:
         matrix = matrix + beta * as_dense(As.T @ As)
     lower, upper = problem.lower[idx], problem.upper[idx]
@@ -249,6 +252,18 @@ def compute_residuals(problem: QpProblem, x: np.ndarray, y: np.ndarray,
     return ResidualPair(primal=primal, dual=dual)
 
 
+def _add_changed_columns(g: np.ndarray, H, idx: np.ndarray,
+                         delta: np.ndarray) -> None:
+    """g += H[:, idx] delta, reading H's columns only where delta is nonzero:
+    an entry the step left where it was, such as a dual held at its bound,
+    reads nothing of its column."""
+    nz = delta.nonzero()[0]  # np.flatnonzero's wrapper costs more at tiny s
+    if nz.size == idx.size:
+        g += H[:, idx].dot(delta)
+    elif nz.size:
+        g += H[:, idx[nz]].dot(delta[nz])
+
+
 def run_sweep(problem: QpProblem, x: np.ndarray, y: np.ndarray,
               order: Order, beta: float,
               piece_cache: Optional[dict] = None, *,
@@ -272,16 +287,15 @@ def run_sweep(problem: QpProblem, x: np.ndarray, y: np.ndarray,
     # which at tiny s costs more than the product
     for block in order:
         idx = np.asarray(block, dtype=int)
-        Hs = None if H is None else H[:, idx]
         As = None if A is None else A[:, idx]
         system = block_system(piece_cache, block,
-                              lambda: _qp_system(problem, idx, Hs, As, beta))
+                              lambda: _qp_system(problem, idx, As, beta))
         xb = x[idx]
         grad = g[idx] if As is None else g[idx] + As.T.dot(beta * r - y)
         new = solve_block(system, system.matrix.dot(xb) - grad)
         delta = new - xb
-        if Hs is not None:
-            g += Hs.dot(delta)
+        if H is not None:
+            _add_changed_columns(g, H, idx, delta)
         if As is not None:
             r += As.dot(delta)
         x[idx] = new

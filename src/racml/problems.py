@@ -92,7 +92,8 @@ class QpProblem:
     non-canonical CSC, is stored as ``as_csc`` makes it, since the sweep
     slices columns. ``H`` may also be an implicit symmetric operator: an
     object with ``shape`` whose ``H[:, idx]`` is the dense n x s column
-    strip and ``H @ x`` the product; validation then checks its shape only.
+    strip, ``H[np.ix_(rows, cols)]`` the dense block and ``H @ x`` the
+    product; validation then checks its shape only.
     Bounds default to the whole space (``-inf``/``+inf`` sentinels).
     """
 

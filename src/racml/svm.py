@@ -2,11 +2,13 @@
 
 Training solves  min 1/2 z'Qz - e'z  s.t. y'z = 0, z in [0, C]^n with
 q_ij = y_i y_j K(x_i, x_j) as a QP through the engine's ``solve``. Q enters
-as an implicit symmetric operator whose column strips are assembled on
-demand from raw data rows: each block's n x s strip is one batched kernel
-evaluation, and the full n x n kernel matrix is never materialized. Block
-steps, kept block factors, the stopping rule and the divergence guard are
-the QP solver's own.
+as an implicit symmetric operator whose reads are assembled on demand from
+raw data rows, each one batched kernel evaluation: a block's s x s matrix
+from its own rows, and after the block step the n x k strip of the k duals
+that moved; a step that leaves every dual at its bound evaluates none. The
+full n x n kernel matrix is never materialized. Block steps, kept block
+factors, the stopping rule and the divergence guard are the QP solver's
+own.
 """
 
 from __future__ import annotations
@@ -97,8 +99,10 @@ def kernel_cross(Xa: np.ndarray, Xb: np.ndarray,
 
 class _KernelQ:
     """Q + ridge I, q_ij = y_i y_j K(x_i, x_j), as an implicit symmetric
-    operator: ``[:, idx]`` is the n x s column strip, computed by one batched
-    kernel evaluation against the data rows."""
+    operator whose reads are each one batched kernel evaluation: ``[:, cols]``
+    is the n x s column strip, against every data row, and
+    ``[np.ix_(rows, cols)]`` the block, against the rows named only. The
+    ridge lands where the row and the column are the same data point."""
 
     def __init__(self, X: np.ndarray, y: np.ndarray, kernel: KernelSpec,
                  ridge: float):
@@ -106,13 +110,20 @@ class _KernelQ:
         self.shape = (y.size, y.size)
 
     def __getitem__(self, key) -> np.ndarray:
-        _, idx = key  # the engine asks for column strips only: [:, idx]
-        idx = np.asarray(idx, dtype=int)
-        strip = kernel_cross(self.X, self.X[idx], self.kernel)
-        strip *= self.y[:, None]
-        strip *= self.y[idx]
-        strip[idx, np.arange(idx.size)] += self.ridge
-        return strip
+        rows, cols = key
+        cols = np.asarray(cols, dtype=int).ravel()
+        if isinstance(rows, slice):  # [:, cols]
+            out = kernel_cross(self.X, self.X[cols], self.kernel)
+            out *= self.y[:, None]
+            diagonal = cols, np.arange(cols.size)
+        else:  # [np.ix_(rows, cols)]
+            rows = np.asarray(rows, dtype=int).ravel()
+            out = kernel_cross(self.X[rows], self.X[cols], self.kernel)
+            out *= self.y[rows][:, None]
+            diagonal = np.nonzero(rows[:, None] == cols)
+        out *= self.y[cols]
+        out[diagonal] += self.ridge
+        return out
 
     def __matmul__(self, z: np.ndarray) -> np.ndarray:
         # strips over z's nonzero entries, a training block's width at a time

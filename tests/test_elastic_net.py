@@ -622,6 +622,56 @@ class TestConsensus:
         ob = objective(X, y, cons.z, lam, 1.0)
         assert abs(oa - ob) <= 1e-6 * max(1.0, abs(oa))
 
+    def test_sweep_makes_no_copies_by_features_temporary(self, monkeypatch):
+        # N = 20 copies of p = 4000 coefficients: the copies and duals are
+        # N x p each, and a sweep's own allocations stay below half of one
+        # (a whole-matrix copies - z for the dual step and the residual
+        # would take over 2 N x p)
+        n, p, N = 400, 4000, 20
+        rng = np.random.default_rng(31)
+        nnz = n * p // 100
+        X = sp.csc_matrix((rng.standard_normal(nnz),
+                           (rng.integers(0, n, nnz), rng.integers(0, p, nnz))),
+                          shape=(n, p))
+        y = X @ np.where(rng.random(p) < 0.02, rng.standard_normal(p), 0.0) \
+            + 0.1 * rng.standard_normal(n)
+        spec = ElasticNetSpec(lam=1e-3, alpha=0.9, block_size=200, iters=5)
+        sweep_peaks = []
+        run_sweeps = en.run_sweeps
+
+        def measured_run_sweeps(sweep, *args):
+            def measured(order, cache):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                res = sweep(order, cache)
+                sweep_peaks.append(tracemalloc.get_traced_memory()[1] - before)
+                return res
+            return run_sweeps(measured, *args)
+
+        monkeypatch.setattr(en, "run_sweeps", measured_run_sweeps)
+        tracemalloc.start()
+        try:
+            model = consensus_fit(X, y, spec)
+        finally:
+            tracemalloc.stop()
+        assert len(sweep_peaks) == 5
+        assert max(sweep_peaks) < N * p * 8 / 2
+        # sum, l1 norm and squared norm of each output
+        goldens = {
+            "beta": (0.0445029789657003, 5.004745554023977,
+                     0.056618091365046225),
+            "z": (-0.06723039146489508, 0.6165910263784049,
+                  0.04452800417808745),
+            "xi": (-0.0007507381416784518, 0.023290985069225993,
+                   3.434621210337674e-07)}
+        for name, want in goldens.items():
+            v = getattr(model, name)
+            got = (float(v.sum()), float(np.abs(v).sum()), float(v @ v))
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
+        assert np.count_nonzero(model.z) == 17
+        assert (model.iterations, model.status) == (5, Status.MAX_ITERS)
+        assert model.residual == pytest.approx(6.75629448624975, rel=1e-12)
+
     # each input fit refuses; at a 40 x 8 design consensus_fit used to fit a
     # long y silently, divide by zero on an empty X, and fail inside scipy
     # on a NaN

@@ -24,7 +24,14 @@ from racml.engine import (
     solve,
     solve_block,
 )
-from racml.problems import Mode, QpProblem, SolverConfig, Status, chunk_indices
+from racml.problems import (
+    Mode,
+    QpProblem,
+    SolverConfig,
+    Status,
+    as_dense,
+    chunk_indices,
+)
 from racml.spectral import kkt_solve
 from racml.svm import KernelSpec
 
@@ -645,7 +652,7 @@ def assert_near(got, want):
 class TestSparseBlocks:
     def test_kept_block_holds_only_dense_block_arrays(self):
         # a kept system holds its s x s matrix and factor and nothing of
-        # size n or m: the column strips are gathered again on every visit
+        # size n or m: the column strips are read again on every visit
         prob = sparse_problem(1)
         cache = {}
         run_sweep(prob, np.zeros(80), np.zeros(6), ((0, 5, 9), (1, 2, 3)), 1.0,
@@ -823,6 +830,49 @@ class TestSolveResultProducts:
         assert_rel(res.g, prob.c + prob.H @ res.x)
         assert res.r.shape == (0,)
         assert res.primal_residual == 0.0
+
+
+def symmetric_operator(kind, n, rng):
+    """An n x n H as the sweep reads it: dense, CSC or CSR at about half
+    density, or C-SVC's kernel operator with a linear or Gaussian kernel."""
+    if kind in ("linear", "gaussian"):
+        labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        return svm._KernelQ(rng.standard_normal((n, 3)), labels,
+                            KernelSpec(kind, 1.3), 0.1)
+    G = np.where(rng.random((n, n)) < 0.5, rng.standard_normal((n, n)), 0.0)
+    H = G + G.T
+    return H if kind == "dense" else sp.csc_matrix(H).asformat(kind)
+
+
+@st.composite
+def changed_column_cases(draw):
+    n = draw(st.integers(1, 30))
+    return dict(kind=draw(st.sampled_from(
+                    ["dense", "csc", "csr", "linear", "gaussian"])),
+                n=n, s=draw(st.integers(1, n)),
+                zero_share=draw(st.sampled_from([0.0, 0.5, 0.9, 1.0])),
+                seed=draw(st.integers(0, 2**32 - 1)))
+
+
+class TestChangedColumnUpdate:
+    # a block step adds H[:, idx] delta to c + Hx reading only the columns
+    # where delta is nonzero: entries held at a bound cost no column
+
+    @settings(max_examples=150, deadline=None)
+    @given(changed_column_cases())
+    def test_matches_the_full_strip_product(self, case):
+        rng = np.random.default_rng(case["seed"])
+        n, s = case["n"], case["s"]
+        H = symmetric_operator(case["kind"], n, rng)
+        idx = rng.choice(n, s, replace=False)
+        delta = rng.standard_normal(s)
+        delta[rng.random(s) < case["zero_share"]] = 0.0
+        g0 = rng.standard_normal(n)
+        g = g0.copy()
+        engine._add_changed_columns(g, H, idx, delta)
+        assert_rel(g, g0 + as_dense(H[:, idx]) @ delta)
+        if not delta.any():
+            assert np.array_equal(g, g0)
 
 
 class TestBlockOrders:

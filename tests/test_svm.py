@@ -157,6 +157,78 @@ class TestAssembleKernelBlock:
         assert not np.any(op @ np.zeros(230))
 
 
+@st.composite
+def kernel_reads(draw):
+    n = draw(st.integers(1, 30))
+    return dict(kind=draw(st.sampled_from(["linear", "gaussian"])), n=n,
+                s=draw(st.integers(1, n)), rows_are_cols=draw(st.booleans()),
+                ridge=draw(st.sampled_from([0.01, 0.3, 2.0])),
+                seed=draw(st.integers(0, 2**32 - 1)))
+
+
+class TestKernelOperatorReads:
+    """The training operator's two reads: a block from the named rows only
+    and a column strip against every row, with the ridge on the diagonal."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_reads())
+    def test_block_read_is_rows_of_the_strip(self, case):
+        rng = np.random.default_rng(case["seed"])
+        n, s, ridge = case["n"], case["s"], case["ridge"]
+        X = rng.standard_normal((n, 4)) * rng.uniform(0.1, 3.0)
+        y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        kernel = KernelSpec(case["kind"], 1.7)
+        op = svm._KernelQ(X, y, kernel, ridge)
+        cols = rng.choice(n, s, replace=False)
+        rows = cols if case["rows_are_cols"] else \
+            rng.choice(n, rng.integers(1, n + 1), replace=False)
+        block = op[np.ix_(rows, cols)]
+        want = op[:, cols][rows]
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert block.shape == want.shape
+        assert np.max(np.abs(block - want)) <= 1e-12 * scale
+        plain = svm._KernelQ(X, y, kernel, 0.0)[np.ix_(rows, cols)]
+        same_point = rows[:, None] == cols
+        assert np.array_equal(block != plain, same_point)
+        assert np.max(np.abs((block - plain)[same_point] - ridge),
+                      initial=0.0) <= 1e-12 * scale
+
+    def test_training_reads_strips_of_changed_duals_only(self, monkeypatch):
+        # per block step: one s x s block read for its system, then strip
+        # columns for exactly the duals the step moved, none if none moved
+        reads, steps = [], []
+        read, add = svm._KernelQ.__getitem__, engine._add_changed_columns
+
+        def spy_read(op, key):
+            out = read(op, key)
+            reads.append(("strip" if isinstance(key[0], slice) else "block",
+                          out.shape))
+            return out
+
+        def spy_add(g, H, idx, delta):
+            start = len(reads)
+            add(g, H, idx, delta)
+            steps.append((idx.size, np.count_nonzero(delta), reads[start:]))
+
+        monkeypatch.setattr(svm._KernelQ, "__getitem__", spy_read)
+        monkeypatch.setattr(engine, "_add_changed_columns", spy_add)
+        tr = gen_blobs(60, 2, 2.0, seed=6)
+        cfg = dataclasses.replace(
+            default_config(120, block_size=10, seed=1, max_iters=2),
+            fixed_iterations=True)
+        _, diag = train(tr.X, tr.y, 1.0, KernelSpec("gaussian", 1.0), cfg,
+                        return_diagnostics=True)
+        assert diag.iterations == 2 and len(steps) == 2 * 12
+        for s, moved, strip_reads in steps:
+            assert [kind for kind, _ in strip_reads] == ["strip"] * bool(moved)
+            assert sum(shape[1] for _, shape in strip_reads) == moved
+            assert all(shape[0] == 120 for _, shape in strip_reads)
+        assert reads.count(("block", (10, 10))) == len(steps)
+        assert len(reads) == len(steps) + sum(bool(m) for _, m, _ in steps)
+        # the run holds steps that moved every dual, some, and none
+        assert {min(m, 1) + (m == s) for s, m, _ in steps} == {0, 1, 2}
+
+
 class TestTrain:
     def test_separable_four_points(self):
         X = np.array([[0.0, 0.0], [0.5, 0.5], [5.0, 5.0], [5.5, 4.5]])
