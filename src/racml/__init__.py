@@ -9,7 +9,6 @@ from .problems import (
     Status,
     ValidationReport,
     enumerate_orders,
-    enumerate_partitions,
     load_qp_manifest,
     make_partition,
     validate_problem,
@@ -41,14 +40,12 @@ from .elastic_net import (
     soft_threshold,
     z_update,
 )
-from .elastic_net import evaluate as evaluate_regression
 from .svm import (
     KernelSpec,
     SvmModel,
     accuracy,
     compute_bias,
     grid_search,
-    kernel_eval,
     predict,
     train,
 )

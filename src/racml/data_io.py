@@ -38,10 +38,6 @@ class Dataset:
     y: np.ndarray
     feature_count: int
 
-    @property
-    def n(self) -> int:
-        return self.X.shape[0]
-
 
 def format_value(v: float) -> str:
     """Canonical decimal: shortest round-trip, integral values without '.0'."""

@@ -13,9 +13,10 @@ z), as a baseline.
 A sparse design is stored as canonical CSC. A slice of it whose stored
 entries fill at most ``SPARSE_SLICE_DENSITY`` of it stays sparse: ``fit``
 works on such a column block as stored and makes only its s x s Gram dense,
-and ``consensus_fit`` makes dense only the n_i x n_i (or p x p, when
-p <= n_i) system such a sample group factors. A denser slice is made dense
-and takes a dense design's operations; a dense design is not copied.
+and ``consensus_fit`` keeps such a sample group as a CSR row slice and
+makes dense only the n_i x n_i (or p x p, when p <= n_i) system it factors.
+A denser slice is made dense and takes a dense design's operations; a dense
+design is not copied.
 """
 
 from __future__ import annotations
@@ -155,10 +156,12 @@ SPARSE_SLICE_DENSITY = 0.02
 def _block_operand(S: Matrix) -> Matrix:
     """A slice of X as the sweep multiplies it: sparse as stored while its
     entries fill at most ``SPARSE_SLICE_DENSITY`` of it, dense otherwise (a
-    dense slice passes through)."""
+    dense slice passes through). A slice made dense is column-major whatever
+    its format, so a CSR row group takes the BLAS operations, and roundings,
+    of the CSC slice it replaced."""
     n, s = S.shape
     if sp.issparse(S) and S.nnz > SPARSE_SLICE_DENSITY * n * s:
-        return S.toarray()
+        return S.toarray(order="F")
     return S
 
 
@@ -294,11 +297,14 @@ def consensus_fit(X: Matrix, y: np.ndarray,
     groups = chunk_indices(rng.permutation(n), math.ceil(n / copies_wanted))
     N = len(groups)
 
+    # sample groups are row slices, taken from one CSR copy of a sparse X:
+    # a CSC slice would carry a p + 1 long indptr per group
+    rows = X.tocsr() if sp.issparse(X) else X
     solvers = []
     targets = []
     for g in groups:
         idx = np.asarray(g, dtype=int)
-        Xi = _block_operand(X[idx])
+        Xi = _block_operand(rows[idx])
         yi = y[idx]
         w0 = Xi.T @ yi / n
         ni = idx.size
@@ -310,6 +316,7 @@ def consensus_fit(X: Matrix, y: np.ndarray,
             chol = _cholesky(as_dense(Xi @ Xi.T) + n * gamma * np.eye(ni))
             solvers.append(("woodbury", Xi, chol))
         targets.append(w0)
+    del rows
 
     copies = np.zeros((N, p))
     duals = np.zeros((N, p))

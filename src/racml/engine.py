@@ -183,8 +183,12 @@ def solve_block(system: BlockSystem, rhs: np.ndarray) -> np.ndarray:
     Unbounded blocks are a single SPD solve. Bounded blocks run a finite
     active-set procedure: solve the equality-reduced system on the free set,
     clamp violators (the active set only grows within a pass), then release
-    any bound whose multiplier has the wrong sign and repeat. A pass budget
-    of ACTIVE_SET_PASS_FACTOR * s guards against cycling, after which a
+    any bound whose multiplier has the wrong sign and repeat. A multiplier
+    counts as wrong-signed only beyond 1e-14 times max(1, max|Mx|,
+    max|rhs|), the scale of the rounding in grad = Mx - rhs: scaled by the
+    gradient itself, which vanishes at the optimum, the test would release
+    bounds whose multipliers are rounding noise. A pass budget of
+    ACTIVE_SET_PASS_FACTOR * s guards against cycling, after which a
     projected-gradient fallback finishes to PG_TOL.
     """
     x = _chol_solve(system.chol, rhs)
@@ -198,6 +202,7 @@ def solve_block(system: BlockSystem, rhs: np.ndarray) -> np.ndarray:
     x = np.clip(x, lower, upper)
     at_lo = x <= lower
     at_hi = x >= upper
+    rhs_scale = max(1.0, float(np.abs(rhs).max()))
     for _ in range(ACTIVE_SET_PASS_FACTOR * s):
         # Clamp loop: re-solve on the free set until feasible there.
         for _ in range(s + 1):
@@ -219,8 +224,9 @@ def solve_block(system: BlockSystem, rhs: np.ndarray) -> np.ndarray:
             at_lo[f[lo_viol]] = True
             at_hi[f[hi_viol]] = True
         # Optimality: bound multipliers must push into the box.
-        grad = matrix @ x - rhs
-        scale = max(1.0, float(np.max(np.abs(grad))))
+        mx = matrix @ x
+        grad = mx - rhs
+        scale = max(rhs_scale, float(np.abs(mx).max()))
         wrong_lo = at_lo & (grad < -1e-14 * scale)
         wrong_hi = at_hi & (grad > 1e-14 * scale)
         if not (np.any(wrong_lo) or np.any(wrong_hi)):

@@ -87,13 +87,13 @@ class QpProblem:
     """Linearly constrained box QP: min 1/2 x'Hx + c'x  s.t. Ax = b, l <= x <= u.
 
     ``H`` (symmetric PSD) and ``A`` may be absent, meaning a zero quadratic
-    term / no equality constraints. A sparse ``H`` or ``A`` is stored as
-    given when CSR or canonical CSC; any other sparse format, including a
-    non-canonical CSC, is stored as ``as_csc`` makes it, since the sweep
-    slices columns. ``H`` may also be an implicit symmetric operator: an
-    object with ``shape`` whose ``H[:, idx]`` is the dense n x s column
-    strip, ``H[np.ix_(rows, cols)]`` the dense block and ``H @ x`` the
-    product; validation then checks its shape only.
+    term / no equality constraints. A sparse ``H`` or ``A`` of any format,
+    CSR included, is stored as ``as_csc`` makes it, canonical CSC (canonical
+    CSC input uncopied), since the sweep slices columns. ``H`` may also be
+    an implicit symmetric operator: an object with ``shape`` whose
+    ``H[:, idx]`` is the dense n x s column strip, ``H[np.ix_(rows, cols)]``
+    the dense block and ``H @ x`` the product; validation then checks its
+    shape only.
     Bounds default to the whole space (``-inf``/``+inf`` sentinels).
     """
 
@@ -109,7 +109,7 @@ class QpProblem:
         object.__setattr__(self, "c", c)
         n = c.size
         for name in ("H", "A"):
-            if sp.issparse(mat := getattr(self, name)) and mat.format != "csr":
+            if sp.issparse(mat := getattr(self, name)):
                 object.__setattr__(self, name, as_csc(mat))
         if self.b is not None:
             object.__setattr__(self, "b", _vec(self.b, "b"))
@@ -230,49 +230,31 @@ def make_partition(n: int, block_size: int, seed: int = 0,
     return chunk_indices(perm, block_size)
 
 
-def _block_sequences(n: int, p: int, what: str, anchored: bool):
-    """Every sequence of p sorted blocks of n/p indices covering range(n), in
-    lexicographic order. With ``anchored`` each block starts with the smallest
-    index no earlier block holds, so each partition comes once."""
+def enumerate_orders(n: int, p: int) -> list[Order]:
+    """All distinct block update orders for n variables in p equal blocks.
+
+    Two orders are distinct when they differ in block membership or in block
+    sequence; the sweep is invariant to ordering inside a block, so within a
+    block indices are kept sorted. The orders come in lexicographic order,
+    exactly n!/(s!)^p of them.
+    """
     if p < 1 or n % p != 0:
         raise ValueError(f"p must divide n; got n={n}, p={p}")
     if n > MAX_ENUMERATION_VARS:
         raise CapacityError(
-            f"{what} enumeration is limited to n <= {MAX_ENUMERATION_VARS}; got n={n}")
+            f"order enumeration is limited to n <= {MAX_ENUMERATION_VARS}; got n={n}")
     s = n // p
 
     def rec(rest: tuple[int, ...], blocks_left: int):
         if blocks_left == 0:
             yield ()
             return
-        lead = rest[:1] if anchored else ()
-        for more in itertools.combinations(rest[len(lead):], s - len(lead)):
-            head = lead + more
+        for head in itertools.combinations(rest, s):
             remaining = tuple(i for i in rest if i not in head)
             for tail in rec(remaining, blocks_left - 1):
                 yield (head,) + tail
 
-    return rec(tuple(range(n)), p)
-
-
-def enumerate_orders(n: int, p: int) -> list[Order]:
-    """All distinct block update orders for n variables in p equal blocks.
-
-    Two orders are distinct when they differ in block membership or in block
-    sequence; the sweep is invariant to ordering inside a block, so within a
-    block indices are kept sorted. The result has exactly n!/(s!)^p entries.
-    """
-    return list(_block_sequences(n, p, "order", anchored=False))
-
-
-def enumerate_partitions(n: int, p: int) -> list[Order]:
-    """All distinct partitions of n variables into p equal blocks.
-
-    Block order is irrelevant here; the first block is anchored to the
-    smallest unassigned index so each partition appears once. The result has
-    exactly n!/(p!(s!)^p) entries.
-    """
-    return list(_block_sequences(n, p, "partition", anchored=True))
+    return list(rec(tuple(range(n)), p))
 
 
 class Mode(str, Enum):

@@ -67,11 +67,6 @@ def _coupling(H, A, beta: float,
     return H + beta * (Ad.T @ Ad), Ad
 
 
-def coupling_matrix(H, A, beta: float) -> np.ndarray:
-    """The full quadratic coupling H + beta * A'A seen by one sweep."""
-    return _coupling(H, A, beta)[0]
-
-
 def _lower(S: np.ndarray, order: Order) -> np.ndarray:
     """Entries of S whose row block is updated at or after their column
     block; ``order`` must partition range(n)."""
@@ -156,9 +151,9 @@ def _order_averages(S: np.ndarray, Ad: np.ndarray, beta: float, p: int,
     """One pass over every order, keeping running sums only.
 
     Returns Q and M as in ``expected_operators``, the mean of the inverses
-    over each partition's orders (listed in order of first appearance, which
-    is ``enumerate_partitions`` order) and, with ``kron``, the expected
-    Kronecker square. A singular sweep raises BlockDefinitenessError.
+    over each partition's orders (a partition is an order's blocks as a
+    frozenset; listed in order of first appearance) and, with ``kron``, the
+    expected Kronecker square. A singular sweep raises BlockDefinitenessError.
     """
     m, n = Ad.shape
     orders = enumerate_orders(n, p)

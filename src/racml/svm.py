@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -61,19 +61,6 @@ class SvmModel:
     bias: float
     kernel: KernelSpec
     C: float
-
-
-def kernel_eval(xi: np.ndarray, xj: np.ndarray, kernel: KernelSpec) -> float:
-    """K(x_i, x_j) for a single pair."""
-    kernel.validate()
-    xi = np.asarray(xi, dtype=float)
-    xj = np.asarray(xj, dtype=float)
-    if xi.shape != xj.shape:
-        raise ValueError(f"feature dimensions differ: {xi.shape} vs {xj.shape}")
-    if kernel.kind == "linear":
-        return float(xi @ xj)
-    d2 = float(np.sum((xi - xj) ** 2))
-    return math.exp(-d2 / (2.0 * kernel.sigma ** 2))
 
 
 def kernel_cross(Xa: np.ndarray, Xb: np.ndarray,
@@ -286,18 +273,22 @@ def accuracy(model: SvmModel, X_test: Matrix, y_test: np.ndarray) -> float:
 
 def grid_search(X: Matrix, labels: np.ndarray, C_grid: Sequence[float],
                 sigma_grid: Sequence[float], holdout: float = 0.3,
-                config: Optional[SolverConfig] = None, seed: int = 0,
-                threads: int = 1):
+                seed: int = 0, threads: int = 1):
     """Holdout accuracy over every (C, sigma) cell; best pair wins.
 
-    The split is seed-determined; ties break toward smaller C, then smaller
-    sigma. Cells may run concurrently (bounded by ``threads``); results are
-    merged in cell order so the outcome is thread-count independent.
+    The split is seed-determined; each cell trains a Gaussian-kernel model
+    with ``default_config`` for the training part, seeded from ``seed``.
+    Ties break toward smaller C, then smaller sigma. Up to ``threads`` cells
+    run at once; results are merged in cell order so the outcome is
+    thread-count independent. Returns ((C, sigma), table), one table row of
+    c, sigma and holdout accuracy per cell.
     """
     if not C_grid or not sigma_grid:
         raise ValueError("grids must be nonempty")
     if not (0.0 < holdout < 1.0):
         raise ValueError(f"holdout must be in (0, 1), got {holdout}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     Xd = as_dense(X)
     y = np.asarray(labels, dtype=float)
     n = Xd.shape[0]
@@ -319,20 +310,15 @@ def grid_search(X: Matrix, labels: np.ndarray, C_grid: Sequence[float],
     def run_cell(i: int) -> dict:
         c, sigma = cells[i]
         kernel = KernelSpec(kind="gaussian", sigma=sigma)
-        cfg = default_config(len(train_idx), seed=seeds[i]) if config is None \
-            else replace(
-                config, block_size=min(config.block_size, len(train_idx)),
-                seed=seeds[i])
-        model = train(X_train, y_train, c, kernel, cfg)
+        model = train(X_train, y_train, c, kernel,
+                      default_config(len(train_idx), seed=seeds[i]))
         return {"c": c, "sigma": sigma,
                 "accuracy": accuracy(model, X_hold, y_hold)}
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            table = list(pool.map(run_cell, range(len(cells))))
-    else:
-        table = [run_cell(i) for i in range(len(cells))]
+    # imported here, not at module level, to keep ``import racml`` light
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        table = list(pool.map(run_cell, range(len(cells))))
 
     best = max(table, key=lambda row: (row["accuracy"], -row["c"], -row["sigma"]))
     return (best["c"], best["sigma"]), table

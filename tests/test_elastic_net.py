@@ -480,6 +480,41 @@ class TestFit:
             tracemalloc.stop()
         assert peak <= bound
 
+    def test_consensus_groups_are_row_slices(self, monkeypatch):
+        # a sample group is a CSR row slice, whose indptr has n_i + 1
+        # entries, not a CSC slice carrying one of p + 1
+        X = sp.random(200, 3000, density=0.002, random_state=24, format="csc")
+        slices = []
+        operand = en._block_operand
+        monkeypatch.setattr(en, "_block_operand",
+                            lambda S: slices.append(S) or operand(S))
+        consensus_fit(X, np.ones(200), ElasticNetSpec(
+            lam=0.01, alpha=0.9, block_size=300, iters=1))
+        assert len(slices) == 10
+        for S in slices:
+            assert S.format == "csr" and S.shape == (20, 3000)
+            assert S.indptr.size == 21
+
+    def test_consensus_slices_cost_only_their_entries(self):
+        # consensus_fit keeps N x p copies, duals and targets; past those, X's
+        # CSR copy, the group slices and the temporaries fit in five times
+        # X's stored bytes. CSC groups' p + 1 long indptrs would add
+        # N (p + 1) 4 bytes, 1.5 MB here, and break the bound.
+        n, p, s = 1000, 20000, 1000
+        X = sp.random(n, p, density=0.002, random_state=23, format="csc")
+        y = np.random.default_rng(23).standard_normal(n)
+        copies = p // s
+        stored = X.data.nbytes + X.indices.nbytes + X.indptr.nbytes
+        bound = 3 * copies * p * 8 + 5 * stored
+        tracemalloc.start()
+        try:
+            consensus_fit(X, y, ElasticNetSpec(lam=0.01, alpha=0.9,
+                                               block_size=s, iters=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
+
     @pytest.mark.parametrize("fitter", [fit, consensus_fit])
     def test_status_says_why_the_run_stopped(self, fitter):
         rng = np.random.default_rng(14)

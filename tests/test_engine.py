@@ -213,6 +213,66 @@ class TestSolveBlock:
         with pytest.raises(BlockDefinitenessError, match="positive definite"):
             engine._cholesky(np.zeros((1, 1)))
 
+    def test_tie_at_a_bound_takes_no_fallback(self):
+        # the minimizer holds x_0 at its upper bound with a zero multiplier;
+        # M x and rhs are ~1e5, so the computed gradient there is rounding
+        # noise far above an absolute 1e-14
+        matrix = np.array([[4124.191768149985, -3711.4424922074218],
+                           [-3711.4424922074218, 5178.680856328658]])
+        lower = np.array([-np.inf, -48.21135301636291])
+        upper = np.array([61.61964083533591, np.inf])
+        rhs = np.array([-101856.08812585012, 268021.4166752065])
+        fallbacks = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "_projected_gradient",
+                          lambda *args: fallbacks.append(1))
+            x = solve_block(factored(matrix, lower, upper), rhs)
+        assert fallbacks == []
+        assert box_kkt_residual(matrix, rhs, lower, upper, x) <= 1e-13
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_kkt_on_blocks_with_ties(self, data):
+        matrix, lower, upper, rhs = data.draw(tied_box_blocks())
+        x = solve_block(factored(matrix, lower, upper), rhs)
+        assert np.all(x >= lower) and np.all(x <= upper)
+        assert box_kkt_residual(matrix, rhs, lower, upper, x) <= 1e-10
+
+
+def box_kkt_residual(matrix, rhs, lower, upper, x):
+    """||P(x - (Mx - rhs)) - x||_inf over max(1, |Mx|, |rhs|): zero exactly
+    at the minimizer of 1/2 x'Mx - rhs'x over the box."""
+    mx = matrix @ x
+    step = np.clip(x - (mx - rhs), lower, upper) - x
+    return float(np.abs(step).max()) / max(1.0, np.abs(mx).max(),
+                                           np.abs(rhs).max())
+
+
+@st.composite
+def tied_box_blocks(draw):
+    """A random SPD block, box and rhs whose minimizer holds some entries at
+    a bound, half of those with a zero multiplier (a tie); bounds may be
+    one-sided or of zero width, and scales span several decades."""
+    s = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    G = rng.standard_normal((s, s)) * 10 ** rng.uniform(-1, 2)
+    matrix = G @ G.T + 10 ** rng.uniform(-3, 1) * np.eye(s)
+    scale = 10 ** rng.uniform(-1, 3)
+    lower = -scale * rng.uniform(0, 1, s)
+    upper = scale * rng.uniform(0, 1, s)
+    kind = rng.integers(0, 4, s)
+    lower[kind == 1] = -np.inf
+    upper[kind == 2] = np.inf
+    upper[kind == 3] = lower[kind == 3]
+    x = np.clip(rng.uniform(-scale, scale, s), lower, upper)
+    state = rng.integers(0, 3, s)
+    x = np.where((state == 1) & np.isfinite(lower), lower, x)
+    x = np.where((state == 2) & np.isfinite(upper), upper, x)
+    multiplier = rng.exponential(scale, s) * (rng.uniform(size=s) < 0.5)
+    grad = np.where(x == lower, multiplier,
+                    np.where(x == upper, -multiplier, 0.0))
+    return matrix, lower, upper, matrix @ x - grad
+
 
 @st.composite
 def factored_blocks(draw):

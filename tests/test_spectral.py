@@ -9,11 +9,9 @@ from racml.problems import (
     CapacityError,
     QpProblem,
     enumerate_orders,
-    enumerate_partitions,
 )
 from racml.spectral import (
     certify,
-    coupling_matrix,
     expected_operators,
     gauss_seidel_matrix,
     iteration_map,
@@ -33,6 +31,26 @@ def random_instance(seed, n=4, m=2, h_zero=False):
     return H, A
 
 
+def anchored_partitions(n, p):
+    """Oracle: every partition of range(n) into p blocks of n/p indices,
+    once each, as each block starts with the smallest index no earlier
+    block holds; they come in the order of their first appearance among
+    ``enumerate_orders``' orders."""
+    s = n // p
+
+    def rec(rest):
+        if not rest:
+            yield ()
+            return
+        for more in itertools.combinations(rest[1:], s - 1):
+            head = rest[:1] + more
+            remaining = tuple(i for i in rest if i not in head)
+            for tail in rec(remaining):
+                yield (head,) + tail
+
+    return list(rec(tuple(range(n))))
+
+
 class TestGaussSeidelMatrix:
     def test_identity_data_gives_identity(self):
         L = gauss_seidel_matrix(None, np.eye(2), 1.0, ((0,), (1,)))
@@ -43,7 +61,7 @@ class TestGaussSeidelMatrix:
         # L keeps exactly the diagonal-and-below blocks of the coupling
         # matrix; transposing the strictly-below part restores the rest
         H, A = random_instance(seed)
-        S = coupling_matrix(H, A, 0.7)
+        S = H + 0.7 * (A.T @ A)
         for order in enumerate_orders(4, 2):
             L = gauss_seidel_matrix(H, A, 0.7, order)
             g1, g2 = order
@@ -172,13 +190,13 @@ def reference_certificate(H, A, beta, p):
     square from one iteration map per order: an independent reference for
     certify's single pass.
     """
-    S = coupling_matrix(H, A, beta)
+    S = beta * (A.T @ A) if H is None else H + beta * (A.T @ A)
     n = S.shape[0]
     orders = enumerate_orders(n, p)
     Q = sum(np.linalg.inv(gauss_seidel_matrix(H, A, beta, o))
             for o in orders) / len(orders)
     maxima = []
-    for partition in enumerate_partitions(n, p):
+    for partition in anchored_partitions(n, p):
         perms = list(itertools.permutations(partition))
         Qp = sum(np.linalg.inv(gauss_seidel_matrix(H, A, beta, g))
                  for g in perms) / len(perms)
@@ -218,7 +236,7 @@ class TestCertifyAgainstReference:
         H = (1.0 + a) * np.eye(n) - a * np.ones((n, n))
         A = np.random.default_rng(n).standard_normal((1, n))
         beta = 0.1
-        assert spectral._psd_root(coupling_matrix(H, A, beta)) is None
+        assert spectral._psd_root(H + beta * (A.T @ A)) is None
         eig_qs, maxima, rho = reference_certificate(H, A, beta, p)
         cert = certify(H, A, beta, p, kron=True)
         assert cert.assumption1_ok
@@ -327,7 +345,8 @@ class TestCouplingInputs:
         H, _ = random_instance(8, n=4)
         no_rows = np.zeros((0, 4))
         order = ((2, 0), (1, 3))
-        np.testing.assert_array_equal(coupling_matrix(H, None, 0.5), H)
+        np.testing.assert_array_equal(expected_operators(H, None, 0.5, 2)[1],
+                                      H)
         np.testing.assert_array_equal(gauss_seidel_matrix(H, None, 0.5, order),
                                       gauss_seidel_matrix(H, no_rows, 0.5, order))
         got = iteration_map(H, None, 0.5, order)

@@ -23,12 +23,18 @@ from racml.svm import (
     default_config,
     grid_search,
     kernel_cross,
-    kernel_eval,
     load_model,
     predict,
     save_model,
     train,
 )
+
+
+def kernel_value(xi, xj, kernel):
+    """Oracle: K(x_i, x_j) for one pair, by the direct formula."""
+    if kernel.kind == "linear":
+        return float(xi @ xj)
+    return math.exp(-float(np.sum((xi - xj) ** 2)) / (2.0 * kernel.sigma ** 2))
 
 
 def full_kernel_matrix(X, y, kernel):
@@ -37,36 +43,38 @@ def full_kernel_matrix(X, y, kernel):
     Q = np.empty((n, n))
     for i in range(n):
         for j in range(n):
-            Q[i, j] = y[i] * y[j] * kernel_eval(X[i], X[j], kernel)
+            Q[i, j] = y[i] * y[j] * kernel_value(X[i], X[j], kernel)
     return Q
+
+
+def pair_kernel(xi, xj, kernel):
+    """kernel_cross on one row each."""
+    return float(kernel_cross(xi[None, :], xj[None, :], kernel)[0, 0])
 
 
 class TestKernelEval:
     def test_gaussian_at_zero_distance(self):
         x = np.array([1.0, -2.0, 3.0])
         for sigma in (0.1, 1.0, 10.0):
-            assert kernel_eval(x, x, KernelSpec("gaussian", sigma)) == 1.0
+            got = pair_kernel(x, x, KernelSpec("gaussian", sigma))
+            assert got == pytest.approx(1.0, rel=1e-12)
 
     def test_gaussian_at_two_sigma_squared(self):
         sigma = 1.7
         xi = np.array([0.0])
         xj = np.array([math.sqrt(2.0) * sigma])
-        got = kernel_eval(xi, xj, KernelSpec("gaussian", sigma))
+        got = pair_kernel(xi, xj, KernelSpec("gaussian", sigma))
         assert got == pytest.approx(math.exp(-1.0), rel=1e-12)
-        assert got == pytest.approx(0.36787944117144233)
+        assert got == pytest.approx(0.36787944117144233, rel=1e-12)
 
     def test_linear_dot_product(self):
-        got = kernel_eval(np.array([1.0, 2.0]), np.array([3.0, 4.0]),
+        got = pair_kernel(np.array([1.0, 2.0]), np.array([3.0, 4.0]),
                           KernelSpec("linear"))
-        assert got == 11.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            kernel_eval(np.zeros(2), np.zeros(3), KernelSpec("linear"))
+        assert got == pytest.approx(11.0, rel=1e-12)
 
     def test_invalid_sigma(self):
         with pytest.raises(ValueError):
-            kernel_eval(np.zeros(1), np.zeros(1), KernelSpec("gaussian", 0.0))
+            pair_kernel(np.zeros(1), np.zeros(1), KernelSpec("gaussian", 0.0))
 
     def test_nan_sigma_refused(self):
         with pytest.raises(ValueError, match="sigma"):
@@ -627,6 +635,11 @@ class TestGridSearch:
             grid_search(tr.X, tr.y, [1.0], [1.0], holdout=1.5, seed=0)
         with pytest.raises(ValueError):
             grid_search(tr.X, tr.y, [], [1.0], holdout=0.3, seed=0)
+
+    def test_threads_below_one_refused(self):
+        tr = gen_blobs(10, 2, 6.0, seed=23)
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            grid_search(tr.X, tr.y, [1.0], [1.0], threads=0)
 
 
 class TestSerialization:
