@@ -7,11 +7,9 @@ from .problems import (
     SolveResult,
     SolverConfig,
     Status,
-    ValidationReport,
     enumerate_orders,
     load_qp_manifest,
     make_partition,
-    validate_problem,
 )
 from .engine import (
     BlockDefinitenessError,

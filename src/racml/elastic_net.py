@@ -52,7 +52,8 @@ def _note_alloc(count: int) -> None:
 
 @dataclass(frozen=True)
 class ElasticNetSpec:
-    """Regression hyperparameters and sweep settings."""
+    """Regression hyperparameters and sweep settings, checked when built:
+    an invalid setting raises ValueError."""
 
     lam: float
     alpha: float
@@ -63,7 +64,7 @@ class ElasticNetSpec:
     seed: int = 0
     tol: Optional[float] = None  # stop early when ||beta - z||_1 <= tol
 
-    def validate(self) -> None:
+    def __post_init__(self):
         # written so that NaN fails every range test
         if not 0 <= self.lam < math.inf:
             raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
@@ -213,7 +214,6 @@ def fit(X: Matrix, y: np.ndarray, spec: ElasticNetSpec) -> ElasticNetModel:
     With lam=0 the splitting residual vanishes identically after every
     z-step, so use the fixed-sweep protocol there.
     """
-    spec.validate()
     n, p = X.shape
     X, y, c = _checked_inputs(X, y)
     gamma = resolve_gamma(spec)
@@ -285,7 +285,6 @@ def consensus_fit(X: Matrix, y: np.ndarray,
     copies, and steps the duals. Stopping matches ``fit``: ``spec.iters``
     sweeps, or mean ||copy - z||_1 <= tol.
     """
-    spec.validate()
     n, p = X.shape
     X, y, _ = _checked_inputs(X, y)
     gamma = resolve_gamma(spec)

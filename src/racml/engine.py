@@ -49,7 +49,6 @@ from .problems import (
     SweepRun,
     as_dense,
     chunk_indices,
-    validate_problem,
 )
 
 # Primal residual blowing up past this multiple of its initial value (floored
@@ -379,9 +378,6 @@ def solve(problem: QpProblem, config: SolverConfig,
     ``sweep_hook(k, x, y)``, when given, observes the iterate after sweep k
     (1-based); it must not mutate its arguments.
     """
-    report = validate_problem(problem)
-    if not report.ok:
-        raise ValueError("invalid problem: " + "; ".join(report.issues))
     n = problem.n
     config.validate(n)
     beta = config.beta_penalty

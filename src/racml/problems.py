@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 import scipy.io
@@ -92,9 +92,12 @@ class QpProblem:
     CSC input uncopied), since the sweep slices columns. ``H`` may also be
     an implicit symmetric operator: an object with ``shape`` whose
     ``H[:, idx]`` is the dense n x s column strip, ``H[np.ix_(rows, cols)]``
-    the dense block and ``H @ x`` the product; validation then checks its
-    shape only.
+    the dense block and ``H @ x`` the product; only its shape is checked.
     Bounds default to the whole space (``-inf``/``+inf`` sentinels).
+
+    A problem is valid once built: construction checks every invariant on
+    the stored data and raises one ``ValueError("invalid problem: ...")``
+    listing all violations.
     """
 
     c: np.ndarray
@@ -119,6 +122,48 @@ class QpProblem:
             else np.full(n, np.inf)
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
+        if issues := self._violations():
+            raise ValueError("invalid problem: " + "; ".join(issues))
+
+    def _violations(self) -> list[str]:
+        issues: list[str] = []
+        n, H, A, b = self.n, self.H, self.A, self.b
+        if H is not None:
+            explicit = isinstance(H, np.ndarray) or sp.issparse(H)
+            if explicit:
+                issues += matrix_violations(H, "H")
+            if H.shape != (n, n):
+                issues.append(f"H: expected shape ({n}, {n}), got {H.shape}")
+            elif explicit and not issues and n:
+                # sparse H stays sparse: abs and max work on its stored entries
+                H = H if sp.issparse(H) else as_dense(H)
+                scale = max(1.0, float(abs(H).max()))
+                if abs(H - H.T).max() > 1e-12 * scale:
+                    issues.append("H: not symmetric within 1e-12 relative tolerance")
+        if A is not None:
+            issues += matrix_violations(A, "A")
+            if A.ndim == 2 and A.shape[1] != n:
+                issues.append(f"A: expected {n} columns, got {A.shape[1]}")
+            if b is None:
+                issues.append("b: required when A is present")
+            elif A.ndim == 2 and b.size != A.shape[0]:
+                issues.append(
+                    f"b: length {b.size} does not match {A.shape[0]} rows of A")
+            if b is not None and not np.all(np.isfinite(b)):
+                issues.append("b: contains non-finite entries")
+        elif b is not None and b.size:
+            issues.append("b: present without A")
+        if not np.all(np.isfinite(self.c)):
+            issues.append("c: contains non-finite entries")
+        for name, v in (("lower", self.lower), ("upper", self.upper)):
+            if v.size != n:
+                issues.append(f"{name}: length {v.size} does not match n={n}")
+            if np.any(np.isnan(v)):
+                issues.append(f"{name}: contains NaN")
+        if self.lower.size == n and self.upper.size == n and \
+                np.any(self.lower > self.upper):
+            issues.append("bounds: lower > upper for at least one variable")
+        return issues
 
     @property
     def n(self) -> int:
@@ -129,65 +174,6 @@ class QpProblem:
         if self.A is None:
             return 0
         return self.A.shape[0]
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Accumulated invariant violations; empty means the problem is valid."""
-
-    issues: tuple[str, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.issues
-
-    def __bool__(self) -> bool:  # truthy iff valid
-        return self.ok
-
-
-def validate_problem(problem: QpProblem) -> ValidationReport:
-    """Check every QpProblem invariant and report all violations.
-
-    Validation never raises; an empty report means the problem is valid.
-    """
-    issues: list[str] = []
-    n = problem.n
-    if problem.H is not None:
-        explicit = isinstance(problem.H, np.ndarray) or sp.issparse(problem.H)
-        if explicit:
-            issues += matrix_violations(problem.H, "H")
-        if problem.H.shape != (n, n):
-            issues.append(f"H: expected shape ({n}, {n}), got {problem.H.shape}")
-        elif explicit and not issues and n:
-            # sparse H stays sparse: abs and max work on its stored entries
-            H = problem.H if sp.issparse(problem.H) else as_dense(problem.H)
-            scale = max(1.0, float(abs(H).max()))
-            if abs(H - H.T).max() > 1e-12 * scale:
-                issues.append("H: not symmetric within 1e-12 relative tolerance")
-    if problem.A is not None:
-        issues += matrix_violations(problem.A, "A")
-        if problem.A.shape[1] != n:
-            issues.append(f"A: expected {n} columns, got {problem.A.shape[1]}")
-        if problem.b is None:
-            issues.append("b: required when A is present")
-        elif problem.b.size != problem.A.shape[0]:
-            issues.append(
-                f"b: length {problem.b.size} does not match {problem.A.shape[0]} rows of A")
-        if problem.b is not None and not np.all(np.isfinite(problem.b)):
-            issues.append("b: contains non-finite entries")
-    elif problem.b is not None and problem.b.size:
-        issues.append("b: present without A")
-    if not np.all(np.isfinite(problem.c)):
-        issues.append("c: contains non-finite entries")
-    for name, v in (("lower", problem.lower), ("upper", problem.upper)):
-        if v.size != n:
-            issues.append(f"{name}: length {v.size} does not match n={n}")
-        if np.any(np.isnan(v)):
-            issues.append(f"{name}: contains NaN")
-    if problem.lower.size == n and problem.upper.size == n and \
-            np.any(problem.lower > problem.upper):
-        issues.append("bounds: lower > upper for at least one variable")
-    return ValidationReport(tuple(issues))
 
 
 # A block order: the blocks one sweep updates, in sweep order, each a
@@ -230,13 +216,15 @@ def make_partition(n: int, block_size: int, seed: int = 0,
     return chunk_indices(perm, block_size)
 
 
-def enumerate_orders(n: int, p: int) -> list[Order]:
-    """All distinct block update orders for n variables in p equal blocks.
+def iter_orders(n: int, p: int) -> Iterator[Order]:
+    """Every distinct block update order for n variables in p equal blocks,
+    one at a time.
 
     Two orders are distinct when they differ in block membership or in block
     sequence; the sweep is invariant to ordering inside a block, so within a
     block indices are kept sorted. The orders come in lexicographic order,
-    exactly n!/(s!)^p of them.
+    exactly n!/(s!)^p of them. The arguments are checked before the first
+    order is drawn.
     """
     if p < 1 or n % p != 0:
         raise ValueError(f"p must divide n; got n={n}, p={p}")
@@ -254,7 +242,12 @@ def enumerate_orders(n: int, p: int) -> list[Order]:
             for tail in rec(remaining, blocks_left - 1):
                 yield (head,) + tail
 
-    return list(rec(tuple(range(n)), p))
+    return rec(tuple(range(n)), p)
+
+
+def enumerate_orders(n: int, p: int) -> list[Order]:
+    """The orders of ``iter_orders`` as a list."""
+    return list(iter_orders(n, p))
 
 
 class Mode(str, Enum):

@@ -26,7 +26,7 @@ from .problems import (
     Order,
     QpProblem,
     as_dense,
-    enumerate_orders,
+    iter_orders,
 )
 
 # Eigensolver imaginary dust below this magnitude counts as real.
@@ -45,23 +45,21 @@ def _coupling(H, A, beta: float,
               order: Optional[Order] = None) -> tuple[np.ndarray, np.ndarray]:
     """The coupling matrix H + beta * A'A and A as a dense m x n array.
 
-    ``A=None`` has no rows (m = 0), and H then sets n. Refuses a beta that
-    is not finite and > 0, a non-square H, a non-finite H or A, and an
+    ``A=None`` has no rows (m = 0), and H then sets n. H and A are checked
+    as a ``QpProblem`` checks them, so what ``solve`` refuses is refused
+    here too. Also refuses a beta that is not finite and > 0 and an
     ``order`` given that does not partition range(n).
     """
     if not 0 < beta < math.inf:
         raise ValueError(f"beta must be finite and > 0, got {beta}")
-    if A is None:
-        if H is None:
-            raise ValueError("H and A cannot both be None")
-        A = np.zeros((0, len(as_dense(H))))
-    Ad = as_dense(A)
-    n = Ad.shape[1]
-    H = np.zeros((n, n)) if H is None else as_dense(H)
-    if H.shape != (n, n):
-        raise ValueError(f"H has shape {H.shape}, expected ({n}, {n})")
-    if not (np.all(np.isfinite(H)) and np.all(np.isfinite(Ad))):
-        raise ValueError("H and A must be finite")
+    if H is None and A is None:
+        raise ValueError("H and A cannot both be None")
+    H = None if H is None else as_dense(H)
+    Ad = np.zeros((0, len(H))) if A is None else as_dense(A)
+    n = Ad.shape[-1]
+    QpProblem(c=np.zeros(n), H=H, A=Ad, b=np.zeros(len(Ad)))
+    if H is None:
+        H = np.zeros((n, n))
     if order is not None and sorted(i for g in order for i in g) != list(range(n)):
         raise ValueError(f"order {order} does not partition range({n})")
     return H + beta * (Ad.T @ Ad), Ad
@@ -156,21 +154,22 @@ def _order_averages(S: np.ndarray, Ad: np.ndarray, beta: float, p: int,
     expected Kronecker square. A singular sweep raises BlockDefinitenessError.
     """
     m, n = Ad.shape
-    orders = enumerate_orders(n, p)
     Q = np.zeros((n, n))
     K = np.zeros(((n + m) ** 2, (n + m) ** 2)) if kron else None
     partition_Q = defaultdict(lambda: np.zeros((n, n)))
-    for order in orders:
+    count = 0
+    for order in iter_orders(n, p):  # streamed: (10, 10) has 3,628,800
+        count += 1
         L_inv = _lower_inv(S, order)
         Q += L_inv
         partition_Q[frozenset(order)] += L_inv
         if kron:
             M_order = _sweep_map(L_inv, S, Ad, beta)
             K += np.kron(M_order, M_order)
-    Q /= len(orders)
+    Q /= count
     partition_means = [total / math.factorial(p) for total in partition_Q.values()]
     return (Q, _sweep_map(Q, S, Ad, beta), partition_means,
-            None if K is None else K / len(orders))
+            None if K is None else K / count)
 
 
 def expected_operators(H, A, beta: float, p: int

@@ -39,12 +39,13 @@ class DegenerateSplitError(ValueError):
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel choice; ``sigma`` is the Gaussian bandwidth."""
+    """Kernel choice; ``sigma`` is the Gaussian bandwidth. Checked when
+    built: an unknown kind or a Gaussian sigma not > 0 raises ValueError."""
 
     kind: str = "gaussian"  # "gaussian" or "linear"
     sigma: float = 1.0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.kind not in ("gaussian", "linear"):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         if self.kind == "gaussian" and not self.sigma > 0:  # NaN fails too
@@ -66,7 +67,6 @@ class SvmModel:
 def kernel_cross(Xa: np.ndarray, Xb: np.ndarray,
                  kernel: KernelSpec) -> np.ndarray:
     """Kernel values between every row of Xa and every row of Xb."""
-    kernel.validate()
     Xa = np.asarray(Xa, dtype=float)
     Xb = np.asarray(Xb, dtype=float)
     if kernel.kind == "linear":
@@ -171,7 +171,6 @@ def train(X: Matrix, labels: np.ndarray, C: float, kernel: KernelSpec,
     block matrix Q_bb + beta y_b y_b' can have, keeps the factorizations
     honest without moving the optimum measurably.
     """
-    kernel.validate()
     Xd = as_dense(X)
     y = np.asarray(labels, dtype=float)
     n = Xd.shape[0]

@@ -132,7 +132,7 @@ class TestQpSolve:
         assert rec["metrics"]["status"] == "max_iters"
 
     def test_invalid_problem_exits_two(self, tiny_qp_manifest, capsys):
-        # the solver's own validation rejects an asymmetric H
+        # a problem with an asymmetric H is refused when the manifest loads
         scipy.io.mmwrite(tiny_qp_manifest.parent / "H.mtx",
                          sp.csc_matrix(np.array([[1.0, 2.0], [0.0, 1.0]])))
         assert run(["qp", "solve", "--manifest", str(tiny_qp_manifest),
@@ -205,6 +205,17 @@ class TestElasticNetCli:
                     "--lambda", "0.1", "--gamma", "bogus"])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["rac", "consensus"])
+    def test_invalid_spec_exits_two(self, tmp_path, capsys, mode):
+        ds, _ = gen_regression(10, 5, seed=0)
+        data = tmp_path / "d.txt"
+        write_libsvm(ds, data)
+        assert run(["elastic-net", "fit", "--data", str(data), "--mode", mode,
+                    "--lambda", "0.1", "--alpha", "2"]) == 2
+        captured = capsys.readouterr()
+        assert "racml: error: alpha must be in [0, 1], got 2.0" in captured.err
+        assert captured.out == ""
 
     def test_center_scale_matches_standardized_fit(self, tmp_path, capsys):
         ds, _ = gen_regression(30, 6, x_density=1.0, coef_density=1.0,
@@ -336,6 +347,21 @@ class TestSvmCli:
         assert captured.out == ""
         assert not model_path.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--sigma", "0"], "sigma must be > 0, got 0.0"),
+        (["grid", "--c-grid", "1", "--sigma-grid", "-1"],
+         "sigma must be > 0, got -1.0"),
+        (["grid", "--c-grid", " , ", "--sigma-grid", "1"],
+         "empty grid: ' , '"),
+    ])
+    def test_invalid_settings_exit_two(self, tmp_path, capsys, argv, message):
+        train_file = tmp_path / "train.txt"
+        write_libsvm(gen_blobs(10, 2, 6.0, seed=0), train_file)
+        assert run(["svm", *argv, "--data", str(train_file)]) == 2
+        captured = capsys.readouterr()
+        assert f"racml: error: {message}" in captured.err
+        assert captured.out == ""
+
     def test_predict_reads_data_without_the_last_feature(self, tmp_path,
                                                          capsys):
         tr = gen_blobs(20, 3, 6.0, seed=0)
@@ -397,6 +423,36 @@ class TestSpectralCli:
                     str(identity_manifest), "--blocks", blocks]) == 2
         captured = capsys.readouterr()
         assert f"racml: error: p must be >= 1, got p={blocks}" in captured.err
+        assert captured.out == ""
+
+    def test_pretty_prints_the_verdicts(self, identity_manifest, capsys):
+        def table():
+            assert run(["spectral", "certify", "--manifest",
+                        str(identity_manifest), "--blocks", "2",
+                        "--pretty"]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            return dict(line.split(None, 1) for line in lines)
+
+        got = table()
+        assert list(got) == ["n", "m", "p", "beta", "assumption1_ok",
+                             "lemma2_ok", "as_ok", "rho_kron"]
+        assert got["n"] == "2" and got["beta"] == "1"
+        assert got["lemma2_ok"] == got["as_ok"] == "True"
+        assert got["rho_kron"] == "0"
+        # a zero column makes the sweep singular: only one verdict remains
+        scipy.io.mmwrite(identity_manifest.parent / "A.mtx",
+                         sp.csc_matrix(np.array([[1.0, 0.0], [2.0, 0.0]])))
+        got = table()
+        assert got["assumption1_ok"] == "False"
+        assert got["lemma2_ok"] == got["as_ok"] == got["rho_kron"] == "-"
+
+    def test_asymmetric_h_exits_two(self, tiny_qp_manifest, capsys):
+        scipy.io.mmwrite(tiny_qp_manifest.parent / "H.mtx",
+                         sp.csc_matrix(np.array([[1.0, 2.0], [0.0, 1.0]])))
+        assert run(["spectral", "certify", "--manifest",
+                    str(tiny_qp_manifest), "--blocks", "2"]) == 2
+        captured = capsys.readouterr()
+        assert "racml: error: invalid problem: H: not symmetric" in captured.err
         assert captured.out == ""
 
     def test_nan_beta_exits_two(self, identity_manifest, capsys):

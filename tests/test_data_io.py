@@ -53,6 +53,11 @@ class TestParse:
         assert ds.y.size == 0
         assert parse_libsvm(io.StringIO("")).feature_count == 0
 
+    def test_blank_lines_are_skipped(self):
+        ds = parse_libsvm(io.StringIO("\n+1 1:0.5\n   \n\n-1 2:1\n\n"))
+        assert ds.y.tolist() == [1.0, -1.0]
+        np.testing.assert_array_equal(as_dense(ds.X), [[0.5, 0.0], [0.0, 1.0]])
+
     def test_declared_features_extends(self):
         ds = parse_libsvm(io.StringIO("1 2:1\n"), declared_features=5)
         assert ds.feature_count == 5

@@ -542,24 +542,26 @@ class TestFit:
         assert model.iterations == 1
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            fit(np.eye(2), np.zeros(2),
-                ElasticNetSpec(lam=-1.0, alpha=0.5))
-        with pytest.raises(ValueError):
-            fit(np.eye(2), np.zeros(2),
-                ElasticNetSpec(lam=1.0, alpha=2.0))
-        with pytest.raises(ValueError):
-            fit(np.eye(2), np.zeros(2),
-                ElasticNetSpec(lam=1.0, alpha=0.5, mode=Mode.CYCLIC))
+        # an invalid spec cannot be built, so it never reaches fit
+        with pytest.raises(ValueError, match="lam"):
+            ElasticNetSpec(lam=-1.0, alpha=0.5)
+        with pytest.raises(ValueError, match="alpha"):
+            ElasticNetSpec(lam=1.0, alpha=2.0)
+        with pytest.raises(ValueError, match="mode"):
+            ElasticNetSpec(lam=1.0, alpha=0.5, mode=Mode.CYCLIC)
+        with pytest.raises(ValueError, match="block_size must be >= 1"):
+            ElasticNetSpec(lam=1.0, alpha=0.5, block_size=0)
+        with pytest.raises(ValueError, match="iters must be >= 1"):
+            ElasticNetSpec(lam=1.0, alpha=0.5, iters=0)
 
     @pytest.mark.parametrize("field, value", [
         ("lam", math.nan), ("lam", math.inf), ("gamma", math.nan),
         ("gamma", math.inf), ("tol", math.nan), ("tol", -1.0)])
     def test_non_finite_settings_refused(self, field, value):
-        # each of these used to run to the sweep cap on NaN iterates
-        spec = ElasticNetSpec(**{"lam": 0.1, "alpha": 0.5, field: value})
+        # each of these used to run to the sweep cap on NaN iterates; such
+        # a spec cannot be built
         with pytest.raises(ValueError, match=field):
-            fit(np.eye(3), np.ones(3), spec)
+            ElasticNetSpec(**{"lam": 0.1, "alpha": 0.5, field: value})
 
 
 class TestEvaluate:

@@ -511,10 +511,9 @@ class TestSolve:
             solve(prob, SolverConfig(block_size=1, beta_penalty=beta))
 
     def test_invalid_problem_rejected(self):
-        prob = QpProblem(c=np.zeros(2), H=np.array([[1.0, 2.0], [0.0, 1.0]]))
-        cfg = SolverConfig(block_size=1)
+        # an invalid problem cannot be built, so it never reaches solve
         with pytest.raises(ValueError, match="invalid problem"):
-            solve(prob, cfg)
+            QpProblem(c=np.zeros(2), H=np.array([[1.0, 2.0], [0.0, 1.0]]))
 
     def test_medium_boxed_qp(self):
         # a few hundred variables with active bounds, multiple blocks

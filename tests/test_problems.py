@@ -19,7 +19,6 @@ from racml.problems import (
     load_qp_manifest,
     make_partition,
     matrix_violations,
-    validate_problem,
 )
 
 
@@ -27,34 +26,31 @@ class TestValidateProblem:
     def test_consistent_problem_is_clean(self):
         p = QpProblem(c=np.zeros(2), H=np.eye(2),
                       A=np.array([[1.0, 1.0]]), b=np.array([2.0]))
-        assert validate_problem(p).ok
+        assert (p.n, p.m) == (2, 1)
 
     def test_asymmetric_h_reported(self):
-        p = QpProblem(c=np.zeros(2), H=np.array([[1.0, 2.0], [0.0, 1.0]]))
-        report = validate_problem(p)
-        assert not report.ok
-        assert any("symmetric" in msg for msg in report.issues)
+        with pytest.raises(ValueError, match="symmetric"):
+            QpProblem(c=np.zeros(2), H=np.array([[1.0, 2.0], [0.0, 1.0]]))
 
     def test_sparse_asymmetric_h_reported(self):
         H = sp.csc_matrix(np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0],
                                     [0.0, 0.0, 1.0]]))
-        report = validate_problem(QpProblem(c=np.zeros(3), H=H))
-        assert report.issues == (
-            "H: not symmetric within 1e-12 relative tolerance",)
-        assert validate_problem(QpProblem(c=np.zeros(3), H=H + H.T)).ok
+        with pytest.raises(ValueError) as err:
+            QpProblem(c=np.zeros(3), H=H)
+        assert str(err.value) == (
+            "invalid problem: H: not symmetric within 1e-12 relative tolerance")
+        QpProblem(c=np.zeros(3), H=H + H.T)
 
     def test_sparse_h_is_checked_without_a_dense_copy(self):
         n = 3000
         H = sp.diags([-np.ones(n - 1), 4.0 * np.ones(n), -np.ones(n - 1)],
                      [-1, 0, 1], format="csc")
-        problem = QpProblem(c=np.zeros(n), H=H)
         tracemalloc.start()
         try:
-            report = validate_problem(problem)
+            QpProblem(c=np.zeros(n), H=H)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert report.ok
         # one dense n x n copy of H would take 72 MB
         assert peak < 2e6
 
@@ -71,7 +67,6 @@ class TestValidateProblem:
         A = rng.standard_normal((2, n))
         c, b = rng.standard_normal(n), A @ rng.standard_normal(n)
         problem = QpProblem(c=c, H=H, A=A, b=b)
-        assert validate_problem(problem).ok
         cfg = SolverConfig(mode=Mode.RAC, block_size=3, beta_penalty=1.0,
                            max_iters=30, seed=n)
         got = solve(problem, cfg)
@@ -85,7 +80,6 @@ class TestValidateProblem:
         A = sp.csc_matrix((np.array([1.0, 2.0]), np.array([0, 0]),
                            np.array([0, 2])), shape=(1, 1))
         problem = QpProblem(c=np.zeros(1), A=A, b=np.array([3.0]))
-        assert validate_problem(problem).ok
         assert problem.A.toarray().tolist() == [[3.0]]
         assert matrix_violations(A)  # the caller's matrix is left as given
 
@@ -119,21 +113,47 @@ class TestValidateProblem:
         assert np.array_equal(got.y, want.y)
 
     def test_bound_order_reported(self):
-        p = QpProblem(c=np.zeros(1), lower=np.array([1.0]),
+        with pytest.raises(ValueError, match="lower > upper"):
+            QpProblem(c=np.zeros(1), lower=np.array([1.0]),
                       upper=np.array([0.0]))
-        report = validate_problem(p)
-        assert any("lower > upper" in msg for msg in report.issues)
 
-    def test_validation_never_raises_on_garbage(self):
-        p = QpProblem(c=np.array([np.nan, 1.0]),
-                      H=np.full((2, 2), np.inf),
+    def test_one_error_lists_every_issue(self):
+        with pytest.raises(ValueError) as err:
+            QpProblem(c=np.array([np.nan, 1.0]), H=np.full((2, 2), np.inf),
                       A=np.zeros((3, 5)), b=np.zeros(2))
-        report = validate_problem(p)
-        assert len(report.issues) >= 3
+        assert str(err.value) == (
+            "invalid problem: H: contains non-finite entries; "
+            "A: expected 2 columns, got 5; "
+            "b: length 2 does not match 3 rows of A; "
+            "c: contains non-finite entries")
 
     def test_b_without_a(self):
-        p = QpProblem(c=np.zeros(2), b=np.array([1.0]))
-        assert any("without A" in msg for msg in validate_problem(p).issues)
+        with pytest.raises(ValueError, match="without A"):
+            QpProblem(c=np.zeros(2), b=np.array([1.0]))
+
+    @pytest.mark.parametrize("fields, message", [
+        (dict(H=np.eye(3)), "H: expected shape (2, 2), got (3, 3)"),
+        (dict(H=sp.eye(2, 3, format="csc")),
+         "H: expected shape (2, 2), got (2, 3)"),
+        (dict(H=sp.csc_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))),
+         "H: contains non-finite entries"),
+        (dict(A=np.ones((1, 2))), "b: required when A is present"),
+        (dict(A=np.ones((1, 2)), b=np.array([np.inf])),
+         "b: contains non-finite entries"),
+        (dict(lower=np.zeros(3)), "lower: length 3 does not match n=2"),
+        (dict(upper=np.zeros(1)), "upper: length 1 does not match n=2"),
+        (dict(lower=np.array([0.0, np.nan])), "lower: contains NaN"),
+        (dict(upper=np.array([np.nan, 0.0])), "upper: contains NaN"),
+    ])
+    def test_each_issue_is_named(self, fields, message):
+        with pytest.raises(ValueError) as err:
+            QpProblem(c=np.zeros(2), **fields)
+        assert str(err.value) == "invalid problem: " + message
+
+    def test_vectors_must_be_one_dimensional(self):
+        with pytest.raises(ValueError,
+                           match=r"c must be a 1-D vector, got shape \(2, 1\)"):
+            QpProblem(c=np.zeros((2, 1)))
 
 
 class TestMatrixViolations:
@@ -317,7 +337,6 @@ class TestManifest:
         np.testing.assert_allclose(prob.b, [3.0])
         np.testing.assert_allclose(prob.lower, [0.0, 0.0])
         assert np.all(np.isinf(prob.upper))
-        assert validate_problem(prob).ok
 
     def test_dimension_mismatch(self, tmp_path):
         import json
@@ -326,6 +345,33 @@ class TestManifest:
         path = tmp_path / "problem.json"
         path.write_text(json.dumps({"n": 2, "m": 0, "c": "c.txt"}))
         with pytest.raises(ValueError):
+            load_qp_manifest(path)
+
+    def test_dense_matrix_market_stays_dense(self, tmp_path):
+        import json
+        import scipy.io
+
+        H = np.array([[2.0, 0.5], [0.5, 1.0]])
+        scipy.io.mmwrite(tmp_path / "H.mtx", H)  # array format
+        (tmp_path / "c.txt").write_text("1.0\n-2.0\n")
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({"n": 2, "H": "H.mtx", "c": "c.txt"}))
+        prob = load_qp_manifest(path)
+        assert isinstance(prob.H, np.ndarray) and prob.H.dtype == float
+        np.testing.assert_array_equal(prob.H, H)
+
+    def test_constraint_matrix_of_wrong_shape(self, tmp_path):
+        import json
+        import scipy.io
+
+        scipy.io.mmwrite(tmp_path / "A.mtx", sp.csc_matrix(np.eye(2)))
+        (tmp_path / "c.txt").write_text("1.0\n-2.0\n")
+        (tmp_path / "b.txt").write_text("0.0\n")
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({"n": 2, "m": 1, "A": "A.mtx",
+                                    "c": "c.txt", "b": "b.txt"}))
+        with pytest.raises(ValueError,
+                           match=r"m,n=\(1,2\) but A has shape \(2, 2\)"):
             load_qp_manifest(path)
 
 
@@ -353,17 +399,14 @@ class TestSolverConfig:
 
 class TestGeneratorCompatibility:
     def test_problems_built_from_generated_data_validate(self):
-        # QPs assembled from generator output must pass validation
+        # QPs assembled from generator output must build: they are valid
         from racml.data_io import gen_blobs, gen_regression
 
         ds, _ = gen_regression(20, 8, x_density=0.7, seed=0)
         X = np.asarray(ds.X.todense()) if sp.issparse(ds.X) else ds.X
-        ridge_qp = QpProblem(c=-X.T @ ds.y / 20, H=X.T @ X / 20 + np.eye(8))
-        assert validate_problem(ridge_qp).ok
+        QpProblem(c=-X.T @ ds.y / 20, H=X.T @ X / 20 + np.eye(8))
 
         blobs = gen_blobs(10, 2, 6.0, seed=1)
         n = blobs.X.shape[0]
-        dual_qp = QpProblem(
-            c=-np.ones(n), A=blobs.y.reshape(1, -1), b=np.zeros(1),
-            lower=np.zeros(n), upper=np.full(n, 1.0))
-        assert validate_problem(dual_qp).ok
+        QpProblem(c=-np.ones(n), A=blobs.y.reshape(1, -1), b=np.zeros(1),
+                  lower=np.zeros(n), upper=np.full(n, 1.0))

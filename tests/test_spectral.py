@@ -1,4 +1,6 @@
 import itertools
+import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,6 +170,22 @@ class TestExpectedOperators:
         with pytest.raises(BlockDefinitenessError):
             expected_operators(None, A, 1.0, 2)
 
+    def test_orders_are_streamed(self, monkeypatch):
+        # (8, 8) has 40,320 orders: this call peaked at 10.2 MB with them
+        # listed and at 0.49 MB streamed. The per-order inverse is one fixed
+        # matrix, so what is measured is the order stream and the sums.
+        S, Ad = spectral._coupling(*random_instance(4, n=8, m=1), 1.0)
+        fixed = np.linalg.inv(np.tril(S))
+        monkeypatch.setattr(spectral, "_lower_inv", lambda S, order: fixed)
+        tracemalloc.start()
+        try:
+            Q = spectral._order_averages(S, Ad, 1.0, 8, kron=False)[0]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_allclose(Q, fixed, rtol=1e-10)
+        assert peak < 2e6
+
     @pytest.mark.parametrize("seed", range(6))
     def test_formula_matches_direct_average(self, seed):
         # the block formula for the expected map against brute averaging
@@ -248,9 +266,9 @@ class TestCertifyAgainstReference:
 
     def test_orders_are_enumerated_once(self, monkeypatch):
         calls = []
-        enumerate_all = spectral.enumerate_orders
-        monkeypatch.setattr(spectral, "enumerate_orders",
-                            lambda n, p: calls.append((n, p)) or enumerate_all(n, p))
+        iter_all = spectral.iter_orders
+        monkeypatch.setattr(spectral, "iter_orders",
+                            lambda n, p: calls.append((n, p)) or iter_all(n, p))
         H, A = random_instance(3, n=6, m=2)
         certify(H, A, 1.0, 3, kron=True)
         assert calls == [(6, 3)]
@@ -339,6 +357,16 @@ class TestCertify:
             assert key in doc
         assert doc["eig_QS"] == [[1.0, 0.0], [1.0, 0.0]]
 
+    def test_singular_sweep_certificate_json(self):
+        # the instance of test_degenerate_block_flagged: spectra are null
+        cert = certify(None, np.array([[1.0, 0.0], [2.0, 0.0]]), 1.0, 2)
+        doc = json.loads(json.dumps(cert.to_json_dict()))
+        assert doc["assumption1_ok"] is False
+        for key in ("eig_QS", "eig_M", "rho_kron", "lemma2_ok", "as_ok",
+                    "partition_max_eigs", "partitions_ok", "weyl_ok"):
+            assert doc[key] is None, key
+        assert (doc["n"], doc["m"], doc["p"], doc["beta"]) == (2, 2, 2, 1.0)
+
 
 class TestCouplingInputs:
     def test_absent_a_is_zero_rows(self):
@@ -362,6 +390,29 @@ class TestCouplingInputs:
         assert got == certify(H, no_rows, 0.5, 2).to_json_dict()
         assert got["m"] == 0 and got["lemma2_ok"] and got["as_ok"]
 
+    def test_asymmetric_h_refused(self):
+        # certify used to read one triangle of this H: eig(QS) came out
+        # [0.269, 0.836, 1.015, 1.056] with lemma2_ok, while the expected
+        # operator built from the whole H has [0.225, 0.911, 1.008, 1.042]
+        H, A = random_instance(5, n=4, m=1)
+        H[0, 1] += 0.5
+        for call in (lambda: certify(H, A, 1.0, 2),
+                     lambda: expected_operators(H, A, 1.0, 2),
+                     lambda: iteration_map(H, A, 1.0, ((0, 1), (2, 3))),
+                     lambda: gauss_seidel_matrix(H, A, 1.0, ((0, 1), (2, 3)))):
+            with pytest.raises(ValueError, match="H: not symmetric"):
+                call()
+
+    @pytest.mark.parametrize("H, A, message", [
+        (np.eye(3), np.ones((1, 4)), "H: expected shape (4, 4), got (3, 3)"),
+        (np.ones((2, 3)), None, "H: expected shape (2, 2), got (2, 3)"),
+        (np.eye(4), np.ones(4), "A: expected a 2-D array, got ndim=1"),
+    ])
+    def test_shapes_refused_as_a_problem_refuses_them(self, H, A, message):
+        with pytest.raises(ValueError) as err:
+            certify(H, A, 1.0, 1)
+        assert str(err.value) == "invalid problem: " + message
+
     def test_absent_h_and_a_refused(self):
         with pytest.raises(ValueError, match="H and A"):
             certify(None, None, 1.0, 1)
@@ -380,8 +431,18 @@ class TestCouplingInputs:
     def test_non_finite_data_refused(self, bad, value):
         H, A = random_instance(9)
         (H if bad == "H" else A)[1, 1] = value
-        with pytest.raises(ValueError, match="H and A must be finite"):
+        with pytest.raises(ValueError,
+                           match=f"invalid problem: {bad}: contains non-finite"):
             certify(H, A, 1.0, 2)
+
+
+class TestKktSolve:
+    def test_without_a_solves_the_unconstrained_system(self):
+        H, _ = random_instance(41, n=5)
+        c = np.arange(5.0)
+        x, y = kkt_solve(QpProblem(c=c, H=H))
+        np.testing.assert_allclose(H @ x, -c, atol=1e-12)
+        assert y.shape == (0,)
 
 
 class TestKktResidual:

@@ -76,9 +76,13 @@ class TestKernelEval:
         with pytest.raises(ValueError):
             pair_kernel(np.zeros(1), np.zeros(1), KernelSpec("gaussian", 0.0))
 
+    def test_unknown_kind_refused(self):
+        with pytest.raises(ValueError, match="unknown kernel kind 'poly'"):
+            KernelSpec("poly")
+
     def test_nan_sigma_refused(self):
         with pytest.raises(ValueError, match="sigma"):
-            KernelSpec("gaussian", math.nan).validate()
+            KernelSpec("gaussian", math.nan)
 
 
 def kernel_cross_reference(Xa, Xb, sigma):
@@ -470,6 +474,19 @@ class TestBias:
         expected = (max(vals[1], -np.inf) + min(vals[0], np.inf)) / 2
         got = compute_bias(duals, g, y, C)
         assert got == pytest.approx(expected)
+
+    @pytest.mark.parametrize("duals, scores, want", [
+        # z = 0 with y = +1 and z = C with y = -1 bound b from below only:
+        # y - scores = (-1, 2), so b is the largest lower bound
+        ([0.0, 0.25], [2.0, -3.0], 2.0),
+        # z = C with y = +1 and z = 0 with y = -1 bound b from above only:
+        # y - scores = (-3, 1), so b is the smallest upper bound
+        ([0.25, 0.0], [4.0, -2.0], -3.0),
+    ])
+    def test_one_sided_bracket_returns_its_bound(self, duals, scores, want):
+        got = compute_bias(np.array(duals), np.array(scores),
+                           np.array([1.0, -1.0]), 0.25)
+        assert got == want
 
     def test_no_support_vectors_is_degenerate(self):
         with pytest.raises(DegenerateModelError):
