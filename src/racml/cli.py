@@ -109,7 +109,8 @@ def _cmd_qp_solve(args, argv) -> int:
             "dual": result.dual_residual,
             "primal_l1": float(np.abs(result.r).sum()),
         },
-        metrics={"status": result.status, "x": result.x, "y": result.y},
+        metrics={"status": result.status, "x": result.x, "y": result.y,
+                 "unconverged_blocks": result.unconverged_blocks},
         artifacts=[args.out] if args.out else [])
     _emit(record, args.pretty, args.out)
     return _exit_code(result.status, not config.fixed_iterations)
@@ -219,7 +220,8 @@ def _cmd_svm_train(args, argv) -> int:
         residuals={"primal": diag.primal_residual, "dual": diag.dual_residual},
         metrics={"status": diag.status, "n_sv": int(model.support_duals.size),
                  "bias": model.bias,
-                 "train_accuracy": svm.accuracy(model, ds.X, ds.y)},
+                 "train_accuracy": svm.accuracy(model, ds.X, ds.y),
+                 "unconverged_blocks": diag.unconverged_blocks},
         artifacts=[args.model] if args.model else [])
     _emit(record, args.pretty)
     return _exit_code(diag.status, True)

@@ -27,12 +27,20 @@ never written again and solved for each visit's rhs by ``solve_block``; kept
 (``block_system``), it holds only its s x s matrix and factor; the m x s
 strip of A and the changed columns of H are gathered again on every visit.
 Elastic-net keeps bare factors.
+
+A bounded block whose unconstrained minimizer leaves the box is solved by a
+chain of rungs, each taking over only when the one before gives up: a
+primal-dual active set (one free-set factorization per active-set guess),
+then the clamp-and-release loop, then projected gradient. A projected-
+gradient finish that stops short of its tolerance is counted, and ``solve``
+reports the count as ``SolveResult.unconverged_blocks``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -55,9 +63,12 @@ from .problems import (
 # at 1) means the sweep is diverging; multi-block cyclic splitting can.
 DIVERGENCE_FACTOR = 1e8
 
-# Active-set pass budget per block solve before the projected-gradient
-# fallback takes over.
+# A bounded block solve's fallback chain (see ``solve_block``): primal-dual
+# active-set steps, then clamp-loop passes per block entry, then
+# projected-gradient steps to PG_TOL.
+PDAS_MAX_STEPS = 20
 ACTIVE_SET_PASS_FACTOR = 10
+PG_MAX_STEPS = 200000
 PG_TOL = 1e-10
 
 
@@ -163,32 +174,99 @@ def _chol_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _projected_gradient(matrix, rhs, lower, upper, x0):
-    """Fallback minimizer for 1/2 x'Mx - r'x over a box, run to PG_TOL."""
+    """Fallback minimizer for 1/2 x'Mx - r'x over a box, run to PG_TOL.
+
+    Returns the last iterate and whether it met PG_TOL within PG_MAX_STEPS.
+    """
     eigs = np.linalg.eigvalsh(matrix)
     step = 1.0 / max(eigs[-1], 1e-12)
     x = np.clip(x0, lower, upper)
-    for _ in range(200000):
+    for _ in range(PG_MAX_STEPS):
         grad = matrix @ x - rhs
         x_next = np.clip(x - step * grad, lower, upper)
         if np.max(np.abs(x_next - x)) <= PG_TOL * step:
-            return x_next
+            return x_next, True
         x = x_next
-    return x
+    return x, False
 
 
-def solve_block(system: BlockSystem, rhs: np.ndarray) -> np.ndarray:
+def _free_solve(matrix, rhs, x, f, bnd):
+    """x's free entries f with its bound entries bnd held where x has them:
+    the equality-reduced system M_ff x_f = r_f - M_f,bnd x_bnd."""
+    reduced_rhs = rhs[f]
+    if bnd.size:
+        reduced_rhs = reduced_rhs - matrix[np.ix_(f, bnd)] @ x[bnd]
+    return _chol_solve(_cholesky(matrix[np.ix_(f, f)]), reduced_rhs)
+
+
+def _wrong_signed(matrix, rhs, x, at_lo, at_hi, rhs_scale):
+    """The bound entries whose multiplier points out of the box, beyond
+    1e-14 times max(rhs_scale, max|Mx|), and the gradient Mx - rhs."""
+    mx = matrix @ x
+    grad = mx - rhs
+    scale = max(rhs_scale, float(np.abs(mx).max()))
+    wrong_lo = at_lo & (grad < -1e-14 * scale)
+    wrong_hi = at_hi & (grad > 1e-14 * scale)
+    return wrong_lo, wrong_hi, grad
+
+
+def _primal_dual_active_set(matrix, rhs, lower, upper, x, rhs_scale):
+    """Minimize over the box by primal-dual active-set steps from the bound
+    violators of x, the unconstrained minimizer; None on a cycle or after
+    PDAS_MAX_STEPS steps.
+
+    Each step solves once on the free set, then takes as the next active set
+    the free entries outside their bounds and the bound entries whose
+    multiplier passes ``_wrong_signed``'s test. An active set that comes
+    back unchanged satisfies the box KKT conditions as the clamp loop tests
+    them; one that comes back after other sets is a cycle.
+    """
+    at_lo, at_hi = x < lower, x > upper
+    seen = set()
+    for _ in range(PDAS_MAX_STEPS):
+        key = (at_lo.tobytes(), at_hi.tobytes())
+        if key in seen:
+            return None
+        seen.add(key)
+        free = ~(at_lo | at_hi)
+        x = np.where(at_lo, lower, np.where(at_hi, upper, x))
+        f = np.flatnonzero(free)
+        if f.size:
+            x[f] = _free_solve(matrix, rhs, x, f, np.flatnonzero(~free))
+        wrong_lo, wrong_hi, _ = _wrong_signed(matrix, rhs, x, at_lo, at_hi,
+                                              rhs_scale)
+        next_lo = (at_lo & ~wrong_lo) | (free & (x < lower))
+        next_hi = (at_hi & ~wrong_hi) | (free & (x > upper))
+        if np.array_equal(next_lo, at_lo) and np.array_equal(next_hi, at_hi):
+            return x
+        at_lo, at_hi = next_lo, next_hi
+    return None
+
+
+def solve_block(system: BlockSystem, rhs: np.ndarray,
+                tally: Optional[Counter] = None) -> np.ndarray:
     """Exactly minimize 1/2 x'Mx - r'x over the block's box.
 
-    Unbounded blocks are a single SPD solve. Bounded blocks run a finite
-    active-set procedure: solve the equality-reduced system on the free set,
-    clamp violators (the active set only grows within a pass), then release
-    any bound whose multiplier has the wrong sign and repeat. A multiplier
-    counts as wrong-signed only beyond 1e-14 times max(1, max|Mx|,
-    max|rhs|), the scale of the rounding in grad = Mx - rhs: scaled by the
-    gradient itself, which vanishes at the optimum, the test would release
-    bounds whose multipliers are rounding noise. A pass budget of
-    ACTIVE_SET_PASS_FACTOR * s guards against cycling, after which a
-    projected-gradient fallback finishes to PG_TOL.
+    Unbounded blocks, and bounded ones whose unconstrained minimizer is
+    inside the box, are a single SPD solve. Otherwise three rungs run in
+    turn, each only if the one before gave up:
+
+    1. Primal-dual active set (Hintermueller, Ito, Kunisch, SIAM J. Optim.
+       13(3), 2002): one free-set solve per active-set guess, swapping the
+       whole active set at each step. It can cycle on matrices that are not
+       M-matrices; a revisited active set or PDAS_MAX_STEPS steps hand over.
+    2. The clamp loop, from the unconstrained minimizer again: solve the
+       equality-reduced system on the free set, clamp violators (the active
+       set only grows within a pass), then release the bound whose
+       multiplier is most wrong-signed and repeat, for at most
+       ACTIVE_SET_PASS_FACTOR * s passes.
+    3. Projected gradient to PG_TOL, for at most PG_MAX_STEPS steps; a finish
+       that stops short adds one to ``tally["unconverged"]``, when given.
+
+    A multiplier counts as wrong-signed only beyond 1e-14 times max(1,
+    max|Mx|, max|rhs|), the scale of the rounding in grad = Mx - rhs: scaled
+    by the gradient itself, which vanishes at the optimum, the test would
+    release bounds whose multipliers are rounding noise.
     """
     x = _chol_solve(system.chol, rhs)
     if not system.bounded:
@@ -198,10 +276,13 @@ def solve_block(system: BlockSystem, rhs: np.ndarray) -> np.ndarray:
     if (x >= lower).all() and (x <= upper).all():
         return x  # interior solution is the global minimizer
 
+    rhs_scale = max(1.0, float(np.abs(rhs).max()))
+    found = _primal_dual_active_set(matrix, rhs, lower, upper, x, rhs_scale)
+    if found is not None:
+        return found
     x = np.clip(x, lower, upper)
     at_lo = x <= lower
     at_hi = x >= upper
-    rhs_scale = max(1.0, float(np.abs(rhs).max()))
     for _ in range(ACTIVE_SET_PASS_FACTOR * s):
         # Clamp loop: re-solve on the free set until feasible there.
         for _ in range(s + 1):
@@ -210,11 +291,7 @@ def solve_block(system: BlockSystem, rhs: np.ndarray) -> np.ndarray:
             if not np.any(free):
                 break
             f = np.flatnonzero(free)
-            bnd = np.flatnonzero(~free)
-            reduced_rhs = rhs[f]
-            if bnd.size:
-                reduced_rhs = reduced_rhs - matrix[np.ix_(f, bnd)] @ x[bnd]
-            xf = _chol_solve(_cholesky(matrix[np.ix_(f, f)]), reduced_rhs)
+            xf = _free_solve(matrix, rhs, x, f, np.flatnonzero(~free))
             lo_viol = xf < lower[f]
             hi_viol = xf > upper[f]
             x[f] = np.clip(xf, lower[f], upper[f])
@@ -223,11 +300,8 @@ def solve_block(system: BlockSystem, rhs: np.ndarray) -> np.ndarray:
             at_lo[f[lo_viol]] = True
             at_hi[f[hi_viol]] = True
         # Optimality: bound multipliers must push into the box.
-        mx = matrix @ x
-        grad = mx - rhs
-        scale = max(rhs_scale, float(np.abs(mx).max()))
-        wrong_lo = at_lo & (grad < -1e-14 * scale)
-        wrong_hi = at_hi & (grad > 1e-14 * scale)
+        wrong_lo, wrong_hi, grad = _wrong_signed(matrix, rhs, x, at_lo, at_hi,
+                                                 rhs_scale)
         if not (np.any(wrong_lo) or np.any(wrong_hi)):
             return x
         # Release the single worst offender to avoid cycling.
@@ -235,7 +309,10 @@ def solve_block(system: BlockSystem, rhs: np.ndarray) -> np.ndarray:
         worst = int(np.argmax(score))
         at_lo[worst] = False
         at_hi[worst] = False
-    return _projected_gradient(matrix, rhs, lower, upper, x)
+    x, converged = _projected_gradient(matrix, rhs, lower, upper, x)
+    if not converged and tally is not None:
+        tally["unconverged"] += 1
+    return x
 
 
 def compute_residuals(problem: QpProblem, x: np.ndarray, y: np.ndarray,
@@ -272,15 +349,16 @@ def _add_changed_columns(g: np.ndarray, H, idx: np.ndarray,
 def run_sweep(problem: QpProblem, x: np.ndarray, y: np.ndarray,
               order: Order, beta: float,
               piece_cache: Optional[dict] = None, *,
+              tally: Optional[Counter] = None,
               _products: Optional[tuple] = None
               ) -> tuple[np.ndarray, np.ndarray]:
     """One full pass: minimize each block in order, then one dual step.
 
     Returns the updated (x, y); the inputs are not modified. ``piece_cache``,
-    when given, keeps each block's system and factor (see ``block_system``).
-    ``_products``, the running products of x that ``solve`` carries across
-    sweeps, are updated in place; without them the sweep starts from exact
-    ones.
+    when given, keeps each block's system and factor (see ``block_system``);
+    ``tally``, when given, counts what ``solve_block`` counts. ``_products``,
+    the running products of x that ``solve`` carries across sweeps, are
+    updated in place; without them the sweep starts from exact ones.
     """
     x = np.asarray(x, dtype=float).copy()
     y = np.asarray(y, dtype=float)
@@ -297,7 +375,7 @@ def run_sweep(problem: QpProblem, x: np.ndarray, y: np.ndarray,
                               lambda: _qp_system(problem, idx, As, beta))
         xb = x[idx]
         grad = g[idx] if As is None else g[idx] + As.T.dot(beta * r - y)
-        new = solve_block(system, system.matrix.dot(xb) - grad)
+        new = solve_block(system, system.matrix.dot(xb) - grad, tally)
         delta = new - xb
         if H is not None:
             _add_changed_columns(g, H, idx, delta)
@@ -373,7 +451,8 @@ def solve(problem: QpProblem, config: SolverConfig,
 
     Block orders, stopping and kept block systems come from ``run_sweeps``.
     The result carries the final running products ``g = c + Hx`` and
-    ``r = Ax - b`` the last residuals were read from.
+    ``r = Ax - b`` the last residuals were read from, and the number of
+    block solves whose projected-gradient finish stopped unconverged.
 
     ``sweep_hook(k, x, y)``, when given, observes the iterate after sweep k
     (1-based); it must not mutate its arguments.
@@ -385,13 +464,14 @@ def solve(problem: QpProblem, config: SolverConfig,
     x = np.clip(np.zeros(n), problem.lower, problem.upper)
     y = np.zeros(problem.m)
     products = _exact_products(problem, x)
+    tally = Counter()
 
     sweep_numbers = itertools.count(1)
 
     def sweep(order, piece_cache):
         nonlocal x, y
         x, y = run_sweep(problem, x, y, order, beta, piece_cache,
-                         _products=products)
+                         tally=tally, _products=products)
         if sweep_hook is not None:
             sweep_hook(next(sweep_numbers), x, y)
         return compute_residuals(problem, x, y, _products=products)
@@ -399,4 +479,5 @@ def solve(problem: QpProblem, config: SolverConfig,
     initial = compute_residuals(problem, x, y, _products=products)
     run = run_sweeps(sweep, config, n, initial_primal=initial.primal)
     g, r = products
-    return SolveResult(x=x, y=y, g=g, r=r, **vars(run))
+    return SolveResult(x=x, y=y, g=g, r=r,
+                       unconverged_blocks=tally["unconverged"], **vars(run))

@@ -312,12 +312,15 @@ class SweepRun:
 class SolveResult(SweepRun):
     """Output of a solve: the sweep run plus the final primal/dual point and
     the running products the sweep carried to it, ``g = c + Hx`` and
-    ``r = Ax - b`` (empty without A), as the last residuals read them."""
+    ``r = Ax - b`` (empty without A), as the last residuals read them.
+    ``unconverged_blocks`` counts the block solves whose projected-gradient
+    finish stopped at its step cap short of its tolerance."""
 
     x: np.ndarray
     y: np.ndarray
     g: np.ndarray
     r: np.ndarray
+    unconverged_blocks: int
 
 
 def _read_vector(path: Path) -> np.ndarray:

@@ -120,6 +120,7 @@ class TestQpSolve:
         np.testing.assert_allclose(rec["metrics"]["x"], [1.0, 1.0], atol=1e-7)
         np.testing.assert_allclose(rec["metrics"]["y"], [1.0], atol=1e-7)
         assert rec["residuals"]["primal"] <= 1e-9
+        assert rec["metrics"]["unconverged_blocks"] == 0
         saved = json.loads(out_file.read_text())
         assert saved["metrics"]["x"] == rec["metrics"]["x"]
 
@@ -313,6 +314,7 @@ class TestSvmCli:
             "--sigma", "1.0", "--seed", "4", "--model", str(model_path)])
         assert code == 0
         assert rec["metrics"]["train_accuracy"] >= 99.0
+        assert rec["metrics"]["unconverged_blocks"] == 0
         code, rec = run_json(capsys, [
             "svm", "predict", "--model", str(model_path),
             "--data", str(test_file), "--labels"])

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -75,7 +76,7 @@ def assemble_block_system(problem, x, y, block, beta):
     that visit, as ``solve_block`` receives them."""
     seen = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(engine, "solve_block", lambda system, rhs:
+        patch.setattr(engine, "solve_block", lambda system, rhs, tally:
                       seen.append((system, rhs)) or solve_block(system, rhs))
         run_sweep(problem, x, y, (tuple(block),), beta)
     return seen[0]
@@ -145,6 +146,15 @@ def projected_gradient_oracle(matrix, rhs, lower, upper, iters=400000, tol=1e-12
     return x
 
 
+def random_box_block(seed, s=5):
+    """A random SPD block, rhs and two-sided box."""
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((s, s))
+    matrix = G @ G.T + 0.3 * np.eye(s)
+    rhs = rng.standard_normal(s) * 3
+    return matrix, rhs, -rng.random(s), rng.random(s)
+
+
 class TestSolveBlock:
     def test_scalar(self):
         sys_ = factored(np.array([[2.0]]), np.array([-np.inf]),
@@ -159,13 +169,7 @@ class TestSolveBlock:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_projected_gradient(self, seed):
-        rng = np.random.default_rng(seed)
-        s = 5
-        G = rng.standard_normal((s, s))
-        matrix = G @ G.T + 0.3 * np.eye(s)
-        rhs = rng.standard_normal(s) * 3
-        lower = -rng.random(s)
-        upper = rng.random(s)
+        matrix, rhs, lower, upper = random_box_block(seed)
         x = solve_block(factored(matrix, lower, upper), rhs)
         assert np.all(x >= lower - 1e-12) and np.all(x <= upper + 1e-12)
         oracle = projected_gradient_oracle(matrix, rhs, lower, upper)
@@ -173,25 +177,101 @@ class TestSolveBlock:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_fallback_matches_projected_gradient(self, seed, monkeypatch):
-        # with no active-set pass allowed, the projected-gradient fallback
-        # finishes the solve; every seed's unconstrained minimizer leaves the box
+        # with no PDAS step and no active-set pass allowed, the
+        # projected-gradient fallback finishes the solve; every seed's
+        # unconstrained minimizer leaves the box
+        monkeypatch.setattr(engine, "PDAS_MAX_STEPS", 0)
         monkeypatch.setattr(engine, "ACTIVE_SET_PASS_FACTOR", 0)
         fallbacks = []
         fallback = engine._projected_gradient
         monkeypatch.setattr(engine, "_projected_gradient",
                             lambda *args: fallbacks.append(1) or fallback(*args))
-        rng = np.random.default_rng(seed)
-        s = 5
-        G = rng.standard_normal((s, s))
-        matrix = G @ G.T + 0.3 * np.eye(s)
-        rhs = rng.standard_normal(s) * 3
-        lower = -rng.random(s)
-        upper = rng.random(s)
+        matrix, rhs, lower, upper = random_box_block(seed)
         x = solve_block(factored(matrix, lower, upper), rhs)
         assert fallbacks == [1]
         assert np.all(x >= lower) and np.all(x <= upper)
         oracle = projected_gradient_oracle(matrix, rhs, lower, upper)
         np.testing.assert_allclose(x, oracle, atol=1e-9)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_clamp_loop_finishes_without_pdas(self, seed, monkeypatch):
+        # with PDAS capped at 0 steps the clamp loop solves alone, to box
+        # KKT, and never reaches projected gradient
+        monkeypatch.setattr(engine, "PDAS_MAX_STEPS", 0)
+        fallbacks = []
+        monkeypatch.setattr(engine, "_projected_gradient",
+                            lambda *args: fallbacks.append(1))
+        matrix, rhs, lower, upper = random_box_block(seed)
+        x = solve_block(factored(matrix, lower, upper), rhs)
+        assert fallbacks == []
+        assert np.all(x >= lower) and np.all(x <= upper)
+        assert box_kkt_residual(matrix, rhs, lower, upper, x) <= 1e-10
+
+    def test_pdas_cycle_hands_over_to_the_clamp_loop(self, monkeypatch):
+        # not an M-matrix: PDAS alternates between two active sets, the
+        # second visit of the first ends it, and the clamp loop finishes
+        matrix = np.array([[1.94, 3.19, 2.38],
+                           [3.19, 6.79, 5.36],
+                           [2.38, 5.36, 4.38]])
+        rhs = np.array([-0.38, 3.35, 1.33])
+        lower = np.array([-0.4, -0.97, -0.73])
+        upper = np.array([0.79, 0.52, 0.69])
+        x0 = np.linalg.solve(matrix, rhs)
+        solves = []
+        monkeypatch.setattr(engine, "_free_solve", logged_free_solve(solves))
+        assert engine._primal_dual_active_set(
+            matrix, rhs, lower, upper, x0, 3.35) is None
+        assert [f.tolist() for _, _, f, _ in solves] == [[0, 2], [1, 2]]
+        fallbacks = []
+        monkeypatch.setattr(engine, "_projected_gradient",
+                            lambda *args: fallbacks.append(1))
+        x = solve_block(factored(matrix, lower, upper), rhs)
+        assert fallbacks == []
+        assert box_kkt_residual(matrix, rhs, lower, upper, x) <= 1e-10
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_pdas_meets_kkt_and_matches_the_clamp_loop(self, data):
+        matrix, lower, upper, rhs = data.draw(pdas_blocks())
+        system = factored(matrix, lower, upper)
+        x0 = _chol_solve(system.chol, rhs)
+        pdas_solves, clamp_solves, finishes = [], [], []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "_free_solve", logged_free_solve(pdas_solves))
+            x = engine._primal_dual_active_set(matrix, rhs, lower, upper, x0,
+                                               max(1.0, np.abs(rhs).max()))
+        if x is None:  # a cycle or the step cap: the clamp loop's to finish
+            return
+        assert np.all(x >= lower) and np.all(x <= upper)
+        assert box_kkt_residual(matrix, rhs, lower, upper, x) <= 1e-10
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "PDAS_MAX_STEPS", 0)
+            patch.setattr(engine, "_free_solve", logged_free_solve(clamp_solves))
+            patch.setattr(engine, "_projected_gradient",
+                          lambda *args: finishes.append(1) or (x, True))
+            clamped = solve_block(system, rhs)
+        pdas_end = final_active_set(pdas_solves, x)
+        if not finishes and pdas_end is not None and \
+                pdas_end == final_active_set(clamp_solves, clamped):
+            assert np.array_equal(x, clamped)
+
+    def test_unconverged_finish_is_counted(self, monkeypatch):
+        # clipping the unconstrained minimizer gives (1, 0); the minimizer is
+        # (1, 0.6), which one projected-gradient step does not reach
+        monkeypatch.setattr(engine, "PDAS_MAX_STEPS", 0)
+        monkeypatch.setattr(engine, "ACTIVE_SET_PASS_FACTOR", 0)
+        monkeypatch.setattr(engine, "PG_MAX_STEPS", 1)
+        system = factored(np.array([[1.0, 0.9], [0.9, 1.0]]), np.zeros(2),
+                          np.ones(2))
+        rhs = np.array([2.0, 1.5])
+        tally = Counter()
+        x = solve_block(system, rhs, tally)
+        assert tally == {"unconverged": 1}
+        assert np.all(x >= 0.0) and np.all(x <= 1.0)
+        monkeypatch.setattr(engine, "PG_MAX_STEPS", 200000)
+        tally = Counter()
+        np.testing.assert_allclose(solve_block(system, rhs, tally), [1.0, 0.6])
+        assert tally == {}
 
     def test_one_sided_bounds(self):
         sys_ = factored(np.eye(2), np.array([-np.inf, -1.0]),
@@ -239,6 +319,28 @@ class TestSolveBlock:
         assert box_kkt_residual(matrix, rhs, lower, upper, x) <= 1e-10
 
 
+def logged_free_solve(log):
+    """``engine._free_solve``, appending each call's free set, the values it
+    holds the bound entries at, and its result to ``log``."""
+    free_solve = engine._free_solve
+
+    def logged(matrix, rhs, x, f, bnd):
+        xf = free_solve(matrix, rhs, x, f, bnd)
+        log.append((f.tobytes(), x[bnd].tobytes(), f, xf))
+        return xf
+
+    return logged
+
+
+def final_active_set(log, x):
+    """The free set and bound values of ``log``'s last free-set solve, if x
+    is that solve's result, else None."""
+    if not log:
+        return None
+    f_key, bound_key, f, xf = log[-1]
+    return (f_key, bound_key) if np.array_equal(x[f], xf) else None
+
+
 def box_kkt_residual(matrix, rhs, lower, upper, x):
     """||P(x - (Mx - rhs)) - x||_inf over max(1, |Mx|, |rhs|): zero exactly
     at the minimizer of 1/2 x'Mx - rhs'x over the box."""
@@ -272,6 +374,37 @@ def tied_box_blocks(draw):
     grad = np.where(x == lower, multiplier,
                     np.where(x == upper, -multiplier, 0.0))
     return matrix, lower, upper, matrix @ x - grad
+
+
+@st.composite
+def pdas_blocks(draw):
+    """A bounded block whose unconstrained minimizer mostly leaves the box:
+    ``tied_box_blocks``' ties, a dense G G' + eps I (not an M-matrix), or a
+    rank-deficient G G' with a ridge 1e-9 of its largest diagonal entry;
+    each entry's bounds are two-sided, one-sided, infinite or of zero
+    width."""
+    kind = draw(st.sampled_from(["tied", "dense", "near_singular"]))
+    if kind == "tied":
+        return draw(tied_box_blocks())
+    s = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "dense":
+        G = rng.standard_normal((s, s)) * 10 ** rng.uniform(-1, 2)
+        matrix = G @ G.T + 10 ** rng.uniform(-6, 0) * np.eye(s)
+    else:
+        G = rng.standard_normal((s, int(rng.integers(1, s + 1))))
+        matrix = G @ G.T
+        matrix += 1e-9 * matrix.diagonal().max() * np.eye(s)
+    scale = 10 ** rng.uniform(-1, 3)
+    lower = -scale * rng.uniform(0, 1, s)
+    upper = scale * rng.uniform(0, 1, s)
+    bounds = rng.integers(0, 5, s)
+    lower[bounds == 1] = -np.inf
+    upper[bounds == 2] = np.inf
+    lower[bounds == 3], upper[bounds == 3] = -np.inf, np.inf
+    upper[bounds == 4] = lower[bounds == 4]
+    rhs = matrix @ rng.uniform(-3 * scale, 3 * scale, s)
+    return matrix, lower, upper, rhs
 
 
 @st.composite
@@ -381,6 +514,23 @@ def textbook_two_block_admm(A1, A2, c1, c2, b, beta, sweeps):
 
 
 class TestSolve:
+    def test_unconverged_blocks_are_counted(self, monkeypatch):
+        # each sweep's one block leaves the box, falls through to a one-step
+        # projected gradient and stops short of PG_TOL
+        prob = random_problem(0, bounded=True)
+        cfg = SolverConfig(mode=Mode.CYCLIC, block_size=6, beta_penalty=1.0,
+                           max_iters=4, seed=0)
+        assert solve(prob, cfg).unconverged_blocks == 0
+        monkeypatch.setattr(engine, "PDAS_MAX_STEPS", 0)
+        monkeypatch.setattr(engine, "ACTIVE_SET_PASS_FACTOR", 0)
+        monkeypatch.setattr(engine, "PG_MAX_STEPS", 1)
+        finishes = []
+        projected_gradient = engine._projected_gradient
+        monkeypatch.setattr(engine, "_projected_gradient", lambda *args:
+                            finishes.append(1) or projected_gradient(*args))
+        res = solve(prob, cfg)
+        assert res.unconverged_blocks == len(finishes) == 4
+
     @pytest.mark.parametrize("mode", [Mode.RAC, Mode.RP, Mode.CYCLIC])
     def test_tiny_symmetric_qp(self, mode):
         prob = QpProblem(c=np.zeros(2), H=np.eye(2),

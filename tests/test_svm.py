@@ -352,6 +352,40 @@ class TestTrain:
             assert diag.iterations == 6
             assert diag.status == status
 
+    def test_pdas_halves_factorizations(self, monkeypatch):
+        # svm_blobs' kernel on a smaller draw: bounded blocks' primal-dual
+        # active-set steps make at most half the factorizations the clamp
+        # loop alone makes, to the same duals
+        tr = gen_blobs(300, 10, seed=0)
+        cfg = dataclasses.replace(default_config(600, max_iters=2),
+                                  fixed_iterations=True)
+        cholesky = engine._cholesky
+        counts, duals = [], []
+        for cap in (engine.PDAS_MAX_STEPS, 0):
+            calls = []
+            monkeypatch.setattr(engine, "PDAS_MAX_STEPS", cap)
+            monkeypatch.setattr(engine, "_cholesky", lambda matrix:
+                                calls.append(1) or cholesky(matrix))
+            _, diag = train(tr.X, tr.y, 1.0, KernelSpec("gaussian", 3.0), cfg,
+                            return_diagnostics=True)
+            counts.append(len(calls))
+            duals.append(diag.duals)
+        assert counts[0] <= counts[1] / 2
+        assert np.array_equal(duals[0], duals[1])
+
+    def test_unconverged_blocks_are_counted(self, monkeypatch):
+        tr = gen_blobs(20, 2, 1.0, seed=6)
+        cfg = default_config(40, block_size=7, seed=3, max_iters=2)
+        _, diag = train(tr.X, tr.y, 1.0, KernelSpec("linear"), cfg,
+                        return_diagnostics=True)
+        assert diag.unconverged_blocks == 0
+        monkeypatch.setattr(engine, "PDAS_MAX_STEPS", 0)
+        monkeypatch.setattr(engine, "ACTIVE_SET_PASS_FACTOR", 0)
+        monkeypatch.setattr(engine, "PG_MAX_STEPS", 1)
+        _, diag = train(tr.X, tr.y, 1.0, KernelSpec("linear"), cfg,
+                        return_diagnostics=True)
+        assert diag.unconverged_blocks > 0
+
     def test_divergence_guard_reports_diverged(self, monkeypatch):
         # with the guard's bar forced below any nonzero y'z, the first sweep
         # that leaves y'z off zero must end the run as DIVERGED
