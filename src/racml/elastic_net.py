@@ -214,8 +214,8 @@ def fit(X: Matrix, y: np.ndarray, spec: ElasticNetSpec) -> ElasticNetModel:
     With lam=0 the splitting residual vanishes identically after every
     z-step, so use the fixed-sweep protocol there.
     """
-    n, p = X.shape
     X, y, c = _checked_inputs(X, y)
+    n, p = X.shape
     gamma = resolve_gamma(spec)
     mode = Mode(spec.mode)
     block_size = min(spec.block_size, p)
@@ -285,8 +285,8 @@ def consensus_fit(X: Matrix, y: np.ndarray,
     copies, and steps the duals. Stopping matches ``fit``: ``spec.iters``
     sweeps, or mean ||copy - z||_1 <= tol.
     """
-    n, p = X.shape
     X, y, _ = _checked_inputs(X, y)
+    n, p = X.shape
     gamma = resolve_gamma(spec)
     rng = np.random.default_rng(spec.seed)
     # One coefficient copy per sweep block of ``fit`` (at least two, else this

@@ -28,12 +28,14 @@ never written again and solved for each visit's rhs by ``solve_block``; kept
 strip of A and the changed columns of H are gathered again on every visit.
 Elastic-net keeps bare factors.
 
-A bounded block whose unconstrained minimizer leaves the box is solved by a
-chain of rungs, each taking over only when the one before gives up: a
-primal-dual active set (one free-set factorization per active-set guess),
-then the clamp-and-release loop, then projected gradient. A projected-
-gradient finish that stops short of its tolerance is counted, and ``solve``
-reports the count as ``SolveResult.unconverged_blocks``.
+A bounded block whose unconstrained minimizer leaves the box is solved by
+one active-set loop, one free-set factorization per step. It exchanges
+entries between the free and the active set by the primal-dual active-set
+rule, and switches to the clamp-and-release rule, from the active set it
+is at, on a cycle or a step cap; projected gradient finishes what the
+release budget leaves. A projected-gradient finish that stops short of its
+tolerance is counted, and ``solve`` reports the count as
+``SolveResult.unconverged_blocks``.
 """
 
 from __future__ import annotations
@@ -63,9 +65,9 @@ from .problems import (
 # at 1) means the sweep is diverging; multi-block cyclic splitting can.
 DIVERGENCE_FACTOR = 1e8
 
-# A bounded block solve's fallback chain (see ``solve_block``): primal-dual
-# active-set steps, then clamp-loop passes per block entry, then
-# projected-gradient steps to PG_TOL.
+# A bounded block solve's budgets (see ``solve_block``): active-set steps by
+# the primal-dual rule before the clamp rule takes over, clamp-rule passes
+# (releases) per block entry, then projected-gradient steps to PG_TOL.
 PDAS_MAX_STEPS = 20
 ACTIVE_SET_PASS_FACTOR = 10
 PG_MAX_STEPS = 200000
@@ -210,58 +212,31 @@ def _wrong_signed(matrix, rhs, x, at_lo, at_hi, rhs_scale):
     return wrong_lo, wrong_hi, grad
 
 
-def _primal_dual_active_set(matrix, rhs, lower, upper, x, rhs_scale):
-    """Minimize over the box by primal-dual active-set steps from the bound
-    violators of x, the unconstrained minimizer; None on a cycle or after
-    PDAS_MAX_STEPS steps.
-
-    Each step solves once on the free set, then takes as the next active set
-    the free entries outside their bounds and the bound entries whose
-    multiplier passes ``_wrong_signed``'s test. An active set that comes
-    back unchanged satisfies the box KKT conditions as the clamp loop tests
-    them; one that comes back after other sets is a cycle.
-    """
-    at_lo, at_hi = x < lower, x > upper
-    seen = set()
-    for _ in range(PDAS_MAX_STEPS):
-        key = (at_lo.tobytes(), at_hi.tobytes())
-        if key in seen:
-            return None
-        seen.add(key)
-        free = ~(at_lo | at_hi)
-        x = np.where(at_lo, lower, np.where(at_hi, upper, x))
-        f = np.flatnonzero(free)
-        if f.size:
-            x[f] = _free_solve(matrix, rhs, x, f, np.flatnonzero(~free))
-        wrong_lo, wrong_hi, _ = _wrong_signed(matrix, rhs, x, at_lo, at_hi,
-                                              rhs_scale)
-        next_lo = (at_lo & ~wrong_lo) | (free & (x < lower))
-        next_hi = (at_hi & ~wrong_hi) | (free & (x > upper))
-        if np.array_equal(next_lo, at_lo) and np.array_equal(next_hi, at_hi):
-            return x
-        at_lo, at_hi = next_lo, next_hi
-    return None
-
-
 def solve_block(system: BlockSystem, rhs: np.ndarray,
                 tally: Optional[Counter] = None) -> np.ndarray:
     """Exactly minimize 1/2 x'Mx - r'x over the block's box.
 
     Unbounded blocks, and bounded ones whose unconstrained minimizer is
-    inside the box, are a single SPD solve. Otherwise three rungs run in
-    turn, each only if the one before gave up:
+    inside the box, are a single SPD solve. Otherwise one active-set loop
+    starts from that minimizer's bound violators. Each step solves once on
+    the free set, holding the bound entries at their bounds, and returns
+    once no free entry leaves the box and no bound multiplier is
+    wrong-signed. Else it exchanges entries by one of two rules:
 
     1. Primal-dual active set (Hintermueller, Ito, Kunisch, SIAM J. Optim.
-       13(3), 2002): one free-set solve per active-set guess, swapping the
-       whole active set at each step. It can cycle on matrices that are not
-       M-matrices; a revisited active set or PDAS_MAX_STEPS steps hand over.
-    2. The clamp loop, from the unconstrained minimizer again: solve the
-       equality-reduced system on the free set, clamp violators (the active
-       set only grows within a pass), then release the bound whose
-       multiplier is most wrong-signed and repeat, for at most
-       ACTIVE_SET_PASS_FACTOR * s passes.
-    3. Projected gradient to PG_TOL, for at most PG_MAX_STEPS steps; a finish
-       that stops short adds one to ``tally["unconverged"]``, when given.
+       13(3), 2002): every free entry outside the box and every
+       wrong-signed bound swap sides at once. It can cycle on matrices that
+       are not M-matrices. An exchange that revisits an active set, or the
+       PDAS_MAX_STEPS-th one, switches to the second rule, which goes on
+       from the active set that exchange reached: nothing restarts.
+    2. Clamp and release: clamp the free entries outside the box (the
+       active set only grows within a pass); once there are none, release
+       the bound whose multiplier is most wrong-signed, ending a pass, for
+       at most ACTIVE_SET_PASS_FACTOR * s passes.
+
+    Projected gradient then finishes from the last iterate, to PG_TOL for at
+    most PG_MAX_STEPS steps; a finish that stops short adds one to
+    ``tally["unconverged"]``, when given.
 
     A multiplier counts as wrong-signed only beyond 1e-14 times max(1,
     max|Mx|, max|rhs|), the scale of the rounding in grad = Mx - rhs: scaled
@@ -271,44 +246,43 @@ def solve_block(system: BlockSystem, rhs: np.ndarray,
     x = _chol_solve(system.chol, rhs)
     if not system.bounded:
         return x
-    s = rhs.size
     matrix, lower, upper = system.matrix, system.lower, system.upper
     if (x >= lower).all() and (x <= upper).all():
         return x  # interior solution is the global minimizer
 
     rhs_scale = max(1.0, float(np.abs(rhs).max()))
-    found = _primal_dual_active_set(matrix, rhs, lower, upper, x, rhs_scale)
-    if found is not None:
-        return found
-    x = np.clip(x, lower, upper)
-    at_lo = x <= lower
-    at_hi = x >= upper
-    for _ in range(ACTIVE_SET_PASS_FACTOR * s):
-        # Clamp loop: re-solve on the free set until feasible there.
-        for _ in range(s + 1):
-            free = ~(at_lo | at_hi)
-            x = np.where(at_lo, lower, np.where(at_hi, upper, x))
-            if not np.any(free):
-                break
-            f = np.flatnonzero(free)
-            xf = _free_solve(matrix, rhs, x, f, np.flatnonzero(~free))
-            lo_viol = xf < lower[f]
-            hi_viol = xf > upper[f]
-            x[f] = np.clip(xf, lower[f], upper[f])
-            if not (np.any(lo_viol) or np.any(hi_viol)):
-                break
-            at_lo[f[lo_viol]] = True
-            at_hi[f[hi_viol]] = True
-        # Optimality: bound multipliers must push into the box.
+    at_lo, at_hi = x < lower, x > upper
+    seen = {(at_lo.tobytes(), at_hi.tobytes())}
+    pdas = PDAS_MAX_STEPS > 0
+    passes = ACTIVE_SET_PASS_FACTOR * rhs.size
+    # under the clamp rule a step grows the active set or spends a pass
+    while pdas or passes:
+        free = ~(at_lo | at_hi)
+        x = np.where(at_lo, lower, np.where(at_hi, upper, x))
+        f = np.flatnonzero(free)
+        if f.size:
+            x[f] = _free_solve(matrix, rhs, x, f, np.flatnonzero(~free))
+        lo_viol, hi_viol = free & (x < lower), free & (x > upper)
         wrong_lo, wrong_hi, grad = _wrong_signed(matrix, rhs, x, at_lo, at_hi,
                                                  rhs_scale)
-        if not (np.any(wrong_lo) or np.any(wrong_hi)):
+        clamp = lo_viol.any() or hi_viol.any()
+        if not (clamp or wrong_lo.any() or wrong_hi.any()):
             return x
-        # Release the single worst offender to avoid cycling.
-        score = np.where(wrong_lo, -grad, 0.0) + np.where(wrong_hi, grad, 0.0)
-        worst = int(np.argmax(score))
-        at_lo[worst] = False
-        at_hi[worst] = False
+        if pdas:
+            at_lo = (at_lo & ~wrong_lo) | lo_viol
+            at_hi = (at_hi & ~wrong_hi) | hi_viol
+            key = (at_lo.tobytes(), at_hi.tobytes())
+            pdas = key not in seen and len(seen) < PDAS_MAX_STEPS
+            seen.add(key)
+        elif clamp:
+            at_lo |= lo_viol
+            at_hi |= hi_viol
+        else:  # release the single worst offender
+            score = np.where(wrong_lo, -grad, 0.0) + \
+                np.where(wrong_hi, grad, 0.0)
+            worst = int(np.argmax(score))
+            at_lo[worst] = at_hi[worst] = False
+            passes -= 1
     x, converged = _projected_gradient(matrix, rhs, lower, upper, x)
     if not converged and tally is not None:
         tally["unconverged"] += 1
@@ -321,8 +295,9 @@ def compute_residuals(problem: QpProblem, x: np.ndarray, y: np.ndarray,
 
     primal: ||Ax - b||_inf. dual: inf-norm of the box-projected stationarity
     step ||P(x - (Hx + c - A'y)) - x||_inf, which vanishes exactly at KKT
-    points and reduces to ||Hx + c - A'y||_inf when the box is inactive. ``_products``, the running products of x that
-    ``solve`` carries, stand in for recomputing c + Hx and Ax - b.
+    points and reduces to ||Hx + c - A'y||_inf when the box is inactive.
+    ``_products``, the running products of x that ``solve`` carries, stand
+    in for recomputing c + Hx and Ax - b.
     """
     grad, r = _products if _products is not None else _exact_products(problem, x)
     primal = float(np.abs(r).max()) if r.size else 0.0
@@ -361,6 +336,8 @@ def run_sweep(problem: QpProblem, x: np.ndarray, y: np.ndarray,
     updated in place; without them the sweep starts from exact ones.
     """
     x = np.asarray(x, dtype=float).copy()
+    if x.size != problem.n:
+        raise ValueError(f"x has length {x.size}, expected {problem.n}")
     y = np.asarray(y, dtype=float)
     if y.size != problem.m:
         raise ValueError(f"y has length {y.size}, expected {problem.m}")

@@ -463,6 +463,19 @@ class TestFit:
         for name in ("beta", "z", "xi"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
 
+    @pytest.mark.parametrize("fitter", [fit, consensus_fit])
+    def test_nested_list_design_fits_as_its_array(self, fitter):
+        # X's shape was read before X was converted, so a list raised
+        # AttributeError
+        rng = np.random.default_rng(23)
+        X = rng.standard_normal((40, 12))
+        y = rng.standard_normal(40)
+        spec = ElasticNetSpec(lam=0.01, alpha=0.5, block_size=4, iters=10)
+        want = fitter(X, y, spec)
+        got = fitter(X.tolist(), y.tolist(), spec)
+        for name in ("beta", "z", "xi"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
     @pytest.mark.parametrize("fitter, s", [(fit, 100), (consensus_fit, 2000)])
     def test_wide_sparse_design_stays_sparse(self, fitter, s):
         # the dense design would be 160 MB, ten times the bound; consensus_fit

@@ -128,8 +128,9 @@ class TestAssembleBlockSystem:
         np.testing.assert_allclose(residual, grad, atol=1e-6)
 
     def test_dimension_mismatch(self):
+        # a wrong-length x used to fail inside numpy's matmul, unnamed
         p = QpProblem(c=np.zeros(2), H=np.eye(2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="x has length 3, expected 2"):
             assemble_block_system(p, np.zeros(3), np.zeros(0), [0], 1.0)
         with pytest.raises(ValueError, match="y has length 1, expected 0"):
             assemble_block_system(p, np.zeros(2), np.zeros(1), [0], 1.0)
@@ -208,51 +209,49 @@ class TestSolveBlock:
         assert box_kkt_residual(matrix, rhs, lower, upper, x) <= 1e-10
 
     def test_pdas_cycle_hands_over_to_the_clamp_loop(self, monkeypatch):
-        # not an M-matrix: PDAS alternates between two active sets, the
-        # second visit of the first ends it, and the clamp loop finishes
+        # not an M-matrix: PDAS solves on the free sets [0, 2] and [1, 2],
+        # then comes back to its first active set, where every entry is
+        # bound; the clamp rule goes on from there, releases one bound and
+        # finishes
         matrix = np.array([[1.94, 3.19, 2.38],
                            [3.19, 6.79, 5.36],
                            [2.38, 5.36, 4.38]])
         rhs = np.array([-0.38, 3.35, 1.33])
         lower = np.array([-0.4, -0.97, -0.73])
         upper = np.array([0.79, 0.52, 0.69])
-        x0 = np.linalg.solve(matrix, rhs)
-        solves = []
+        solves, fallbacks = [], []
         monkeypatch.setattr(engine, "_free_solve", logged_free_solve(solves))
-        assert engine._primal_dual_active_set(
-            matrix, rhs, lower, upper, x0, 3.35) is None
-        assert [f.tolist() for _, _, f, _ in solves] == [[0, 2], [1, 2]]
-        fallbacks = []
         monkeypatch.setattr(engine, "_projected_gradient",
                             lambda *args: fallbacks.append(1))
         x = solve_block(factored(matrix, lower, upper), rhs)
+        assert [f.tolist() for _, _, f, _ in solves] == [[0, 2], [1, 2], [2]]
         assert fallbacks == []
         assert box_kkt_residual(matrix, rhs, lower, upper, x) <= 1e-10
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_pdas_meets_kkt_and_matches_the_clamp_loop(self, data):
+        # solve_block against the clamp rule alone (PDAS capped at 0 steps);
+        # a projected-gradient finish is recorded and cut short
         matrix, lower, upper, rhs = data.draw(pdas_blocks())
         system = factored(matrix, lower, upper)
-        x0 = _chol_solve(system.chol, rhs)
-        pdas_solves, clamp_solves, finishes = [], [], []
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(engine, "_free_solve", logged_free_solve(pdas_solves))
-            x = engine._primal_dual_active_set(matrix, rhs, lower, upper, x0,
-                                               max(1.0, np.abs(rhs).max()))
-        if x is None:  # a cycle or the step cap: the clamp loop's to finish
-            return
-        assert np.all(x >= lower) and np.all(x <= upper)
-        assert box_kkt_residual(matrix, rhs, lower, upper, x) <= 1e-10
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(engine, "PDAS_MAX_STEPS", 0)
-            patch.setattr(engine, "_free_solve", logged_free_solve(clamp_solves))
-            patch.setattr(engine, "_projected_gradient",
-                          lambda *args: finishes.append(1) or (x, True))
-            clamped = solve_block(system, rhs)
-        pdas_end = final_active_set(pdas_solves, x)
-        if not finishes and pdas_end is not None and \
-                pdas_end == final_active_set(clamp_solves, clamped):
+        ends = []
+        for cap in (engine.PDAS_MAX_STEPS, 0):
+            solves, finishes = [], []
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(engine, "PDAS_MAX_STEPS", cap)
+                patch.setattr(engine, "_free_solve", logged_free_solve(solves))
+                patch.setattr(engine, "_projected_gradient",
+                              lambda matrix, rhs, lower, upper, x0:
+                              finishes.append(1) or
+                              (np.clip(x0, lower, upper), True))
+                x = solve_block(system, rhs)
+            assert np.all(x >= lower) and np.all(x <= upper)
+            if not finishes:
+                assert box_kkt_residual(matrix, rhs, lower, upper, x) <= 1e-10
+            ends.append((x, None if finishes else final_active_set(solves, x)))
+        (x, end), (clamped, clamp_end) = ends
+        if end is not None and end == clamp_end:
             assert np.array_equal(x, clamped)
 
     def test_unconverged_finish_is_counted(self, monkeypatch):

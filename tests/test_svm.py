@@ -241,6 +241,25 @@ class TestKernelOperatorReads:
         assert {min(m, 1) + (m == s) for s, m, _ in steps} == {0, 1, 2}
 
 
+def factorizations_with_and_without_pdas(monkeypatch, kernel):
+    """Factorizations and duals of two fixed sweeps on ``gen_blobs(300, 10)``
+    with the default config, PDAS on and then capped at 0 steps."""
+    tr = gen_blobs(300, 10, seed=0)
+    cfg = dataclasses.replace(default_config(600, max_iters=2),
+                              fixed_iterations=True)
+    cholesky = engine._cholesky
+    counts, duals = [], []
+    for cap in (engine.PDAS_MAX_STEPS, 0):
+        calls = []
+        monkeypatch.setattr(engine, "PDAS_MAX_STEPS", cap)
+        monkeypatch.setattr(engine, "_cholesky", lambda matrix:
+                            calls.append(1) or cholesky(matrix))
+        _, diag = train(tr.X, tr.y, 1.0, kernel, cfg, return_diagnostics=True)
+        counts.append(len(calls))
+        duals.append(diag.duals)
+    return counts, duals
+
+
 class TestTrain:
     def test_separable_four_points(self):
         X = np.array([[0.0, 0.0], [0.5, 0.5], [5.0, 5.0], [5.5, 4.5]])
@@ -355,22 +374,19 @@ class TestTrain:
     def test_pdas_halves_factorizations(self, monkeypatch):
         # svm_blobs' kernel on a smaller draw: bounded blocks' primal-dual
         # active-set steps make at most half the factorizations the clamp
-        # loop alone makes, to the same duals
-        tr = gen_blobs(300, 10, seed=0)
-        cfg = dataclasses.replace(default_config(600, max_iters=2),
-                                  fixed_iterations=True)
-        cholesky = engine._cholesky
-        counts, duals = [], []
-        for cap in (engine.PDAS_MAX_STEPS, 0):
-            calls = []
-            monkeypatch.setattr(engine, "PDAS_MAX_STEPS", cap)
-            monkeypatch.setattr(engine, "_cholesky", lambda matrix:
-                                calls.append(1) or cholesky(matrix))
-            _, diag = train(tr.X, tr.y, 1.0, KernelSpec("gaussian", 3.0), cfg,
-                            return_diagnostics=True)
-            counts.append(len(calls))
-            duals.append(diag.duals)
+        # rule alone makes, to the same duals
+        counts, duals = factorizations_with_and_without_pdas(
+            monkeypatch, KernelSpec("gaussian", 3.0))
         assert counts[0] <= counts[1] / 2
+        assert np.array_equal(duals[0], duals[1])
+
+    def test_pdas_cycles_cost_no_more_than_the_clamp_rule(self, monkeypatch):
+        # on a linear kernel PDAS cycles on many blocks; the clamp rule goes
+        # on from the active set PDAS stopped at, so cycling costs no
+        # factorizations beyond the clamp rule's own, to the same duals
+        counts, duals = factorizations_with_and_without_pdas(
+            monkeypatch, KernelSpec("linear"))
+        assert counts[0] <= counts[1]
         assert np.array_equal(duals[0], duals[1])
 
     def test_unconverged_blocks_are_counted(self, monkeypatch):
