@@ -12,11 +12,13 @@ z), as a baseline.
 
 A sparse design is stored as canonical CSC. A slice of it whose stored
 entries fill at most ``SPARSE_SLICE_DENSITY`` of it stays sparse: ``fit``
-works on such a column block as stored and makes only its s x s Gram dense,
-and ``consensus_fit`` keeps such a sample group as a CSR row slice and
-makes dense only the n_i x n_i (or p x p, when p <= n_i) system it factors.
-A denser slice is made dense and takes a dense design's operations; a dense
-design is not copied.
+gathers such a column block straight from X's CSC arrays as flat
+(row, value, column) entries, takes its products and its s x s Gram with
+``np.bincount`` and builds no scipy object while it sweeps; ``consensus_fit``
+keeps such a sample group as a CSR row slice and makes dense only the
+n_i x n_i (or p x p, when p <= n_i) system it factors. A denser slice is
+made dense and takes a dense design's operations; a dense design is not
+copied.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -138,6 +140,7 @@ def z_update(beta_i, xi_i, gamma: float, lam: float, alpha: float):
 def objective(X: Matrix, y: np.ndarray, beta: np.ndarray,
               lam: float, alpha: float) -> float:
     """(1/2n)||y - X beta||^2 + lam*(alpha*||beta||_1 + (1-alpha)/2*||beta||_2^2)."""
+    X = X if sp.issparse(X) else np.asarray(X, dtype=float)
     n = X.shape[0]
     r = X @ beta - y
     penalty = lam * (alpha * np.sum(np.abs(beta)) +
@@ -147,19 +150,108 @@ def objective(X: Matrix, y: np.ndarray, beta: np.ndarray,
 
 # A sparse slice of X (a block of fit's columns, a group of consensus_fit's
 # samples) whose stored entries fill more than this share of it is made
-# dense, since above it scipy's sparse products cost more than BLAS. One
-# fit block visit on a 1000 x 100 slice, Gram included, took 0.50 ms sparse
-# against 0.83 ms dense at 1% density, 1.2 against 0.84 ms at 5% and 28
-# against 1.2 ms full (2-core x86 host, numpy 2.4, scipy 1.17).
+# dense, since above it sparse products cost more than BLAS. Whole fits,
+# 10 sweeps, with every block kept as stored entries against every block
+# made dense (medians on a loaded 2-core x86 host, numpy 2.4, scipy 1.17):
+# 1000 x 2000 at s = 100 took 0.11 against 0.21 s at 1%, 0.15 against
+# 0.22 s at 2% and 0.34 against 0.23 s at 5%; at 1%, 200 x 2000 at s = 50
+# took 0.11 against 0.09 s and 1000 x 2000 at s = 30 0.19 against 0.20 s.
 SPARSE_SLICE_DENSITY = 0.02
 
 
+class _StoredEntries(NamedTuple):
+    """A sparse matrix as flat arrays of its stored entries: ``rows[k]``,
+    ``cols[k]`` and ``vals[k]``, in the order they are stored.
+
+    Its products add each output's terms in that order and its Gram in
+    ascending row order, which is how scipy's CSC/CSR kernels add them, so
+    they round alike.
+    """
+
+    rows: np.ndarray
+    vals: np.ndarray
+    cols: np.ndarray
+    shape: tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        return self.vals.size
+
+    @property
+    def T(self) -> "_StoredEntries":
+        return _StoredEntries(self.cols, self.vals, self.rows,
+                              self.shape[::-1])
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        return np.bincount(self.rows, self.vals * v[self.cols],
+                           minlength=self.shape[0])
+
+    def gram(self) -> np.ndarray:
+        """The dense s x s Gram M'M of a CSC block (entries stored column
+        by column, rows ascending), summed over the pairs of entries that
+        share a row: a row holding c entries gives c * c pairs. Each Gram
+        entry adds its pairs in the stored order of their first entries,
+        which is ascending row order, as scipy's ``csr_matmat`` does. The
+        pairs are made for a run of Gram rows at a time, at most n * s of
+        them, so they take O(n s) memory however the entries crowd into
+        rows."""
+        n, s = self.shape
+        # need not be stable: one entry's pairs land in distinct Gram entries
+        by_row = np.argsort(self.rows)
+        counts = np.bincount(self.rows, minlength=n)
+        first = np.cumsum(counts) - counts  # where each row starts in by_row
+        mates = counts[self.rows]
+        before = np.concatenate(([0], np.cumsum(mates)))  # pairs before each
+        # entry k's pairs' second entries sit at by_row[pair + seek[k]]
+        seek = first[self.rows] - before[:-1]
+        width = s  # Gram rows per run; one row's pairs are at most n * s
+        if before[-1] > n * s:
+            width = int(n * s // np.bincount(self.cols, mates,
+                                             minlength=s).max())
+        gram = np.empty(s * s)
+        for a in range(0, s, width):
+            b = min(a + width, s)
+            lo, hi = np.searchsorted(self.cols, (a, b))
+            left = np.repeat(np.arange(lo, hi), mates[lo:hi])
+            right = by_row[np.arange(before[lo], before[hi]) +
+                           np.repeat(seek[lo:hi], mates[lo:hi])]
+            gram[a * s:b * s] = np.bincount(
+                self.cols[left] * s + self.cols[right] - a * s,
+                self.vals[left] * self.vals[right], minlength=(b - a) * s)
+        return gram.reshape(s, s)
+
+
+def _column_block(X: Matrix, idx: np.ndarray):
+    """X[:, idx] as fit's block visit multiplies it. A dense X gives its
+    column slice. A canonical CSC X gives the stored entries of those
+    columns, read from its ``indptr``/``indices``/``data`` without building
+    a scipy object, as a ``_StoredEntries`` while they fill at most
+    ``SPARSE_SLICE_DENSITY`` of the n x s slice; a fuller slice is scattered
+    into a column-major dense array instead, the layout ``_block_operand``
+    gives it."""
+    if not sp.issparse(X):
+        return X[:, idx]
+    n, s = X.shape[0], idx.size
+    starts = X.indptr[idx]
+    counts = X.indptr[idx + 1] - starts
+    stored = int(counts.sum())
+    cols = np.repeat(np.arange(s), counts)
+    at = np.arange(stored) + np.repeat(starts - (np.cumsum(counts) - counts),
+                                       counts)
+    rows, vals = X.indices[at], X.data[at]
+    if stored > SPARSE_SLICE_DENSITY * n * s:
+        dense = np.zeros((n, s), order="F")
+        dense[rows, cols] = vals
+        return dense
+    return _StoredEntries(rows, vals, cols, (n, s))
+
+
 def _block_operand(S: Matrix) -> Matrix:
-    """A slice of X as the sweep multiplies it: sparse as stored while its
-    entries fill at most ``SPARSE_SLICE_DENSITY`` of it, dense otherwise (a
-    dense slice passes through). A slice made dense is column-major whatever
-    its format, so a CSR row group takes the BLAS operations, and roundings,
-    of the CSC slice it replaced."""
+    """A sample group of ``consensus_fit`` as its sweep multiplies it:
+    sparse as stored while its entries fill at most
+    ``SPARSE_SLICE_DENSITY`` of it, dense otherwise (a dense slice passes
+    through). A slice made dense is column-major whatever its format, the
+    layout ``fit``'s dense column blocks take."""
     n, s = S.shape
     if sp.issparse(S) and S.nnz > SPARSE_SLICE_DENSITY * n * s:
         return S.toarray(order="F")
@@ -203,9 +295,10 @@ def fit(X: Matrix, y: np.ndarray, spec: ElasticNetSpec) -> ElasticNetModel:
 
     with c = -X'y/n and the cross term computed from the running prediction
     X beta (never forming the full Gram matrix). A sparse X_b that fills at
-    most ``SPARSE_SLICE_DENSITY`` of its n x s stays the stored column slice:
-    the cross term and the prediction update are sparse products, and only
-    the s x s Gram X_b'X_b is made dense; a denser X_b is made dense. Then z
+    most ``SPARSE_SLICE_DENSITY`` of its n x s is read as its stored entries,
+    gathered from X's CSC arrays: the cross term and the prediction update
+    are ``np.bincount`` sums over those entries, and only the s x s Gram
+    X_b'X_b is made dense; a denser X_b is made dense. Then z
     is updated in closed form and the dual takes one step
     xi <- xi - gamma (beta - z). Runs exactly ``spec.iters`` sweeps, or
     stops earlier once ||beta - z||_1 falls below ``spec.tol`` when a
@@ -227,7 +320,8 @@ def fit(X: Matrix, y: np.ndarray, spec: ElasticNetSpec) -> ElasticNetModel:
 
     def gram_factor(Xg):
         # blocks are unbounded: one kept is its s x s factor, not Xg or Gram
-        gram = as_dense(Xg.T @ Xg) / n
+        gram = (Xg.gram() if isinstance(Xg, _StoredEntries) else
+                Xg.T @ Xg) / n
         _note_alloc(gram.size)
         gram[np.diag_indices_from(gram)] += gamma
         return _cholesky(gram)
@@ -236,8 +330,8 @@ def fit(X: Matrix, y: np.ndarray, spec: ElasticNetSpec) -> ElasticNetModel:
         nonlocal z, xi, r
         for g in order:
             idx = np.asarray(g, dtype=int)
-            Xg = _block_operand(X[:, idx])
-            _note_alloc(Xg.nnz if sp.issparse(Xg) else Xg.size)
+            Xg = _column_block(X, idx)
+            _note_alloc(Xg.nnz if isinstance(Xg, _StoredEntries) else Xg.size)
             # coupling to the other blocks through the running prediction:
             # X_b' X_rest beta_rest / n, without touching the full Gram
             cross = Xg.T @ (r - Xg @ beta[idx]) / n
@@ -266,6 +360,8 @@ def predict(model: ElasticNetModel, X: Matrix) -> np.ndarray:
 def evaluate(model: ElasticNetModel, X_test: Matrix,
              y_test: np.ndarray) -> dict:
     """Prediction quality: l2_loss = ||X beta - y||_2 and its mean square."""
+    X_test = X_test if sp.issparse(X_test) else \
+        np.asarray(X_test, dtype=float)
     y_test = np.asarray(y_test, dtype=float)
     if X_test.shape[1] != model.beta.size:
         raise ValueError(

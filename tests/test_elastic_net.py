@@ -1,10 +1,14 @@
 import json
 import math
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import racml.elastic_net as en
 from racml.elastic_net import (
@@ -21,7 +25,7 @@ from racml.elastic_net import (
 )
 from racml import engine
 from racml.data_io import gen_regression
-from racml.problems import Mode, Status
+from racml.problems import Mode, Status, chunk_indices
 
 
 def golden_section_prox(a, gamma, lam, alpha, lo=-1e3, hi=1e3):
@@ -577,6 +581,145 @@ class TestFit:
             ElasticNetSpec(**{"lam": 0.1, "alpha": 0.5, field: value})
 
 
+def stored_entries_match(got, ref, rng):
+    """``got`` is the scipy column slice ``ref`` as its stored entries, and
+    its products and Gram equal scipy's bit for bit."""
+    n, s = ref.shape
+    assert isinstance(got, en._StoredEntries) and got.shape == (n, s)
+    assert np.array_equal(got.rows, ref.indices)
+    assert np.array_equal(got.vals, ref.data)
+    assert np.array_equal(got.cols,
+                          np.repeat(np.arange(s), np.diff(ref.indptr)))
+    v = rng.standard_normal(s)
+    w = rng.standard_normal(n)
+    assert np.array_equal(got @ v, ref @ v)
+    assert np.array_equal(got.T @ w, ref.T @ w)
+    assert np.array_equal(got.gram(), (ref.T @ ref).toarray())
+
+
+def unsorted_duplicate_csc(dense, rng):
+    """``dense`` as a CSC matrix whose columns hold their entries in random
+    order, with about a third of them split into two stored duplicates."""
+    n, p = dense.shape
+    rows, cols = np.nonzero(dense)
+    vals = dense[rows, cols]
+    split = rng.random(rows.size) < 0.3
+    part = rng.random(int(split.sum())) * vals[split]
+    rows = np.concatenate([rows, rows[split]])
+    cols = np.concatenate([cols, cols[split]])
+    vals = np.concatenate([vals, part])
+    vals[np.flatnonzero(split)] -= part
+    order = np.lexsort((rng.random(rows.size), cols))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=p))])
+    return sp.csc_matrix((vals[order], rows[order], indptr), shape=(n, p))
+
+
+# the elastic-net outputs below were captured from fit when it sliced X with
+# scipy (float64, numpy 2.4 with OpenBLAS on x86-64)
+GOLDENS = Path(__file__).parent / "data" / "enet_fit_goldens.json"
+
+
+def golden_design(density):
+    rng = np.random.default_rng(29)
+    mask = rng.random((200, 120)) < density
+    X = sp.csc_matrix(np.where(mask, rng.standard_normal((200, 120)), 0.0))
+    return X, rng.standard_normal(200)
+
+
+GOLDEN_SPEC = dict(lam=0.01, alpha=0.7, block_size=12, iters=10, seed=5)
+
+
+class TestColumnBlocks:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
+           p=st.integers(1, 30), s=st.integers(1, 12),
+           density=st.sampled_from([0.0, 0.01, 0.05, 0.3, 1.0]),
+           full_rows=st.integers(0, 3), empty_cols=st.integers(0, 6),
+           fmt=st.sampled_from(["csc", "csr", "coo", "unsorted-duplicate"]),
+           index_dtype=st.sampled_from([np.int32, np.int64]))
+    def test_gather_matches_scipy_slice(self, seed, n, p, s, density,
+                                        full_rows, empty_cols, fmt,
+                                        index_dtype):
+        # every block of a random CSC design, the short last one included,
+        # gathers as scipy slices it: stored entries with bit-equal
+        # products and Gram while it fills at most SPARSE_SLICE_DENSITY of
+        # its n x s, the column-major dense slice above that
+        rng = np.random.default_rng(seed)
+        dense = np.where(rng.random((n, p)) < density,
+                         rng.standard_normal((n, p)), 0.0)
+        # rows that hold every column of their blocks, and empty columns
+        dense[rng.integers(0, n, full_rows)] = rng.standard_normal(p)
+        dense[:, rng.integers(0, p, empty_cols)] = 0.0
+        X = (unsorted_duplicate_csc(dense, rng) if fmt == "unsorted-duplicate"
+             else sp.csc_matrix(dense).asformat(fmt))
+        X, _, _ = en._checked_inputs(X, np.zeros(n))
+        X.indptr = X.indptr.astype(index_dtype)
+        X.indices = X.indices.astype(index_dtype)
+        for g in chunk_indices(rng.permutation(p), s):
+            idx = np.asarray(g, dtype=int)
+            ref = X[:, idx]
+            got = en._column_block(X, idx)
+            if ref.nnz > en.SPARSE_SLICE_DENSITY * n * idx.size:
+                assert isinstance(got, np.ndarray) and got.flags.f_contiguous
+                assert np.array_equal(got, ref.toarray(order="F"))
+            else:
+                stored_entries_match(got, ref, rng)
+            # the entries' arithmetic holds at any fill, full rows included
+            with mock.patch.object(en, "SPARSE_SLICE_DENSITY", 1.0):
+                stored_entries_match(en._column_block(X, idx), ref, rng)
+
+    def test_gram_of_crowded_rows_stays_within_the_slice_size(self):
+        # 8 full rows fill 2% of a 400 x 400 block, which stays sparse; its
+        # Gram sums 8 * 400 * 400 pairs of entries, made a run of Gram rows
+        # at a time rather than all at once (49 MB, forty times the slice)
+        n = s = 400
+        rng = np.random.default_rng(31)
+        dense = np.zeros((n, s))
+        dense[rng.choice(n, 8, replace=False)] = rng.random((8, s))
+        X = sp.csc_matrix(dense)
+        block = en._column_block(X, np.arange(s))
+        assert isinstance(block, en._StoredEntries)
+        tracemalloc.start()
+        try:
+            gram = block.gram()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(gram, (X.T @ X).toarray())
+        assert peak <= 16 * n * s * 8
+
+    # at 1% every block stays stored entries, at 30% every block is dense
+    @pytest.mark.parametrize("mode", [Mode.RAC, Mode.RP])
+    @pytest.mark.parametrize("density", [0.01, 0.3])
+    def test_fit_matches_goldens(self, density, mode):
+        X, y = golden_design(density)
+        model = fit(X, y, ElasticNetSpec(mode=mode, **GOLDEN_SPEC))
+        want = json.loads(GOLDENS.read_text())[f"{density}-{mode.value}"]
+        for name in ("beta", "z", "xi"):
+            assert np.array_equal(getattr(model, name), want[name])
+
+    @pytest.mark.parametrize("mode", [Mode.RAC, Mode.RP])
+    @pytest.mark.parametrize("density", [0.01, 0.3])
+    def test_sweep_builds_no_scipy_object(self, monkeypatch, density, mode):
+        # once fit sweeps, X is read through its CSC arrays only: building
+        # or slicing a scipy sparse matrix fails the fit
+        X, y = golden_design(density)
+        run_sweeps = en.run_sweeps
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a scipy sparse matrix was built in a sweep")
+
+        def sweeping(*args):
+            for cls in (sp.csc_matrix, sp.csr_matrix, sp.coo_matrix):
+                monkeypatch.setattr(cls, "__init__", refuse)
+            monkeypatch.setattr(sp.csc_matrix, "__getitem__", refuse)
+            return run_sweeps(*args)
+
+        monkeypatch.setattr(en, "run_sweeps", sweeping)
+        model = fit(X, y, ElasticNetSpec(mode=mode, **GOLDEN_SPEC))
+        assert model.iterations == GOLDEN_SPEC["iters"]
+
+
 class TestEvaluate:
     def test_true_generator_zero_loss(self):
         rng = np.random.default_rng(16)
@@ -611,6 +754,19 @@ class TestEvaluate:
         # residuals: (2-1, -1-0, 1-2) -> sqrt(1+1+1)
         assert res["l2_loss"] == pytest.approx(math.sqrt(3.0))
         assert res["model_error"] == pytest.approx(1.0)
+
+    def test_objective_and_evaluate_take_nested_lists(self):
+        # both read X.shape before converting X, so a list raised
+        # AttributeError although fit takes one
+        rng = np.random.default_rng(25)
+        X = rng.standard_normal((30, 8))
+        y = rng.standard_normal(30)
+        model = fit(X.tolist(), y.tolist(),
+                    ElasticNetSpec(lam=0.05, alpha=0.5, block_size=3, iters=5))
+        assert objective(X.tolist(), y.tolist(), model.beta, 0.05, 0.5) == \
+            objective(X, y, model.beta, 0.05, 0.5)
+        assert evaluate(model, X.tolist(), y.tolist()) == \
+            evaluate(model, X, y)
 
     def test_feature_mismatch(self):
         model = en.ElasticNetModel(
