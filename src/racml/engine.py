@@ -28,14 +28,12 @@ never written again and solved for each visit's rhs by ``solve_block``; kept
 strip of A and the changed columns of H are gathered again on every visit.
 Elastic-net keeps bare factors.
 
-A bounded block whose unconstrained minimizer leaves the box is solved by
-one active-set loop, one free-set factorization per step. It exchanges
-entries between the free and the active set by the primal-dual active-set
-rule, and switches to the clamp-and-release rule, from the active set it
-is at, on a cycle or a step cap; projected gradient finishes what the
-release budget leaves. A projected-gradient finish that stops short of its
-tolerance is counted, and ``solve`` reports the count as
-``SolveResult.unconverged_blocks``.
+A bounded block whose unconstrained minimizer leaves the box is solved in
+two stages, one free-set factorization per step: primal-dual active-set
+exchanges, then, on a cycle or a step cap, a primal active-set finish with
+a ratio test from the last iterate, which ends at an exact KKT point. A
+finish that uses up its step budget is counted, and ``solve`` reports the
+count as ``SolveResult.unconverged_blocks``.
 """
 
 from __future__ import annotations
@@ -65,13 +63,10 @@ from .problems import (
 # at 1) means the sweep is diverging; multi-block cyclic splitting can.
 DIVERGENCE_FACTOR = 1e8
 
-# A bounded block solve's budgets (see ``solve_block``): active-set steps by
-# the primal-dual rule before the clamp rule takes over, clamp-rule passes
-# (releases) per block entry, then projected-gradient steps to PG_TOL.
+# A bounded block solve's budgets (see ``solve_block``): primal-dual steps,
+# then ratio-test finish steps per block entry.
 PDAS_MAX_STEPS = 20
 ACTIVE_SET_PASS_FACTOR = 10
-PG_MAX_STEPS = 200000
-PG_TOL = 1e-10
 
 
 class BlockDefinitenessError(ArithmeticError):
@@ -175,30 +170,17 @@ def _chol_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def _projected_gradient(matrix, rhs, lower, upper, x0):
-    """Fallback minimizer for 1/2 x'Mx - r'x over a box, run to PG_TOL.
-
-    Returns the last iterate and whether it met PG_TOL within PG_MAX_STEPS.
-    """
-    eigs = np.linalg.eigvalsh(matrix)
-    step = 1.0 / max(eigs[-1], 1e-12)
-    x = np.clip(x0, lower, upper)
-    for _ in range(PG_MAX_STEPS):
-        grad = matrix @ x - rhs
-        x_next = np.clip(x - step * grad, lower, upper)
-        if np.max(np.abs(x_next - x)) <= PG_TOL * step:
-            return x_next, True
-        x = x_next
-    return x, False
-
-
-def _free_solve(matrix, rhs, x, f, bnd):
-    """x's free entries f with its bound entries bnd held where x has them:
-    the equality-reduced system M_ff x_f = r_f - M_f,bnd x_bnd."""
-    reduced_rhs = rhs[f]
-    if bnd.size:
-        reduced_rhs = reduced_rhs - matrix[np.ix_(f, bnd)] @ x[bnd]
-    return _chol_solve(_cholesky(matrix[np.ix_(f, f)]), reduced_rhs)
+def _free_solve(matrix, rhs, x, free):
+    """A copy of x with its free entries f solved for and its bound entries
+    bnd held where x has them: M_ff x_f = r_f - M_f,bnd x_bnd."""
+    f, bnd = np.flatnonzero(free), np.flatnonzero(~free)
+    x = x.copy()
+    if f.size:
+        reduced_rhs = rhs[f]
+        if bnd.size:
+            reduced_rhs = reduced_rhs - matrix[np.ix_(f, bnd)] @ x[bnd]
+        x[f] = _chol_solve(_cholesky(matrix[np.ix_(f, f)]), reduced_rhs)
+    return x
 
 
 def _wrong_signed(matrix, rhs, x, at_lo, at_hi, rhs_scale):
@@ -212,31 +194,64 @@ def _wrong_signed(matrix, rhs, x, at_lo, at_hi, rhs_scale):
     return wrong_lo, wrong_hi, grad
 
 
+def _ratio_test_finish(matrix, rhs, lower, upper, x, rhs_scale, tally):
+    """Primal active-set method with a ratio test (Nocedal & Wright,
+    Numerical Optimization, 2nd ed., Alg. 16.3), from x clipped into the box
+    with its entries at a bound active. A step toward the free-set minimizer
+    that would take a free entry out of the box stops at the first bound one
+    meets and makes that entry active; a full step returns unless a
+    multiplier is wrong-signed, and then releases the most wrong-signed
+    bound. No step leaves the box or raises the objective. After
+    ACTIVE_SET_PASS_FACTOR * s steps it returns where it is and adds one to
+    ``tally["unconverged"]``, when given.
+    """
+    x = np.clip(x, lower, upper)
+    at_lo, at_hi = x <= lower, x >= upper
+    for _ in range(ACTIVE_SET_PASS_FACTOR * rhs.size):
+        free = ~(at_lo | at_hi)
+        target = _free_solve(matrix, rhs, x, free)
+        out_lo, out_hi = free & (target < lower), free & (target > upper)
+        out = np.flatnonzero(out_lo | out_hi)
+        if out.size:
+            bound = np.where(out_lo, lower, upper)
+            ratios = (bound[out] - x[out]) / (target[out] - x[out])
+            first = int(np.argmin(ratios))
+            j = out[first]
+            x = np.clip(x + ratios[first] * (target - x), lower, upper)
+            x[j] = bound[j]
+            at_lo[j], at_hi[j] = out_lo[j], out_hi[j]
+            continue
+        x = target
+        wrong_lo, wrong_hi, grad = _wrong_signed(matrix, rhs, x, at_lo, at_hi,
+                                                 rhs_scale)
+        if not (wrong_lo.any() or wrong_hi.any()):
+            return x
+        score = np.where(wrong_lo, -grad, 0.0) + np.where(wrong_hi, grad, 0.0)
+        worst = int(np.argmax(score))
+        at_lo[worst] = at_hi[worst] = False
+    if tally is not None:
+        tally["unconverged"] += 1
+    return x
+
+
 def solve_block(system: BlockSystem, rhs: np.ndarray,
                 tally: Optional[Counter] = None) -> np.ndarray:
     """Exactly minimize 1/2 x'Mx - r'x over the block's box.
 
     Unbounded blocks, and bounded ones whose unconstrained minimizer is
-    inside the box, are a single SPD solve. Otherwise one active-set loop
-    starts from that minimizer's bound violators. Each step solves once on
-    the free set, holding the bound entries at their bounds, and returns
-    once no free entry leaves the box and no bound multiplier is
-    wrong-signed. Else it exchanges entries by one of two rules:
+    inside the box, are a single SPD solve. Otherwise the solve has two
+    stages, each step of which solves once on the free set, holding the
+    bound entries at their bounds:
 
     1. Primal-dual active set (Hintermueller, Ito, Kunisch, SIAM J. Optim.
-       13(3), 2002): every free entry outside the box and every
-       wrong-signed bound swap sides at once. It can cycle on matrices that
-       are not M-matrices. An exchange that revisits an active set, or the
-       PDAS_MAX_STEPS-th one, switches to the second rule, which goes on
-       from the active set that exchange reached: nothing restarts.
-    2. Clamp and release: clamp the free entries outside the box (the
-       active set only grows within a pass); once there are none, release
-       the bound whose multiplier is most wrong-signed, ending a pass, for
-       at most ACTIVE_SET_PASS_FACTOR * s passes.
-
-    Projected gradient then finishes from the last iterate, to PG_TOL for at
-    most PG_MAX_STEPS steps; a finish that stops short adds one to
-    ``tally["unconverged"]``, when given.
+       13(3), 2002), from the unconstrained minimizer's bound violators:
+       every free entry outside the box and every wrong-signed bound swap
+       sides at once, until no free entry leaves the box and no bound
+       multiplier is wrong-signed. It can cycle on matrices that are not
+       M-matrices. An exchange that revisits an active set, or the
+       PDAS_MAX_STEPS-th one, ends this stage.
+    2. ``_ratio_test_finish`` goes on from the last iterate and ends at a
+       KKT point, or at its step cap, which it counts in ``tally``.
 
     A multiplier counts as wrong-signed only beyond 1e-14 times max(1,
     max|Mx|, max|rhs|), the scale of the rounding in grad = Mx - rhs: scaled
@@ -253,40 +268,22 @@ def solve_block(system: BlockSystem, rhs: np.ndarray,
     rhs_scale = max(1.0, float(np.abs(rhs).max()))
     at_lo, at_hi = x < lower, x > upper
     seen = {(at_lo.tobytes(), at_hi.tobytes())}
-    pdas = PDAS_MAX_STEPS > 0
-    passes = ACTIVE_SET_PASS_FACTOR * rhs.size
-    # under the clamp rule a step grows the active set or spends a pass
-    while pdas or passes:
+    for _ in range(PDAS_MAX_STEPS):
         free = ~(at_lo | at_hi)
-        x = np.where(at_lo, lower, np.where(at_hi, upper, x))
-        f = np.flatnonzero(free)
-        if f.size:
-            x[f] = _free_solve(matrix, rhs, x, f, np.flatnonzero(~free))
+        x = _free_solve(matrix, rhs,
+                        np.where(at_lo, lower, np.where(at_hi, upper, x)), free)
         lo_viol, hi_viol = free & (x < lower), free & (x > upper)
-        wrong_lo, wrong_hi, grad = _wrong_signed(matrix, rhs, x, at_lo, at_hi,
-                                                 rhs_scale)
-        clamp = lo_viol.any() or hi_viol.any()
-        if not (clamp or wrong_lo.any() or wrong_hi.any()):
+        wrong_lo, wrong_hi, _ = _wrong_signed(matrix, rhs, x, at_lo, at_hi,
+                                              rhs_scale)
+        if not (lo_viol | hi_viol | wrong_lo | wrong_hi).any():
             return x
-        if pdas:
-            at_lo = (at_lo & ~wrong_lo) | lo_viol
-            at_hi = (at_hi & ~wrong_hi) | hi_viol
-            key = (at_lo.tobytes(), at_hi.tobytes())
-            pdas = key not in seen and len(seen) < PDAS_MAX_STEPS
-            seen.add(key)
-        elif clamp:
-            at_lo |= lo_viol
-            at_hi |= hi_viol
-        else:  # release the single worst offender
-            score = np.where(wrong_lo, -grad, 0.0) + \
-                np.where(wrong_hi, grad, 0.0)
-            worst = int(np.argmax(score))
-            at_lo[worst] = at_hi[worst] = False
-            passes -= 1
-    x, converged = _projected_gradient(matrix, rhs, lower, upper, x)
-    if not converged and tally is not None:
-        tally["unconverged"] += 1
-    return x
+        at_lo = (at_lo & ~wrong_lo) | lo_viol
+        at_hi = (at_hi & ~wrong_hi) | hi_viol
+        key = (at_lo.tobytes(), at_hi.tobytes())
+        if key in seen:
+            break
+        seen.add(key)
+    return _ratio_test_finish(matrix, rhs, lower, upper, x, rhs_scale, tally)
 
 
 def compute_residuals(problem: QpProblem, x: np.ndarray, y: np.ndarray,
@@ -429,7 +426,7 @@ def solve(problem: QpProblem, config: SolverConfig,
     Block orders, stopping and kept block systems come from ``run_sweeps``.
     The result carries the final running products ``g = c + Hx`` and
     ``r = Ax - b`` the last residuals were read from, and the number of
-    block solves whose projected-gradient finish stopped unconverged.
+    block solves whose ratio-test finish used up its step budget.
 
     ``sweep_hook(k, x, y)``, when given, observes the iterate after sweep k
     (1-based); it must not mutate its arguments.

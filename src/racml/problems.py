@@ -313,8 +313,8 @@ class SolveResult(SweepRun):
     """Output of a solve: the sweep run plus the final primal/dual point and
     the running products the sweep carried to it, ``g = c + Hx`` and
     ``r = Ax - b`` (empty without A), as the last residuals read them.
-    ``unconverged_blocks`` counts the block solves whose projected-gradient
-    finish stopped at its step cap short of its tolerance."""
+    ``unconverged_blocks`` counts the block solves whose ratio-test finish
+    used up its active-set step budget short of a KKT point."""
 
     x: np.ndarray
     y: np.ndarray

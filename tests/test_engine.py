@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from racml import engine, svm
@@ -178,96 +178,103 @@ class TestSolveBlock:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_fallback_matches_projected_gradient(self, seed, monkeypatch):
-        # with no PDAS step and no active-set pass allowed, the
-        # projected-gradient fallback finishes the solve; every seed's
-        # unconstrained minimizer leaves the box
+        # with no PDAS step allowed, the ratio-test finish solves alone from
+        # the clipped unconstrained minimizer, which every seed's leaves
         monkeypatch.setattr(engine, "PDAS_MAX_STEPS", 0)
-        monkeypatch.setattr(engine, "ACTIVE_SET_PASS_FACTOR", 0)
-        fallbacks = []
-        fallback = engine._projected_gradient
-        monkeypatch.setattr(engine, "_projected_gradient",
-                            lambda *args: fallbacks.append(1) or fallback(*args))
+        finishes = []
+        finish = engine._ratio_test_finish
+        monkeypatch.setattr(engine, "_ratio_test_finish",
+                            lambda *args: finishes.append(1) or finish(*args))
         matrix, rhs, lower, upper = random_box_block(seed)
-        x = solve_block(factored(matrix, lower, upper), rhs)
-        assert fallbacks == [1]
+        tally = Counter()
+        x = solve_block(factored(matrix, lower, upper), rhs, tally)
+        assert finishes == [1] and tally == {}
         assert np.all(x >= lower) and np.all(x <= upper)
         oracle = projected_gradient_oracle(matrix, rhs, lower, upper)
         np.testing.assert_allclose(x, oracle, atol=1e-9)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_clamp_loop_finishes_without_pdas(self, seed, monkeypatch):
-        # with PDAS capped at 0 steps the clamp loop solves alone, to box
-        # KKT, and never reaches projected gradient
+        # with PDAS capped at 0 steps the ratio-test finish solves alone, to
+        # box KKT; every iterate a step starts from is in the box, and none
+        # raises the objective
         monkeypatch.setattr(engine, "PDAS_MAX_STEPS", 0)
-        fallbacks = []
-        monkeypatch.setattr(engine, "_projected_gradient",
-                            lambda *args: fallbacks.append(1))
+        solves = []
+        monkeypatch.setattr(engine, "_free_solve", logged_free_solve(solves))
         matrix, rhs, lower, upper = random_box_block(seed)
         x = solve_block(factored(matrix, lower, upper), rhs)
-        assert fallbacks == []
         assert np.all(x >= lower) and np.all(x <= upper)
         assert box_kkt_residual(matrix, rhs, lower, upper, x) <= 1e-10
+        starts = [entry[4] for entry in solves] + [x]
+        objective = [0.5 * v @ matrix @ v - rhs @ v for v in starts]
+        for v in starts:
+            assert np.all(v >= lower) and np.all(v <= upper)
+        assert all(b <= a + 1e-12 * max(1.0, abs(a))
+                   for a, b in zip(objective, objective[1:]))
 
-    def test_pdas_cycle_hands_over_to_the_clamp_loop(self, monkeypatch):
+    def test_pdas_cycle_hands_over_to_the_ratio_test_finish(self,
+                                                            monkeypatch):
         # not an M-matrix: PDAS solves on the free sets [0, 2] and [1, 2],
-        # then comes back to its first active set, where every entry is
-        # bound; the clamp rule goes on from there, releases one bound and
-        # finishes
+        # each after a step with every entry bound, then comes back to its
+        # first active set; the finish starts from the last PDAS iterate
+        # clipped into the box, where every entry is bound, releases entry
+        # 2 and ends at the minimizer
         matrix = np.array([[1.94, 3.19, 2.38],
                            [3.19, 6.79, 5.36],
                            [2.38, 5.36, 4.38]])
         rhs = np.array([-0.38, 3.35, 1.33])
         lower = np.array([-0.4, -0.97, -0.73])
         upper = np.array([0.79, 0.52, 0.69])
-        solves, fallbacks = [], []
+        solves, finishes = [], []
+        finish = engine._ratio_test_finish
         monkeypatch.setattr(engine, "_free_solve", logged_free_solve(solves))
-        monkeypatch.setattr(engine, "_projected_gradient",
-                            lambda *args: fallbacks.append(1))
-        x = solve_block(factored(matrix, lower, upper), rhs)
-        assert [f.tolist() for _, _, f, _ in solves] == [[0, 2], [1, 2], [2]]
-        assert fallbacks == []
+        monkeypatch.setattr(engine, "_ratio_test_finish",
+                            lambda *args: finishes.append(args[4].copy())
+                            or finish(*args))
+        tally = Counter()
+        x = solve_block(factored(matrix, lower, upper), rhs, tally)
+        assert [entry[2].tolist() for entry in solves] == \
+            [[], [0, 2], [], [1, 2], [], [2]]
+        assert len(finishes) == 1 and tally == {}
+        np.testing.assert_array_equal(finishes[0][[1, 2]], solves[3][3])
         assert box_kkt_residual(matrix, rhs, lower, upper, x) <= 1e-10
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
-    def test_pdas_meets_kkt_and_matches_the_clamp_loop(self, data):
-        # solve_block against the clamp rule alone (PDAS capped at 0 steps);
-        # a projected-gradient finish is recorded and cut short
+    def test_pdas_meets_kkt_and_matches_the_finish_alone(self, data):
+        # solve_block against the ratio-test finish alone (PDAS capped at 0
+        # steps): both end at box KKT without using up their budget, and
+        # bit-equal where their last free-set solves agree
         matrix, lower, upper, rhs = data.draw(pdas_blocks())
         system = factored(matrix, lower, upper)
         ends = []
         for cap in (engine.PDAS_MAX_STEPS, 0):
-            solves, finishes = [], []
+            solves, tally = [], Counter()
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(engine, "PDAS_MAX_STEPS", cap)
                 patch.setattr(engine, "_free_solve", logged_free_solve(solves))
-                patch.setattr(engine, "_projected_gradient",
-                              lambda matrix, rhs, lower, upper, x0:
-                              finishes.append(1) or
-                              (np.clip(x0, lower, upper), True))
-                x = solve_block(system, rhs)
+                x = solve_block(system, rhs, tally)
             assert np.all(x >= lower) and np.all(x <= upper)
-            if not finishes:
-                assert box_kkt_residual(matrix, rhs, lower, upper, x) <= 1e-10
-            ends.append((x, None if finishes else final_active_set(solves, x)))
-        (x, end), (clamped, clamp_end) = ends
-        if end is not None and end == clamp_end:
-            assert np.array_equal(x, clamped)
+            assert box_kkt_residual(matrix, rhs, lower, upper, x) <= 1e-10
+            assert tally == {}
+            ends.append((x, final_active_set(solves, x)))
+        (x, end), (alone, alone_end) = ends
+        if end is not None and end == alone_end:
+            assert np.array_equal(x, alone)
 
     def test_unconverged_finish_is_counted(self, monkeypatch):
         # clipping the unconstrained minimizer gives (1, 0); the minimizer is
-        # (1, 0.6), which one projected-gradient step does not reach
+        # (1, 0.6), which a finish with no step budget does not reach
         monkeypatch.setattr(engine, "PDAS_MAX_STEPS", 0)
         monkeypatch.setattr(engine, "ACTIVE_SET_PASS_FACTOR", 0)
-        monkeypatch.setattr(engine, "PG_MAX_STEPS", 1)
         system = factored(np.array([[1.0, 0.9], [0.9, 1.0]]), np.zeros(2),
                           np.ones(2))
         rhs = np.array([2.0, 1.5])
         tally = Counter()
-        x = solve_block(system, rhs, tally)
+        np.testing.assert_array_equal(solve_block(system, rhs, tally),
+                                      [1.0, 0.0])
         assert tally == {"unconverged": 1}
-        assert np.all(x >= 0.0) and np.all(x <= 1.0)
-        monkeypatch.setattr(engine, "PG_MAX_STEPS", 200000)
+        monkeypatch.setattr(engine, "ACTIVE_SET_PASS_FACTOR", 10)
         tally = Counter()
         np.testing.assert_allclose(solve_block(system, rhs, tally), [1.0, 0.6])
         assert tally == {}
@@ -301,12 +308,13 @@ class TestSolveBlock:
         lower = np.array([-np.inf, -48.21135301636291])
         upper = np.array([61.61964083533591, np.inf])
         rhs = np.array([-101856.08812585012, 268021.4166752065])
-        fallbacks = []
+        finishes = []
+        finish = engine._ratio_test_finish
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(engine, "_projected_gradient",
-                          lambda *args: fallbacks.append(1))
+            patch.setattr(engine, "_ratio_test_finish",
+                          lambda *args: finishes.append(1) or finish(*args))
             x = solve_block(factored(matrix, lower, upper), rhs)
-        assert fallbacks == []
+        assert finishes == []
         assert box_kkt_residual(matrix, rhs, lower, upper, x) <= 1e-13
 
     @settings(max_examples=200, deadline=None)
@@ -317,16 +325,36 @@ class TestSolveBlock:
         assert np.all(x >= lower) and np.all(x <= upper)
         assert box_kkt_residual(matrix, rhs, lower, upper, x) <= 1e-10
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(5, 79), st.integers(1, 5), st.integers(0, 2**32 - 1))
+    @example(40, 3, 11)
+    @example(60, 4, 7)
+    @example(79, 5, 2)
+    def test_rank_deficient_blocks_finish_exactly(self, s, rank, seed):
+        # linear-kernel C-SVC blocks: rank <= 6 plus a 1e-9 ridge, where
+        # PDAS cycles and a first-order finish needs steps in proportion to
+        # the condition number (the examples are blocks where projected
+        # gradient stopped short); every solve ends in the box at box KKT,
+        # with nothing counted
+        matrix, lower, upper, rhs = svm_block(s, rank, seed)
+        tally = Counter()
+        x = solve_block(factored(matrix, lower, upper), rhs, tally)
+        assert np.all(x >= lower) and np.all(x <= upper)
+        assert box_kkt_residual(matrix, rhs, lower, upper, x) <= 1e-10
+        assert tally == {}
+
 
 def logged_free_solve(log):
     """``engine._free_solve``, appending each call's free set, the values it
-    holds the bound entries at, and its result to ``log``."""
+    holds the bound entries at, its result and the iterate it starts from
+    to ``log``."""
     free_solve = engine._free_solve
 
-    def logged(matrix, rhs, x, f, bnd):
-        xf = free_solve(matrix, rhs, x, f, bnd)
-        log.append((f.tobytes(), x[bnd].tobytes(), f, xf))
-        return xf
+    def logged(matrix, rhs, x, free):
+        solved = free_solve(matrix, rhs, x, free)
+        f = np.flatnonzero(free)
+        log.append((f.tobytes(), x[~free].tobytes(), f, solved[f], x.copy()))
+        return solved
 
     return logged
 
@@ -336,7 +364,7 @@ def final_active_set(log, x):
     is that solve's result, else None."""
     if not log:
         return None
-    f_key, bound_key, f, xf = log[-1]
+    f_key, bound_key, f, xf, _ = log[-1]
     return (f_key, bound_key) if np.array_equal(x[f], xf) else None
 
 
@@ -404,6 +432,24 @@ def pdas_blocks(draw):
     upper[bounds == 4] = lower[bounds == 4]
     rhs = matrix @ rng.uniform(-3 * scale, 3 * scale, s)
     return matrix, lower, upper, rhs
+
+
+def svm_block(s, rank, seed):
+    """A bounded block shaped like a linear-kernel C-SVC block step's:
+    M = (y y') * (X X') + beta y y' for labels y and features X of ``rank``
+    columns, plus a ridge 1e-9 of its largest diagonal entry, over the box
+    [0, C], with rhs M z + e + y * (X v + t) for some z in the box."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((s, rank)) + rng.uniform(-2, 2, rank)
+    y = rng.choice([-1.0, 1.0], s)
+    yy = np.outer(y, y)
+    matrix = yy * (X @ X.T) + 10 ** rng.uniform(-2, 1) * yy
+    matrix += 1e-9 * matrix.diagonal().max() * np.eye(s)
+    C = 10 ** rng.uniform(-1, 1)
+    z = rng.uniform(0, C, s) * (rng.uniform(size=s) < 0.5)
+    rhs = matrix @ z + 1.0 + y * (X @ rng.standard_normal(rank)
+                                  + rng.standard_normal())
+    return matrix, np.zeros(s), np.full(s, C), rhs
 
 
 @st.composite
@@ -514,19 +560,18 @@ def textbook_two_block_admm(A1, A2, c1, c2, b, beta, sweeps):
 
 class TestSolve:
     def test_unconverged_blocks_are_counted(self, monkeypatch):
-        # each sweep's one block leaves the box, falls through to a one-step
-        # projected gradient and stops short of PG_TOL
+        # each sweep's one block leaves the box and reaches a ratio-test
+        # finish with no step budget, which stops short of a KKT point
         prob = random_problem(0, bounded=True)
         cfg = SolverConfig(mode=Mode.CYCLIC, block_size=6, beta_penalty=1.0,
                            max_iters=4, seed=0)
         assert solve(prob, cfg).unconverged_blocks == 0
         monkeypatch.setattr(engine, "PDAS_MAX_STEPS", 0)
         monkeypatch.setattr(engine, "ACTIVE_SET_PASS_FACTOR", 0)
-        monkeypatch.setattr(engine, "PG_MAX_STEPS", 1)
         finishes = []
-        projected_gradient = engine._projected_gradient
-        monkeypatch.setattr(engine, "_projected_gradient", lambda *args:
-                            finishes.append(1) or projected_gradient(*args))
+        finish = engine._ratio_test_finish
+        monkeypatch.setattr(engine, "_ratio_test_finish", lambda *args:
+                            finishes.append(1) or finish(*args))
         res = solve(prob, cfg)
         assert res.unconverged_blocks == len(finishes) == 4
 

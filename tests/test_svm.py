@@ -373,17 +373,18 @@ class TestTrain:
 
     def test_pdas_halves_factorizations(self, monkeypatch):
         # svm_blobs' kernel on a smaller draw: bounded blocks' primal-dual
-        # active-set steps make at most half the factorizations the clamp
-        # rule alone makes, to the same duals
+        # active-set steps make at most half the factorizations the
+        # ratio-test finish alone makes, to the same duals
         counts, duals = factorizations_with_and_without_pdas(
             monkeypatch, KernelSpec("gaussian", 3.0))
         assert counts[0] <= counts[1] / 2
         assert np.array_equal(duals[0], duals[1])
 
-    def test_pdas_cycles_cost_no_more_than_the_clamp_rule(self, monkeypatch):
-        # on a linear kernel PDAS cycles on many blocks; the clamp rule goes
-        # on from the active set PDAS stopped at, so cycling costs no
-        # factorizations beyond the clamp rule's own, to the same duals
+    def test_pdas_cycles_cost_no_more_than_the_finish_alone(self,
+                                                            monkeypatch):
+        # on a linear kernel PDAS cycles on many blocks; the ratio-test
+        # finish goes on from PDAS's last iterate, so cycling costs no
+        # factorizations beyond the finish's own, to the same duals
         counts, duals = factorizations_with_and_without_pdas(
             monkeypatch, KernelSpec("linear"))
         assert counts[0] <= counts[1]
@@ -397,10 +398,21 @@ class TestTrain:
         assert diag.unconverged_blocks == 0
         monkeypatch.setattr(engine, "PDAS_MAX_STEPS", 0)
         monkeypatch.setattr(engine, "ACTIVE_SET_PASS_FACTOR", 0)
-        monkeypatch.setattr(engine, "PG_MAX_STEPS", 1)
         _, diag = train(tr.X, tr.y, 1.0, KernelSpec("linear"), cfg,
                         return_diagnostics=True)
         assert diag.unconverged_blocks > 0
+
+    def test_ill_conditioned_linear_kernel_finishes_every_block(self):
+        # 1500 points per class, centers 2 apart, linear kernel: blocks are
+        # rank <= 11 plus the ridge, PDAS cycles on many, and the ratio-test
+        # finish ends every one at a KKT point
+        tr = gen_blobs(1500, 10, center_distance=2.0, seed=7)
+        cfg = dataclasses.replace(default_config(3000, seed=3, max_iters=3),
+                                  fixed_iterations=True)
+        _, diag = train(tr.X, tr.y, 1.0, KernelSpec("linear"), cfg,
+                        return_diagnostics=True)
+        assert diag.iterations == 3
+        assert diag.unconverged_blocks == 0
 
     def test_divergence_guard_reports_diverged(self, monkeypatch):
         # with the guard's bar forced below any nonzero y'z, the first sweep
