@@ -29,11 +29,16 @@ strip of A and the changed columns of H are gathered again on every visit.
 Elastic-net keeps bare factors.
 
 A bounded block whose unconstrained minimizer leaves the box is solved in
-two stages, one free-set factorization per step: primal-dual active-set
-exchanges, then, on a cycle or a step cap, a primal active-set finish with
-a ratio test from the last iterate, which ends at an exact KKT point. A
-finish that uses up its step budget is counted, and ``solve`` reports the
-count as ``SolveResult.unconverged_blocks``.
+two stages: primal-dual active-set exchanges, then, on a cycle or a step
+cap, a primal active-set finish with a ratio test from the last iterate,
+which ends at an exact KKT point. A finish that uses up its step budget is
+counted, and ``solve`` reports the count as
+``SolveResult.unconverged_blocks``. Each step solves on its free set with
+the k of the block's s entries that are bound held. Where that costs fewer
+flops than factoring the free set (2 k s^2 < (s - k)^3 / 3), it goes
+through the block's kept factor and a k x k Schur complement; it gathers
+the free-set matrix and factors it otherwise, and when the kept-factor
+result fails a rounding-scale check of its free-set gradient.
 """
 
 from __future__ import annotations
@@ -170,17 +175,54 @@ def _chol_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def _free_solve(matrix, rhs, x, free):
-    """A copy of x with its free entries f solved for and its bound entries
-    bnd held where x has them: M_ff x_f = r_f - M_f,bnd x_bnd."""
+def _free_solve(matrix, rhs, x, free, chol, x0):
+    """A copy of x with its free entries f solved for and its k bound entries
+    B held where x has them: M_ff x_f = r_f - M_fB x_B.
+
+    Where k solves with M's kept factor ``chol`` cost fewer flops than
+    factoring M_ff (2 k s^2 < (s - k)^3 / 3), ``_schur_solve`` goes through
+    that factor from x0 = M^-1 r, which is the answer itself at k = 0. The
+    direct route, gathering M_ff and factoring it, solves the other steps
+    and those whose kept-factor result ``_schur_solve`` rejects.
+    """
     f, bnd = np.flatnonzero(free), np.flatnonzero(~free)
+    s, k = rhs.size, bnd.size
+    if 2 * k * s * s < (s - k) ** 3 / 3:
+        if not k:
+            return x0.copy()
+        kept = _schur_solve(matrix, rhs, x, f, bnd, chol, x0)
+        if kept is not None:
+            return kept
     x = x.copy()
-    if f.size:
-        reduced_rhs = rhs[f]
-        if bnd.size:
-            reduced_rhs = reduced_rhs - matrix[np.ix_(f, bnd)] @ x[bnd]
+    if f.size:  # k >= 1 here
+        reduced_rhs = rhs[f] - matrix[np.ix_(f, bnd)] @ x[bnd]
         x[f] = _chol_solve(_cholesky(matrix[np.ix_(f, f)]), reduced_rhs)
     return x
+
+
+def _schur_solve(matrix, rhs, x, f, bnd, chol, x0):
+    """``_free_solve``'s result through M's factor ``chol``, or None.
+
+    The Schur-complement method (Nocedal & Wright, Numerical Optimization,
+    2nd ed., sec. 16.5): x = x0 + Z mu with Z = M^-1 E_B and mu solving the
+    k x k system (E_B'Z) mu = x_B - x0_B, x_B held exactly. The result
+    stands only if its free-set gradient (Mx - r)_f is within 1e-14 max(1,
+    max|Mx|, max|r|), the rounding scale ``_wrong_signed`` uses: on a block
+    whose small-eigenvalue directions sit on a few entries, x_f cancels
+    against a large x0 and misses it, and E_B'Z may not even factor.
+    """
+    unit = np.zeros((rhs.size, bnd.size))
+    unit[bnd, np.arange(bnd.size)] = 1.0
+    z = _chol_solve(chol, unit)
+    try:
+        mu = _chol_solve(_cholesky(z[bnd]), x[bnd] - x0[bnd])
+    except BlockDefinitenessError:
+        return None
+    x = x.copy()
+    x[f] = x0[f] + z[f] @ mu
+    mx = matrix @ x
+    scale = max(1.0, float(np.abs(mx).max()), float(np.abs(rhs).max()))
+    return x if np.abs(mx[f] - rhs[f]).max() <= 1e-14 * scale else None
 
 
 def _wrong_signed(matrix, rhs, x, at_lo, at_hi, rhs_scale):
@@ -194,7 +236,8 @@ def _wrong_signed(matrix, rhs, x, at_lo, at_hi, rhs_scale):
     return wrong_lo, wrong_hi, grad
 
 
-def _ratio_test_finish(matrix, rhs, lower, upper, x, rhs_scale, tally):
+def _ratio_test_finish(matrix, rhs, lower, upper, x, rhs_scale, tally,
+                       chol, x0):
     """Primal active-set method with a ratio test (Nocedal & Wright,
     Numerical Optimization, 2nd ed., Alg. 16.3), from x clipped into the box
     with its entries at a bound active. A step toward the free-set minimizer
@@ -203,13 +246,14 @@ def _ratio_test_finish(matrix, rhs, lower, upper, x, rhs_scale, tally):
     multiplier is wrong-signed, and then releases the most wrong-signed
     bound. No step leaves the box or raises the objective. After
     ACTIVE_SET_PASS_FACTOR * s steps it returns where it is and adds one to
-    ``tally["unconverged"]``, when given.
+    ``tally["unconverged"]``, when given. ``chol`` and ``x0`` are passed on
+    to ``_free_solve``.
     """
     x = np.clip(x, lower, upper)
     at_lo, at_hi = x <= lower, x >= upper
     for _ in range(ACTIVE_SET_PASS_FACTOR * rhs.size):
         free = ~(at_lo | at_hi)
-        target = _free_solve(matrix, rhs, x, free)
+        target = _free_solve(matrix, rhs, x, free, chol, x0)
         out_lo, out_hi = free & (target < lower), free & (target > upper)
         out = np.flatnonzero(out_lo | out_hi)
         if out.size:
@@ -239,9 +283,11 @@ def solve_block(system: BlockSystem, rhs: np.ndarray,
     """Exactly minimize 1/2 x'Mx - r'x over the block's box.
 
     Unbounded blocks, and bounded ones whose unconstrained minimizer is
-    inside the box, are a single SPD solve. Otherwise the solve has two
-    stages, each step of which solves once on the free set, holding the
-    bound entries at their bounds:
+    inside the box, are a single SPD solve with the kept factor. Otherwise
+    the solve has two stages, each step of which solves once on the free
+    set, holding the bound entries at their bounds (``_free_solve``: with
+    few entries bound, through the kept factor from that unconstrained
+    minimizer; else by factoring the free-set matrix):
 
     1. Primal-dual active set (Hintermueller, Ito, Kunisch, SIAM J. Optim.
        13(3), 2002), from the unconstrained minimizer's bound violators:
@@ -258,20 +304,23 @@ def solve_block(system: BlockSystem, rhs: np.ndarray,
     by the gradient itself, which vanishes at the optimum, the test would
     release bounds whose multipliers are rounding noise.
     """
-    x = _chol_solve(system.chol, rhs)
+    x0 = _chol_solve(system.chol, rhs)
     if not system.bounded:
-        return x
-    matrix, lower, upper = system.matrix, system.lower, system.upper
-    if (x >= lower).all() and (x <= upper).all():
-        return x  # interior solution is the global minimizer
+        return x0
+    matrix, chol, lower, upper = (system.matrix, system.chol, system.lower,
+                                  system.upper)
+    if (x0 >= lower).all() and (x0 <= upper).all():
+        return x0  # interior solution is the global minimizer
 
     rhs_scale = max(1.0, float(np.abs(rhs).max()))
-    at_lo, at_hi = x < lower, x > upper
+    at_lo, at_hi = x0 < lower, x0 > upper
     seen = {(at_lo.tobytes(), at_hi.tobytes())}
+    x = x0
     for _ in range(PDAS_MAX_STEPS):
         free = ~(at_lo | at_hi)
         x = _free_solve(matrix, rhs,
-                        np.where(at_lo, lower, np.where(at_hi, upper, x)), free)
+                        np.where(at_lo, lower, np.where(at_hi, upper, x)), free,
+                        chol, x0)
         lo_viol, hi_viol = free & (x < lower), free & (x > upper)
         wrong_lo, wrong_hi, _ = _wrong_signed(matrix, rhs, x, at_lo, at_hi,
                                               rhs_scale)
@@ -283,7 +332,8 @@ def solve_block(system: BlockSystem, rhs: np.ndarray,
         if key in seen:
             break
         seen.add(key)
-    return _ratio_test_finish(matrix, rhs, lower, upper, x, rhs_scale, tally)
+    return _ratio_test_finish(matrix, rhs, lower, upper, x, rhs_scale, tally,
+                              chol, x0)
 
 
 def compute_residuals(problem: QpProblem, x: np.ndarray, y: np.ndarray,

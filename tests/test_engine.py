@@ -350,8 +350,8 @@ def logged_free_solve(log):
     to ``log``."""
     free_solve = engine._free_solve
 
-    def logged(matrix, rhs, x, free):
-        solved = free_solve(matrix, rhs, x, free)
+    def logged(matrix, rhs, x, free, *factored):
+        solved = free_solve(matrix, rhs, x, free, *factored)
         f = np.flatnonzero(free)
         log.append((f.tobytes(), x[~free].tobytes(), f, solved[f], x.copy()))
         return solved
@@ -450,6 +450,146 @@ def svm_block(s, rank, seed):
     rhs = matrix @ z + 1.0 + y * (X @ rng.standard_normal(rank)
                                   + rng.standard_normal())
     return matrix, np.zeros(s), np.full(s, C), rhs
+
+
+def direct_free_solve(matrix, rhs, x, free):
+    """``engine._free_solve``'s direct route: M_ff gathered and factored."""
+    f, bnd = np.flatnonzero(free), np.flatnonzero(~free)
+    x = x.copy()
+    x[f] = _chol_solve(engine._cholesky(matrix[np.ix_(f, f)]),
+                       rhs[f] - matrix[np.ix_(f, bnd)] @ x[bnd])
+    return x
+
+
+def logged_schur_solve(log):
+    """``engine._schur_solve``, appending each call's bound count and
+    whether it kept its result to ``log``."""
+    schur_solve = engine._schur_solve
+
+    def logged(matrix, rhs, x, f, bnd, chol, x0):
+        kept = schur_solve(matrix, rhs, x, f, bnd, chol, x0)
+        log.append((bnd.size, kept is not None))
+        return kept
+
+    return logged
+
+
+def null_on_two_entries(s, seed):
+    """An s x s block Q diag(1e-10, ...) Q' whose smallest eigenvector
+    (e_0 + e_1)/sqrt(2) sits on two entries, its other eigenvalues in
+    [1, 10], and rhs M x_in + Q[:, 0] for an x_in inside [-1, 1]: the
+    unconstrained minimizer x_in + Q[:, 0]/1e-10 is far out on entries 0
+    and 1 only."""
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((s, s))
+    G[:, 0] = 0.0
+    G[:2, 0] = 1.0
+    Q = np.linalg.qr(G)[0]
+    matrix = (Q * np.concatenate([[1e-10], rng.uniform(1, 10, s - 1)])) @ Q.T
+    matrix = (matrix + matrix.T) / 2
+    return matrix, matrix @ rng.uniform(-0.9, 0.9, s) + Q[:, 0]
+
+
+class TestFreeSolveRoutes:
+    @pytest.mark.parametrize("s", [20, 60, 250])
+    def test_kept_factor_route_matches_the_direct_route(self, s,
+                                                        monkeypatch):
+        # every k the flop rule sends to M's kept factor goes there, keeps
+        # its result, holds x_B exactly and agrees with the direct route;
+        # the next k goes direct
+        rng = np.random.default_rng(s)
+        G = rng.standard_normal((s, s))
+        matrix = G @ G.T / s + np.eye(s)
+        chol = engine._cholesky(matrix)
+        rhs = 10 * rng.standard_normal(s)
+        x0 = _chol_solve(chol, rhs)
+        ks = [k for k in range(s) if 2 * k * s * s < (s - k) ** 3 / 3]
+        log = []
+        monkeypatch.setattr(engine, "_schur_solve", logged_schur_solve(log))
+        for k in range(ks[-1] + 2):
+            free = np.ones(s, dtype=bool)
+            free[rng.choice(s, k, replace=False)] = False
+            x = np.where(free, 0.0, rng.uniform(-1, 1, s))
+            got = engine._free_solve(matrix, rhs, x, free, chol, x0)
+            want = direct_free_solve(matrix, rhs, x, free)
+            assert np.array_equal(got[~free], x[~free])
+            assert np.abs(got - want).max() <= \
+                1e-12 * max(1.0, np.abs(want).max())
+        assert log == [(k, True) for k in ks[1:]]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_cancellation_falls_back_to_the_direct_route(self, seed,
+                                                         monkeypatch):
+        # with entries 0 and 1 bound, x_f = x0_f + Z_f mu cancels against
+        # x0's 1e10-sized entries and misses the free-set gradient check;
+        # the step is then the direct route's, bit for bit, and the whole
+        # solve ends at box KKT with nothing counted
+        s = 30
+        matrix, rhs = null_on_two_entries(s, seed)
+        lower, upper = -np.ones(s), np.ones(s)
+        system = factored(matrix, lower, upper)
+        x0 = _chol_solve(system.chol, rhs)
+        x = np.clip(x0, lower, upper)
+        free = np.arange(s) >= 2
+        log = []
+        monkeypatch.setattr(engine, "_schur_solve", logged_schur_solve(log))
+        got = engine._free_solve(matrix, rhs, x, free, system.chol, x0)
+        assert log == [(2, False)]
+        assert got.tobytes() == direct_free_solve(matrix, rhs, x,
+                                                  free).tobytes()
+        tally = Counter()
+        x = solve_block(system, rhs, tally)
+        assert box_kkt_residual(matrix, rhs, lower, upper, x) <= 1e-10
+        assert tally == {}
+
+    def test_schur_complement_that_does_not_factor_goes_direct(self,
+                                                               monkeypatch):
+        # E_B'M^-1 E_B, formed from M's factor, can be numerically
+        # indefinite on a near-singular M that still factors; the step
+        # then goes direct instead of raising
+        s = 30
+        matrix, rhs = null_on_two_entries(s, 0)
+        system = factored(matrix, -np.ones(s), np.ones(s))
+        x0 = _chol_solve(system.chol, rhs)
+        x = np.clip(x0, -1.0, 1.0)
+        free = np.arange(s) >= 2
+        cholesky = engine._cholesky
+
+        def indefinite_schur(m):
+            if m.shape == (2, 2):
+                raise BlockDefinitenessError("not positive definite")
+            return cholesky(m)
+
+        monkeypatch.setattr(engine, "_cholesky", indefinite_schur)
+        got = engine._free_solve(matrix, rhs, x, free, system.chol, x0)
+        assert got.tobytes() == direct_free_solve(matrix, rhs, x,
+                                                  free).tobytes()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_few_bounds_factor_only_the_schur_complement(self, seed,
+                                                         monkeypatch):
+        # s = 250, a few entries of the unconstrained minimizer out of the
+        # box: each active-set step with k entries bound factors one k x k
+        # matrix, never M_ff, and the solve ends with at most 9 bound
+        s = 250
+        rng = np.random.default_rng(seed)
+        G = rng.standard_normal((s, s))
+        matrix = G @ G.T / s + np.eye(s)
+        lower, upper = -np.ones(s), np.ones(s)
+        rhs = matrix @ rng.uniform(-0.9, 0.9, s)
+        rhs[rng.choice(s, 5, replace=False)] += 2 * rng.choice([-1, 1], 5)
+        system = factored(matrix, lower, upper)
+        shapes, solves = [], []
+        cholesky = engine._cholesky
+        monkeypatch.setattr(engine, "_cholesky", lambda m:
+                            shapes.append(m.shape) or cholesky(m))
+        monkeypatch.setattr(engine, "_free_solve", logged_free_solve(solves))
+        tally = Counter()
+        x = solve_block(system, rhs, tally)
+        ks = [s - entry[2].size for entry in solves]
+        assert ks and shapes == [(k, k) for k in ks]
+        assert ((x == lower) | (x == upper)).sum() <= 9 and tally == {}
+        assert box_kkt_residual(matrix, rhs, lower, upper, x) <= 1e-10
 
 
 @st.composite
