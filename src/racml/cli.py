@@ -253,7 +253,12 @@ def _parse_grid(text: str) -> list[float]:
 
 def _cmd_svm_grid(args, argv) -> int:
     ds = data_io.parse_libsvm(args.data, classification=True)
-    threads = int(os.environ.get("RACML_THREADS", "1"))
+    text = os.environ.get("RACML_THREADS", "1")
+    try:
+        threads = int(text)
+    except ValueError:
+        raise ValueError(
+            f"RACML_THREADS must be an integer, got {text!r}") from None
     start = time.perf_counter()
     best, table = svm.grid_search(
         ds.X, ds.y, _parse_grid(args.c_grid), _parse_grid(args.sigma_grid),

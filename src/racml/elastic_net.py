@@ -11,14 +11,16 @@ consensus splitting (per-sample-group coefficient copies tied to a global
 z), as a baseline.
 
 A sparse design is stored as canonical CSC. A slice of it whose stored
-entries fill at most ``SPARSE_SLICE_DENSITY`` of it stays sparse: ``fit``
-gathers such a column block straight from X's CSC arrays as flat
-(row, value, column) entries, takes its products and its s x s Gram with
-``np.bincount`` and builds no scipy object while it sweeps; ``consensus_fit``
-keeps such a sample group as a CSR row slice and makes dense only the
-n_i x n_i (or p x p, when p <= n_i) system it factors. A denser slice is
-made dense and takes a dense design's operations; a dense design is not
-copied.
+entries fill at most ``SPARSE_SLICE_DENSITY`` of it stays sparse, and so
+does a column block of ``fit`` only while its Gram pairs (c * c summed over
+rows holding c of its entries) number at most n * s, the slice's size.
+``fit`` gathers such a column block straight from X's CSC arrays as flat
+(row, value, column) entries, takes its products and, in one pass, its
+s x s Gram with ``np.bincount``, and builds no scipy object while it
+sweeps; ``consensus_fit`` keeps such a sample group as a CSR row slice and
+makes dense only the n_i x n_i (or p x p, when p <= n_i) system it factors.
+Any other slice is made dense and takes a dense design's operations; a
+dense design is not copied.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import scipy.sparse as sp
 from .engine import (ResidualPair, _chol_solve, _cholesky, block_system,
                      run_sweeps)
 from .problems import (Matrix, Mode, SolverConfig, Status, as_csc, as_dense,
-                       chunk_indices)
+                       check_integer, chunk_indices)
 
 # Optional instrumentation: called with the element count of each per-block
 # temporary that fit materializes, so tests can bound peak working memory.
@@ -76,10 +78,9 @@ class ElasticNetSpec:
             raise ValueError(f"gamma must be finite and > 0, got {self.gamma}")
         if self.tol is not None and not self.tol >= 0:
             raise ValueError(f"tol must be >= 0, got {self.tol}")
-        if self.block_size < 1:
-            raise ValueError("block_size must be >= 1")
-        if self.iters < 1:
-            raise ValueError("iters must be >= 1")
+        check_integer("block_size", self.block_size, 1)
+        check_integer("iters", self.iters, 1)
+        check_integer("seed", self.seed, 0)
         if Mode(self.mode) not in (Mode.RAC, Mode.RP):
             raise ValueError(f"mode must be rac or rp, got {self.mode}")
 
@@ -150,7 +151,9 @@ def objective(X: Matrix, y: np.ndarray, beta: np.ndarray,
 
 # A sparse slice of X (a block of fit's columns, a group of consensus_fit's
 # samples) whose stored entries fill more than this share of it is made
-# dense, since above it sparse products cost more than BLAS. Whole fits,
+# dense, since above it sparse products cost more than BLAS; a column block
+# whose Gram pairs outnumber its n x s entries is made dense too, whatever
+# its fill, so its Gram is made in one pass within O(n s). Whole fits,
 # 10 sweeps, with every block kept as stored entries against every block
 # made dense (medians on a loaded 2-core x86 host, numpy 2.4, scipy 1.17):
 # 1000 x 2000 at s = 100 took 0.11 against 0.21 s at 1%, 0.15 against
@@ -188,37 +191,25 @@ class _StoredEntries(NamedTuple):
 
     def gram(self) -> np.ndarray:
         """The dense s x s Gram M'M of a CSC block (entries stored column
-        by column, rows ascending), summed over the pairs of entries that
-        share a row: a row holding c entries gives c * c pairs. Each Gram
-        entry adds its pairs in the stored order of their first entries,
-        which is ascending row order, as scipy's ``csr_matmat`` does. The
-        pairs are made for a run of Gram rows at a time, at most n * s of
-        them, so they take O(n s) memory however the entries crowd into
-        rows."""
-        n, s = self.shape
+        by column, rows ascending), one ``np.bincount`` over the pairs of
+        entries that share a row: a row holding c entries gives c * c pairs.
+        Each Gram entry adds its pairs in the stored order of their first
+        entries, which is ascending row order, as scipy's ``csr_matmat``
+        does. ``_column_block`` keeps a block as stored entries only while
+        they make at most n * s pairs, so this takes O(n s) memory."""
+        s = self.shape[1]
         # need not be stable: one entry's pairs land in distinct Gram entries
         by_row = np.argsort(self.rows)
-        counts = np.bincount(self.rows, minlength=n)
+        counts = np.bincount(self.rows)
         first = np.cumsum(counts) - counts  # where each row starts in by_row
         mates = counts[self.rows]
-        before = np.concatenate(([0], np.cumsum(mates)))  # pairs before each
+        left = np.repeat(np.arange(self.nnz), mates)
         # entry k's pairs' second entries sit at by_row[pair + seek[k]]
-        seek = first[self.rows] - before[:-1]
-        width = s  # Gram rows per run; one row's pairs are at most n * s
-        if before[-1] > n * s:
-            width = int(n * s // np.bincount(self.cols, mates,
-                                             minlength=s).max())
-        gram = np.empty(s * s)
-        for a in range(0, s, width):
-            b = min(a + width, s)
-            lo, hi = np.searchsorted(self.cols, (a, b))
-            left = np.repeat(np.arange(lo, hi), mates[lo:hi])
-            right = by_row[np.arange(before[lo], before[hi]) +
-                           np.repeat(seek[lo:hi], mates[lo:hi])]
-            gram[a * s:b * s] = np.bincount(
-                self.cols[left] * s + self.cols[right] - a * s,
-                self.vals[left] * self.vals[right], minlength=(b - a) * s)
-        return gram.reshape(s, s)
+        seek = first[self.rows] - (np.cumsum(mates) - mates)
+        right = by_row[np.arange(left.size) + np.repeat(seek, mates)]
+        return np.bincount(self.cols[left] * s + self.cols[right],
+                           self.vals[left] * self.vals[right],
+                           minlength=s * s).reshape(s, s)
 
 
 def _column_block(X: Matrix, idx: np.ndarray):
@@ -226,9 +217,10 @@ def _column_block(X: Matrix, idx: np.ndarray):
     column slice. A canonical CSC X gives the stored entries of those
     columns, read from its ``indptr``/``indices``/``data`` without building
     a scipy object, as a ``_StoredEntries`` while they fill at most
-    ``SPARSE_SLICE_DENSITY`` of the n x s slice; a fuller slice is scattered
-    into a column-major dense array instead, the layout ``_block_operand``
-    gives it."""
+    ``SPARSE_SLICE_DENSITY`` of the n x s slice and their Gram pairs (the
+    sum of c * c over rows holding c of them) number at most n * s; any
+    other block is scattered into a column-major dense array instead, the
+    layout ``_block_operand`` gives it."""
     if not sp.issparse(X):
         return X[:, idx]
     n, s = X.shape[0], idx.size
@@ -239,7 +231,8 @@ def _column_block(X: Matrix, idx: np.ndarray):
     at = np.arange(stored) + np.repeat(starts - (np.cumsum(counts) - counts),
                                        counts)
     rows, vals = X.indices[at], X.data[at]
-    if stored > SPARSE_SLICE_DENSITY * n * s:
+    per_row = np.bincount(rows)
+    if stored > SPARSE_SLICE_DENSITY * n * s or per_row @ per_row > n * s:
         dense = np.zeros((n, s), order="F")
         dense[rows, cols] = vals
         return dense
@@ -295,10 +288,11 @@ def fit(X: Matrix, y: np.ndarray, spec: ElasticNetSpec) -> ElasticNetModel:
 
     with c = -X'y/n and the cross term computed from the running prediction
     X beta (never forming the full Gram matrix). A sparse X_b that fills at
-    most ``SPARSE_SLICE_DENSITY`` of its n x s is read as its stored entries,
-    gathered from X's CSC arrays: the cross term and the prediction update
-    are ``np.bincount`` sums over those entries, and only the s x s Gram
-    X_b'X_b is made dense; a denser X_b is made dense. Then z
+    most ``SPARSE_SLICE_DENSITY`` of its n x s, and whose Gram pairs number
+    at most n * s, is read as its stored entries, gathered from X's CSC
+    arrays: the cross term and the prediction update are ``np.bincount``
+    sums over those entries, and only the s x s Gram X_b'X_b is made dense,
+    in one ``np.bincount`` pass; any other X_b is made dense. Then z
     is updated in closed form and the dual takes one step
     xi <- xi - gamma (beta - z). Runs exactly ``spec.iters`` sweeps, or
     stops earlier once ||beta - z||_1 falls below ``spec.tol`` when a

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -250,6 +251,15 @@ def enumerate_orders(n: int, p: int) -> list[Order]:
     return list(iter_orders(n, p))
 
 
+def check_integer(name: str, value, least: int) -> None:
+    """Refuse a ``value`` that is not an integer >= ``least``, by ``name``;
+    numpy integers pass."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 class Mode(str, Enum):
     """Block assembly policy for the sweep loop."""
 
@@ -281,13 +291,14 @@ class SolverConfig:
         if not 0 < self.beta_penalty < math.inf:
             raise ValueError(
                 f"beta_penalty must be finite and > 0, got {self.beta_penalty}")
-        if not (1 <= self.block_size <= n):
+        check_integer("block_size", self.block_size, 1)
+        if self.block_size > n:
             raise ValueError(
                 f"block_size must be in [1, n]; got {self.block_size} with n={n}")
         if not (self.tol_primal > 0 and self.tol_dual > 0):  # NaN fails too
             raise ValueError("tolerances must be > 0")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        check_integer("max_iters", self.max_iters, 1)
+        check_integer("seed", self.seed, 0)
 
 
 @dataclass

@@ -218,6 +218,18 @@ class TestElasticNetCli:
         assert "racml: error: alpha must be in [0, 1], got 2.0" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("mode", ["rac", "consensus"])
+    def test_negative_seed_exits_two_naming_seed(self, tmp_path, capsys,
+                                                 mode):
+        ds, _ = gen_regression(10, 5, seed=0)
+        data = tmp_path / "d.txt"
+        write_libsvm(ds, data)
+        assert run(["elastic-net", "fit", "--data", str(data), "--mode", mode,
+                    "--lambda", "0.1", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "racml: error: seed must be >= 0, got -1" in captured.err
+        assert captured.out == ""
+
     def test_center_scale_matches_standardized_fit(self, tmp_path, capsys):
         ds, _ = gen_regression(30, 6, x_density=1.0, coef_density=1.0,
                                noise_sd=0.1, seed=5)
@@ -523,6 +535,18 @@ class TestThreadEnv:
         assert code == 0
         assert threaded["config"]["threads"] == 4
         assert threaded["metrics"] == serial["metrics"]
+
+    def test_grid_names_a_thread_count_that_is_not_an_integer(
+            self, tmp_path, capsys, monkeypatch):
+        data = tmp_path / "d.txt"
+        write_libsvm(gen_blobs(10, 2, 6.0, seed=0), data)
+        monkeypatch.setenv("RACML_THREADS", "abc")
+        assert run(["svm", "grid", "--data", str(data), "--c-grid", "1",
+                    "--sigma-grid", "1"]) == 2
+        captured = capsys.readouterr()
+        assert "racml: error: RACML_THREADS must be an integer, got 'abc'" \
+            in captured.err
+        assert captured.out == ""
 
 
 class TestRunRecordDeterminism:

@@ -2,7 +2,6 @@ import json
 import math
 import tracemalloc
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -571,6 +570,28 @@ class TestFit:
         with pytest.raises(ValueError, match="iters must be >= 1"):
             ElasticNetSpec(lam=1.0, alpha=0.5, iters=0)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("block_size", 2.5, "block_size must be an integer, got 2.5"),
+        ("iters", 2.5, "iters must be an integer, got 2.5"),
+        ("iters", "3", "iters must be an integer, got '3'"),
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("seed", -1, "seed must be >= 0, got -1")])
+    def test_sizes_and_seed_refused_by_name(self, field, value, message):
+        # a float size was built and then failed in fit with numpy's
+        # TypeError, and a negative seed with a message naming no field
+        with pytest.raises(ValueError, match=message):
+            ElasticNetSpec(**{"lam": 0.1, "alpha": 0.5, field: value})
+
+    def test_numpy_integer_sizes_and_seed_pass(self):
+        rng = np.random.default_rng(26)
+        X = rng.standard_normal((20, 6))
+        y = rng.standard_normal(20)
+        spec = ElasticNetSpec(lam=0.1, alpha=0.5, block_size=np.int64(2),
+                              iters=np.int32(5), seed=np.uint8(3))
+        plain = ElasticNetSpec(lam=0.1, alpha=0.5, block_size=2, iters=5,
+                               seed=3)
+        assert np.array_equal(fit(X, y, spec).beta, fit(X, y, plain).beta)
+
     @pytest.mark.parametrize("field, value", [
         ("lam", math.nan), ("lam", math.inf), ("gamma", math.nan),
         ("gamma", math.inf), ("tol", math.nan), ("tol", -1.0)])
@@ -626,6 +647,18 @@ def golden_design(density):
     return X, rng.standard_normal(200)
 
 
+def crowded_design():
+    # 20 full rows of 1000 fill 2% of every block, and their Gram pairs
+    # (20 * s * s) exceed n * s once s > 50. X and y hold multiples of 1/8,
+    # so X'y is exact and a fit of X and of X made dense start from the
+    # same c (BLAS and scipy add the terms of X'y in different orders).
+    rng = np.random.default_rng(41)
+    n, p = 1000, 2000
+    dense = np.zeros((n, p))
+    dense[rng.choice(n, 20, replace=False)] = rng.integers(-8, 9, (20, p)) / 8
+    return sp.csc_matrix(dense), rng.integers(-8, 9, n) / 8
+
+
 GOLDEN_SPEC = dict(lam=0.01, alpha=0.7, block_size=12, iters=10, seed=5)
 
 
@@ -642,8 +675,9 @@ class TestColumnBlocks:
                                         index_dtype):
         # every block of a random CSC design, the short last one included,
         # gathers as scipy slices it: stored entries with bit-equal
-        # products and Gram while it fills at most SPARSE_SLICE_DENSITY of
-        # its n x s, the column-major dense slice above that
+        # products and Gram while they fill at most SPARSE_SLICE_DENSITY of
+        # its n x s and their Gram pairs (c * c for a row holding c of them)
+        # number at most n * s, the column-major dense slice otherwise
         rng = np.random.default_rng(seed)
         dense = np.where(rng.random((n, p)) < density,
                          rng.standard_normal((n, p)), 0.0)
@@ -659,34 +693,69 @@ class TestColumnBlocks:
             idx = np.asarray(g, dtype=int)
             ref = X[:, idx]
             got = en._column_block(X, idx)
-            if ref.nnz > en.SPARSE_SLICE_DENSITY * n * idx.size:
+            per_row = np.bincount(ref.indices, minlength=n)
+            if ref.nnz > en.SPARSE_SLICE_DENSITY * n * idx.size or \
+                    per_row @ per_row > n * idx.size:
                 assert isinstance(got, np.ndarray) and got.flags.f_contiguous
                 assert np.array_equal(got, ref.toarray(order="F"))
             else:
                 stored_entries_match(got, ref, rng)
-            # the entries' arithmetic holds at any fill, full rows included
-            with mock.patch.object(en, "SPARSE_SLICE_DENSITY", 1.0):
-                stored_entries_match(en._column_block(X, idx), ref, rng)
+            # the entries' arithmetic holds at any fill, crowded rows included
+            entries = en._StoredEntries(
+                ref.indices, ref.data,
+                np.repeat(np.arange(idx.size), np.diff(ref.indptr)), ref.shape)
+            stored_entries_match(entries, ref, rng)
 
     def test_gram_of_crowded_rows_stays_within_the_slice_size(self):
-        # 8 full rows fill 2% of a 400 x 400 block, which stays sparse; its
-        # Gram sums 8 * 400 * 400 pairs of entries, made a run of Gram rows
-        # at a time rather than all at once (49 MB, forty times the slice)
+        # 8 full rows fill 2% of a 400 x 400 block, but their Gram sums
+        # 8 * 400 * 400 pairs of entries (49 MB, forty times the slice), so
+        # the block is gathered as the dense slice and its Gram is BLAS's
         n = s = 400
         rng = np.random.default_rng(31)
         dense = np.zeros((n, s))
         dense[rng.choice(n, 8, replace=False)] = rng.random((8, s))
         X = sp.csc_matrix(dense)
-        block = en._column_block(X, np.arange(s))
-        assert isinstance(block, en._StoredEntries)
         tracemalloc.start()
         try:
-            gram = block.gram()
+            block = en._column_block(X, np.arange(s))
+            gram = block.T @ block
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert np.array_equal(gram, (X.T @ X).toarray())
+        assert isinstance(block, np.ndarray) and block.flags.f_contiguous
+        assert np.array_equal(block, X.toarray(order="F"))
+        np.testing.assert_allclose(gram, (X.T @ X).toarray(), rtol=1e-13)
         assert peak <= 16 * n * s * 8
+
+    @pytest.mark.parametrize("mode", [Mode.RAC, Mode.RP])
+    def test_crowded_rows_fit_as_the_dense_design(self, mode):
+        # crowded blocks are gathered as the dense slice, so the sparse
+        # design's fit is the dense design's bit for bit
+        X, y = crowded_design()
+        spec = ElasticNetSpec(lam=1e-3, alpha=0.9, gamma=1.0, block_size=100,
+                              iters=4, mode=mode, seed=3)
+        sparse_fit = fit(X, y, spec)
+        dense_fit = fit(X.toarray(), y, spec)
+        assert np.count_nonzero(sparse_fit.z) > 0
+        for name in ("beta", "z", "xi"):
+            assert np.array_equal(getattr(sparse_fit, name),
+                                  getattr(dense_fit, name))
+
+    def test_crowded_rows_sweep_stays_within_three_slices(self):
+        # as stored entries, each block's Gram pairs would peak at 4.4 MB,
+        # five and a half times the n x s slice; gathered dense, a sweep
+        # holds about two slices (the block visited and the one gathered next)
+        X, y = crowded_design()
+        n, s = X.shape[0], 100
+        spec = ElasticNetSpec(lam=1e-3, alpha=0.9, gamma=1.0, block_size=s,
+                              iters=1, seed=3)
+        tracemalloc.start()
+        try:
+            fit(X, y, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * n * s * 8
 
     # at 1% every block stays stored entries, at 30% every block is dense
     @pytest.mark.parametrize("mode", [Mode.RAC, Mode.RP])

@@ -397,6 +397,22 @@ class TestSolverConfig:
             SolverConfig(block_size=2, **{field: value}).validate(4)
 
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("block_size", 2.5, "block_size must be an integer, got 2.5"),
+        ("max_iters", 2.5, "max_iters must be an integer, got 2.5"),
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("seed", -1, "seed must be >= 0, got -1")])
+    def test_rejects_non_integer_sizes_and_bad_seeds_by_name(self, field,
+                                                             value, message):
+        config = SolverConfig(**{"block_size": 2, field: value})
+        with pytest.raises(ValueError, match=message):
+            config.validate(4)
+
+    def test_numpy_integers_pass(self):
+        SolverConfig(block_size=np.int64(2), max_iters=np.int32(3),
+                     seed=np.uint64(7)).validate(4)
+
+
 class TestGeneratorCompatibility:
     def test_problems_built_from_generated_data_validate(self):
         # QPs assembled from generator output must build: they are valid
