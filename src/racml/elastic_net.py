@@ -10,17 +10,8 @@ formed); the z block has a closed-form shrinkage update.
 consensus splitting (per-sample-group coefficient copies tied to a global
 z), as a baseline.
 
-A sparse design is stored as canonical CSC. A slice of it whose stored
-entries fill at most ``SPARSE_SLICE_DENSITY`` of it stays sparse, and so
-does a column block of ``fit`` only while its Gram pairs (c * c summed over
-rows holding c of its entries) number at most n * s, the slice's size.
-``fit`` gathers such a column block straight from X's CSC arrays as flat
-(row, value, column) entries, takes its products and, in one pass, its
-s x s Gram with ``np.bincount``, and builds no scipy object while it
-sweeps; ``consensus_fit`` keeps such a sample group as a CSR row slice and
-makes dense only the n_i x n_i (or p x p, when p <= n_i) system it factors.
-Any other slice is made dense and takes a dense design's operations; a
-dense design is not copied.
+A sparse design is stored as canonical CSC, and ``fit`` reads its column
+blocks through the engine's CSC gather (see ``racml.engine``).
 """
 
 from __future__ import annotations
@@ -29,13 +20,14 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
 
-from .engine import (ResidualPair, _chol_solve, _cholesky, block_system,
-                     run_sweeps)
+from .engine import (SPARSE_SLICE_DENSITY, ResidualPair, _chol_solve,
+                     _CscColumns, _cholesky, _column_block, _gram,
+                     block_system, run_sweeps)
 from .problems import (Matrix, Mode, SolverConfig, Status, as_csc, as_dense,
                        check_integer, chunk_indices)
 
@@ -149,96 +141,6 @@ def objective(X: Matrix, y: np.ndarray, beta: np.ndarray,
     return 0.5 * float(r @ r) / n + penalty
 
 
-# A sparse slice of X (a block of fit's columns, a group of consensus_fit's
-# samples) whose stored entries fill more than this share of it is made
-# dense, since above it sparse products cost more than BLAS; a column block
-# whose Gram pairs outnumber its n x s entries is made dense too, whatever
-# its fill, so its Gram is made in one pass within O(n s). Whole fits,
-# 10 sweeps, with every block kept as stored entries against every block
-# made dense (medians on a loaded 2-core x86 host, numpy 2.4, scipy 1.17):
-# 1000 x 2000 at s = 100 took 0.11 against 0.21 s at 1%, 0.15 against
-# 0.22 s at 2% and 0.34 against 0.23 s at 5%; at 1%, 200 x 2000 at s = 50
-# took 0.11 against 0.09 s and 1000 x 2000 at s = 30 0.19 against 0.20 s.
-SPARSE_SLICE_DENSITY = 0.02
-
-
-class _StoredEntries(NamedTuple):
-    """A sparse matrix as flat arrays of its stored entries: ``rows[k]``,
-    ``cols[k]`` and ``vals[k]``, in the order they are stored.
-
-    Its products add each output's terms in that order and its Gram in
-    ascending row order, which is how scipy's CSC/CSR kernels add them, so
-    they round alike.
-    """
-
-    rows: np.ndarray
-    vals: np.ndarray
-    cols: np.ndarray
-    shape: tuple[int, int]
-
-    @property
-    def nnz(self) -> int:
-        return self.vals.size
-
-    @property
-    def T(self) -> "_StoredEntries":
-        return _StoredEntries(self.cols, self.vals, self.rows,
-                              self.shape[::-1])
-
-    def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        return np.bincount(self.rows, self.vals * v[self.cols],
-                           minlength=self.shape[0])
-
-    def gram(self) -> np.ndarray:
-        """The dense s x s Gram M'M of a CSC block (entries stored column
-        by column, rows ascending), one ``np.bincount`` over the pairs of
-        entries that share a row: a row holding c entries gives c * c pairs.
-        Each Gram entry adds its pairs in the stored order of their first
-        entries, which is ascending row order, as scipy's ``csr_matmat``
-        does. ``_column_block`` keeps a block as stored entries only while
-        they make at most n * s pairs, so this takes O(n s) memory."""
-        s = self.shape[1]
-        # need not be stable: one entry's pairs land in distinct Gram entries
-        by_row = np.argsort(self.rows)
-        counts = np.bincount(self.rows)
-        first = np.cumsum(counts) - counts  # where each row starts in by_row
-        mates = counts[self.rows]
-        left = np.repeat(np.arange(self.nnz), mates)
-        # entry k's pairs' second entries sit at by_row[pair + seek[k]]
-        seek = first[self.rows] - (np.cumsum(mates) - mates)
-        right = by_row[np.arange(left.size) + np.repeat(seek, mates)]
-        return np.bincount(self.cols[left] * s + self.cols[right],
-                           self.vals[left] * self.vals[right],
-                           minlength=s * s).reshape(s, s)
-
-
-def _column_block(X: Matrix, idx: np.ndarray):
-    """X[:, idx] as fit's block visit multiplies it. A dense X gives its
-    column slice. A canonical CSC X gives the stored entries of those
-    columns, read from its ``indptr``/``indices``/``data`` without building
-    a scipy object, as a ``_StoredEntries`` while they fill at most
-    ``SPARSE_SLICE_DENSITY`` of the n x s slice and their Gram pairs (the
-    sum of c * c over rows holding c of them) number at most n * s; any
-    other block is scattered into a column-major dense array instead, the
-    layout ``_block_operand`` gives it."""
-    if not sp.issparse(X):
-        return X[:, idx]
-    n, s = X.shape[0], idx.size
-    starts = X.indptr[idx]
-    counts = X.indptr[idx + 1] - starts
-    stored = int(counts.sum())
-    cols = np.repeat(np.arange(s), counts)
-    at = np.arange(stored) + np.repeat(starts - (np.cumsum(counts) - counts),
-                                       counts)
-    rows, vals = X.indices[at], X.data[at]
-    per_row = np.bincount(rows)
-    if stored > SPARSE_SLICE_DENSITY * n * s or per_row @ per_row > n * s:
-        dense = np.zeros((n, s), order="F")
-        dense[rows, cols] = vals
-        return dense
-    return _StoredEntries(rows, vals, cols, (n, s))
-
-
 def _block_operand(S: Matrix) -> Matrix:
     """A sample group of ``consensus_fit`` as its sweep multiplies it:
     sparse as stored while its entries fill at most
@@ -287,13 +189,10 @@ def fit(X: Matrix, y: np.ndarray, spec: ElasticNetSpec) -> ElasticNetModel:
         (X_b'X_b/n + gamma I) beta_b = -(c_b + cross_b - xi_b - gamma z_b)
 
     with c = -X'y/n and the cross term computed from the running prediction
-    X beta (never forming the full Gram matrix). A sparse X_b that fills at
-    most ``SPARSE_SLICE_DENSITY`` of its n x s, and whose Gram pairs number
-    at most n * s, is read as its stored entries, gathered from X's CSC
-    arrays: the cross term and the prediction update are ``np.bincount``
-    sums over those entries, and only the s x s Gram X_b'X_b is made dense,
-    in one ``np.bincount`` pass; any other X_b is made dense. Then z
-    is updated in closed form and the dual takes one step
+    X beta (never forming the full Gram matrix). A sparse X_b is read
+    through the engine's CSC gather, as its stored entries or, when they
+    crowd it, made dense; only the s x s Gram X_b'X_b is dense whichever it
+    is. Then z is updated in closed form and the dual takes one step
     xi <- xi - gamma (beta - z). Runs exactly ``spec.iters`` sweeps, or
     stops earlier once ||beta - z||_1 falls below ``spec.tol`` when a
     tolerance is configured; the model's ``status`` says which (CONVERGED
@@ -314,18 +213,19 @@ def fit(X: Matrix, y: np.ndarray, spec: ElasticNetSpec) -> ElasticNetModel:
 
     def gram_factor(Xg):
         # blocks are unbounded: one kept is its s x s factor, not Xg or Gram
-        gram = (Xg.gram() if isinstance(Xg, _StoredEntries) else
-                Xg.T @ Xg) / n
+        gram = _gram(Xg) / n
         _note_alloc(gram.size)
         gram[np.diag_indices_from(gram)] += gamma
         return _cholesky(gram)
+
+    columns = _CscColumns(X, _column_block) if sp.issparse(X) else X
 
     def sweep(order, factors):
         nonlocal z, xi, r
         for g in order:
             idx = np.asarray(g, dtype=int)
-            Xg = _column_block(X, idx)
-            _note_alloc(Xg.nnz if isinstance(Xg, _StoredEntries) else Xg.size)
+            Xg = columns[:, idx]
+            _note_alloc(Xg.size)
             # coupling to the other blocks through the running prediction:
             # X_b' X_rest beta_rest / n, without touching the full Gram
             cross = Xg.T @ (r - Xg @ beta[idx]) / n

@@ -439,7 +439,7 @@ class TestFit:
         order = next(engine.block_orders(Mode.RAC, p, s,
                                          np.random.default_rng(3)))
         nnz = [X[:, list(g)].nnz for g in order]
-        want = [n * s if k > en.SPARSE_SLICE_DENSITY * n * s else k
+        want = [n * s if k > engine.SPARSE_SLICE_DENSITY * n * s else k
                 for k in nnz]
         assert seen[::2] == want
         assert n * s in want and min(want) < n * s
@@ -606,7 +606,7 @@ def stored_entries_match(got, ref, rng):
     """``got`` is the scipy column slice ``ref`` as its stored entries, and
     its products and Gram equal scipy's bit for bit."""
     n, s = ref.shape
-    assert isinstance(got, en._StoredEntries) and got.shape == (n, s)
+    assert isinstance(got, engine._StoredEntries) and got.shape == (n, s)
     assert np.array_equal(got.rows, ref.indices)
     assert np.array_equal(got.vals, ref.data)
     assert np.array_equal(got.cols,
@@ -668,7 +668,8 @@ class TestColumnBlocks:
            p=st.integers(1, 30), s=st.integers(1, 12),
            density=st.sampled_from([0.0, 0.01, 0.05, 0.3, 1.0]),
            full_rows=st.integers(0, 3), empty_cols=st.integers(0, 6),
-           fmt=st.sampled_from(["csc", "csr", "coo", "unsorted-duplicate"]),
+           fmt=st.sampled_from(["csc", "csr", "coo", "csc_array",
+                                "unsorted-duplicate"]),
            index_dtype=st.sampled_from([np.int32, np.int64]))
     def test_gather_matches_scipy_slice(self, seed, n, p, s, density,
                                         full_rows, empty_cols, fmt,
@@ -685,26 +686,26 @@ class TestColumnBlocks:
         dense[rng.integers(0, n, full_rows)] = rng.standard_normal(p)
         dense[:, rng.integers(0, p, empty_cols)] = 0.0
         X = (unsorted_duplicate_csc(dense, rng) if fmt == "unsorted-duplicate"
+             else sp.csc_array(dense) if fmt == "csc_array"
              else sp.csc_matrix(dense).asformat(fmt))
         X, _, _ = en._checked_inputs(X, np.zeros(n))
+        assert isinstance(X, sp.csc_array) == (fmt == "csc_array")
         X.indptr = X.indptr.astype(index_dtype)
         X.indices = X.indices.astype(index_dtype)
         for g in chunk_indices(rng.permutation(p), s):
             idx = np.asarray(g, dtype=int)
             ref = X[:, idx]
-            got = en._column_block(X, idx)
+            got = engine._column_block(X, idx)
             per_row = np.bincount(ref.indices, minlength=n)
-            if ref.nnz > en.SPARSE_SLICE_DENSITY * n * idx.size or \
+            if ref.nnz > engine.SPARSE_SLICE_DENSITY * n * idx.size or \
                     per_row @ per_row > n * idx.size:
                 assert isinstance(got, np.ndarray) and got.flags.f_contiguous
                 assert np.array_equal(got, ref.toarray(order="F"))
             else:
                 stored_entries_match(got, ref, rng)
-            # the entries' arithmetic holds at any fill, crowded rows included
-            entries = en._StoredEntries(
-                ref.indices, ref.data,
-                np.repeat(np.arange(idx.size), np.diff(ref.indptr)), ref.shape)
-            stored_entries_match(entries, ref, rng)
+            # the stored entries and their arithmetic hold at any fill,
+            # crowded rows included
+            stored_entries_match(engine._stored_columns(X, idx), ref, rng)
 
     def test_gram_of_crowded_rows_stays_within_the_slice_size(self):
         # 8 full rows fill 2% of a 400 x 400 block, but their Gram sums
@@ -717,7 +718,7 @@ class TestColumnBlocks:
         X = sp.csc_matrix(dense)
         tracemalloc.start()
         try:
-            block = en._column_block(X, np.arange(s))
+            block = engine._column_block(X, np.arange(s))
             gram = block.T @ block
             peak = tracemalloc.get_traced_memory()[1]
         finally:

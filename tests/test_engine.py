@@ -1,7 +1,9 @@
 import dataclasses
 import itertools
+import json
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1121,6 +1123,138 @@ class TestSparseBlocks:
             tracemalloc.stop()
         assert res.iterations == 2 and res.status != Status.DIVERGED
         assert peak < 100e6
+
+
+def grid_qp(rows=20, cols=20, m=40, row_nnz=4, seed=7):
+    """A small boxed QP shaped like the sparse QP benchmark: a grid
+    Laplacian + 0.1 I, and A with ``row_nnz`` random entries per row (1%
+    fill at the defaults), so A's m x s strips and H's changed columns
+    stay stored entries."""
+    def path(k):
+        return sp.diags([-np.ones(k - 1), 2.0 * np.ones(k), -np.ones(k - 1)],
+                        [-1, 0, 1])
+
+    n = rows * cols
+    H = sp.kron(sp.eye(cols), path(rows)) + sp.kron(path(cols), sp.eye(rows)) \
+        + 0.1 * sp.eye(n)
+    rng = np.random.default_rng(seed)
+    A = sp.csc_matrix((rng.standard_normal(m * row_nnz),
+                       (np.repeat(np.arange(m), row_nnz),
+                        rng.integers(0, n, m * row_nnz))), shape=(m, n))
+    return QpProblem(c=rng.standard_normal(n), H=H, A=A,
+                     b=A @ rng.uniform(-0.5, 0.5, n),
+                     lower=-np.ones(n), upper=np.ones(n))
+
+
+def boxed_ci_qp():
+    """The CI smoke run's boxed QP, built in memory: 400 variables,
+    tridiagonal H, 20 rows of A at 5% fill, whose strips go dense."""
+    n, m = 400, 20
+    rng = np.random.default_rng(1)
+    H = sp.diags([-np.ones(n - 1), 4.0 * np.ones(n), -np.ones(n - 1)],
+                 [-1, 0, 1])
+    A = sp.random(m, n, density=0.05, random_state=rng, format="coo")
+    c = 1.5 * rng.standard_normal(n)
+    b = A @ rng.uniform(-0.5, 0.5, n)
+    return QpProblem(c=c, H=H, A=A, b=b, lower=-np.ones(n), upper=np.ones(n))
+
+
+# case -> (problem, config, ulps); solve's x, y, g, r on these were captured
+# when run_sweep sliced sparse H and A with scipy (float64, numpy 2.4 with
+# OpenBLAS on x86-64). The grid cases' strips stay stored entries, whose
+# products and Gram round as scipy's do, so they match bit for bit (0 ulps).
+# The boxed CI QP's 5%-fill strips of A are gathered dense, and BLAS adds
+# their products and Gram in an order of its own, which may differ between
+# BLAS builds and thread counts. Each sweep then rounds a field differently
+# by a few ulps of its scale and carries the drift into the next, so a field
+# may differ by DENSE_GATHER_ULPS ulps of its largest entry (at least 1) per
+# sweep run: 3.7e-14 on x, y and r over the 21 sweeps, 7.6e-14 on g, which
+# runs to 2.03.
+# Read with numpy 2.4's OpenBLAS: at most 6.7e-16 on x and y, 3.3e-16 on r
+# and 2.5e-15 on g.
+SPARSE_QP_GOLDENS = Path(__file__).parent / "data" / "sparse_qp_goldens.json"
+DENSE_GATHER_ULPS = 8
+SPARSE_QP_CASES = {
+    f"{name}-{mode.value}": (build, SolverConfig(
+        mode=mode, block_size=s, max_iters=iters,
+        fixed_iterations=fixed), ulps)
+    for name, build, s, iters, fixed, ulps in (
+        ("grid", grid_qp, 50, 10, True, 0),
+        ("boxed-ci", boxed_ci_qp, 200, 200, False, DENSE_GATHER_ULPS))
+    for mode in (Mode.RP, Mode.RAC)}
+
+
+class TestSparseQpGoldens:
+    # canonical sparse arrays are stored as they come and take the same
+    # gather as sparse matrices, so they meet the same goldens
+    @pytest.mark.parametrize("fmt", [sp.csc_matrix, sp.csc_array])
+    @pytest.mark.parametrize("case", sorted(SPARSE_QP_CASES))
+    def test_solve_matches_goldens(self, case, fmt):
+        build, config, ulps = SPARSE_QP_CASES[case]
+        problem = build()
+        problem = dataclasses.replace(problem, H=fmt(problem.H),
+                                      A=fmt(problem.A))
+        assert type(problem.H) is type(problem.A) is fmt
+        res = solve(problem, config)
+        want = json.loads(SPARSE_QP_GOLDENS.read_text())[case]
+        assert res.iterations == want["iterations"]
+        for name in ("x", "y", "g", "r"):
+            got, ref = getattr(res, name), np.asarray(want[name])
+            assert got.shape == ref.shape
+            bound = ulps * np.finfo(float).eps * res.iterations * \
+                max(1.0, np.max(np.abs(ref)))
+            assert np.max(np.abs(got - ref)) <= bound
+
+
+class TestColumnGather:
+    def test_kept_blocks_leave_no_scipy_slicing(self, monkeypatch):
+        # a block's system is built on its first visit, from H's s x s
+        # block; once RP has kept every block, a sweep reads A's strips
+        # and H's changed columns through the CSC gather, never scipy's
+        # sparse indexing
+        problem = grid_qp()
+        assert type(problem.H) is type(problem.A) is sp.csc_matrix
+        getitem, sweep, reads = sp.csc_matrix.__getitem__, [1], []
+
+        def spy(mat, key):
+            reads.append(sweep[0])
+            return getitem(mat, key)
+
+        def hook(k, x, y):
+            sweep[0] = k + 1
+
+        monkeypatch.setattr(sp.csc_matrix, "__getitem__", spy)
+        cfg = SolverConfig(mode=Mode.RP, block_size=50, max_iters=4,
+                           fixed_iterations=True)
+        assert solve(problem, cfg, sweep_hook=hook).iterations == 4
+        assert reads and set(reads) == {1}
+
+    def test_changed_columns_stay_stored_entries_at_any_fill(self,
+                                                             monkeypatch):
+        # H's changed columns feed one product, so they are read as stored
+        # entries past 2% fill and with crowded rows, and round as scipy's
+        # slice and product do; only A's strips, whose Grams are formed,
+        # take _column_block's rule
+        problem, blocks, seen = grid_qp(), engine._column_block, []
+        monkeypatch.setattr(engine, "_column_block",
+                            lambda M, idx: seen.append(M) or blocks(M, idx))
+        run_sweep(problem, np.zeros(problem.n), np.zeros(problem.m),
+                  chunk_indices(np.arange(problem.n), 50), 1.0)
+        assert len(seen) == 8 and all(M is problem.A for M in seen)
+        n, s = 300, 60
+        rng = np.random.default_rng(5)
+        dense = sp.random(n, n, density=0.05, random_state=rng).toarray()
+        dense[rng.choice(n, 4, replace=False)] = rng.standard_normal(n)
+        H = sp.csc_matrix(dense)
+        idx = np.sort(rng.choice(n, s, replace=False))
+        delta = rng.standard_normal(s)
+        delta[rng.random(s) < 0.5] = 0.0
+        g0 = rng.standard_normal(n)
+        g = g0.copy()
+        engine._add_changed_columns(
+            g, engine._CscColumns(H, engine._stored_columns), idx, delta)
+        nz = delta != 0
+        assert np.array_equal(g, g0 + H[:, idx[nz]] @ delta[nz])
 
 
 def products_problem(kind, bounded, n, m, seed):
