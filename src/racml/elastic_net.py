@@ -215,7 +215,7 @@ def fit(X: Matrix, y: np.ndarray, spec: ElasticNetSpec) -> ElasticNetModel:
         # blocks are unbounded: one kept is its s x s factor, not Xg or Gram
         gram = _gram(Xg) / n
         _note_alloc(gram.size)
-        gram[np.diag_indices_from(gram)] += gamma
+        gram.flat[::gram.shape[0] + 1] += gamma  # the diagonal
         return _cholesky(gram)
 
     columns = _CscColumns(X, _column_block) if sp.issparse(X) else X

@@ -14,25 +14,29 @@ M_b = H_bb + beta A_b'A_b and grad L = c + Hx - A'y + beta A'r, on running
 products c + Hx and r = Ax - b that each step d updates by H[:, b] d and
 A[:, b] d. The dual step and the residuals read the same products, so a
 sweep reads H in two ways only: the s x s block H_bb, when a block's system
-is built, and after the solve the columns of H[:, b] where d is nonzero
-(none for a step that leaves the block where it was). H may thus be an
-implicit symmetric operator that yields both, as C-SVC's kernel is.
+is built, and after the solve the columns of H[:, b] (for a dense H or an
+operator, only those where d is nonzero; none for a step that leaves the
+block where it was). H may thus be an implicit symmetric operator that
+yields both, as C-SVC's kernel is.
 
 ``block_orders`` is the one source of block orders and ``run_sweeps`` the one
 sweep driver: stopping rule, divergence guard, residual histories, and the
 block cache, one dict it hands every ``sweep(order, cache)`` where
 ``blocks_recur`` (else None). The QP solver here and elastic-net are adapters
 that supply that callable. A QP block is a ``BlockSystem`` built factored,
-never written again and solved for each visit's rhs by ``solve_block``; kept
-(``block_system``), it holds only its s x s matrix and factor, and an
-elastic-net block only its factor; A's m x s strip, H's changed columns and
-the design's n x s block are read again on every visit.
+never written again and solved for each visit's rhs by ``solve_block``. Kept
+(``block_system``), a QP block is a ``_BlockVisit``: its system, its index
+array and, for a CSC A or H, the strips its first visit gathered, which
+later visits read without gathering again; a dense A or H, or an operator,
+is sliced again on every visit. An elastic-net block keeps only its factor,
+and the design's n x s block is read again on every visit.
 
 A sparse H, A or design is stored as canonical CSC, whose column blocks
 ``run_sweep`` and elastic-net's ``fit`` read through one gather,
 ``_stored_columns``, straight from the CSC arrays: as flat stored entries,
 whose products and s x s Gram are ``np.bincount`` sums rounded as scipy's
-kernels round. H's changed columns stay so; A's strips and the design's
+kernels round. H's strip stays so, and its entries in the block's rows
+give H_bb, so a sweep builds no scipy object; A's strips and the design's
 blocks, whose Grams are formed, are scattered dense by ``_column_block``
 past ``SPARSE_SLICE_DENSITY`` fill or n * s Gram pairs. A dense array or
 an implicit operator is sliced as it is.
@@ -70,7 +74,6 @@ from .problems import (
     SolverConfig,
     Status,
     SweepRun,
-    as_dense,
     chunk_indices,
 )
 
@@ -124,7 +127,9 @@ def blocks_recur(mode: Mode, n: int, s: int, sweeps: int) -> bool:
 def block_system(cache: Optional[dict], block: Sequence[int],
                  build: Callable[[], object]):
     """``cache``'s entry for ``block``, built and kept on the first visit;
-    with ``cache`` None every visit builds its own."""
+    with ``cache`` None every visit builds its own. What ``build`` makes is
+    kept whole (a QP block's ``_BlockVisit``, with the strips its visits
+    read; an elastic-net block's factor) and must not be written after."""
     if cache is None:
         return build()
     key = tuple(block)
@@ -261,13 +266,25 @@ def _gram(block) -> np.ndarray:
         block.T @ block
 
 
-def _qp_system(problem: QpProblem, idx: np.ndarray, As,
+def _qp_system(problem: QpProblem, idx: np.ndarray, As, Hs,
                beta: float) -> BlockSystem:
-    matrix = np.zeros((idx.size, idx.size))
-    if problem.H is not None:
-        matrix = matrix + as_dense(problem.H[np.ix_(idx, idx)])
-    if As is not None:
-        matrix = matrix + beta * _gram(As)
+    """The block system over ``idx``: beta A_b'A_b from A's strip ``As``
+    plus H_bb, read from H's strip ``Hs`` where the visit gathered one, else
+    sliced from H, all in one s x s buffer."""
+    if As is None:
+        matrix = np.zeros((idx.size, idx.size))
+    else:
+        matrix = _gram(As)
+        matrix *= beta
+    if Hs is not None:
+        # the strip's entries whose rows fall in idx, at their place in it
+        by_index = np.argsort(idx)
+        at = np.searchsorted(idx, Hs.rows, sorter=by_index)
+        at = by_index[np.minimum(at, idx.size - 1)]
+        inside = idx[at] == Hs.rows
+        matrix[at[inside], Hs.cols[inside]] += Hs.vals[inside]
+    elif problem.H is not None:
+        matrix += problem.H[np.ix_(idx, idx)]
     lower, upper = problem.lower[idx], problem.upper[idx]
     bounded = bool(np.isfinite(lower).any() or np.isfinite(upper).any())
     return BlockSystem(matrix=matrix, chol=_cholesky(matrix), lower=lower,
@@ -300,7 +317,8 @@ def _chol_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def _free_solve(matrix, rhs, x, free, chol, x0):
     """A copy of x with its free entries f solved for and its k bound entries
-    B held where x has them: M_ff x_f = r_f - M_fB x_B.
+    B held where x has them: M_ff x_f = r_f - M_fB x_B; and that copy's Mx,
+    where the kept-factor route formed it for its check, else None.
 
     Where k solves with M's kept factor ``chol`` cost fewer flops than
     factoring M_ff (2 k s^2 < (s - k)^3 / 3), ``_schur_solve`` goes through
@@ -312,7 +330,7 @@ def _free_solve(matrix, rhs, x, free, chol, x0):
     s, k = rhs.size, bnd.size
     if 2 * k * s * s < (s - k) ** 3 / 3:
         if not k:
-            return x0.copy()
+            return x0.copy(), None
         kept = _schur_solve(matrix, rhs, x, f, bnd, chol, x0)
         if kept is not None:
             return kept
@@ -320,11 +338,12 @@ def _free_solve(matrix, rhs, x, free, chol, x0):
     if f.size:  # k >= 1 here
         reduced_rhs = rhs[f] - matrix[np.ix_(f, bnd)] @ x[bnd]
         x[f] = _chol_solve(_cholesky(matrix[np.ix_(f, f)]), reduced_rhs)
-    return x
+    return x, None
 
 
 def _schur_solve(matrix, rhs, x, f, bnd, chol, x0):
-    """``_free_solve``'s result through M's factor ``chol``, or None.
+    """``_free_solve``'s result and its Mx through M's factor ``chol``, or
+    None.
 
     The Schur-complement method (Nocedal & Wright, Numerical Optimization,
     2nd ed., sec. 16.5): x = x0 + Z mu with Z = M^-1 E_B and mu solving the
@@ -345,13 +364,15 @@ def _schur_solve(matrix, rhs, x, f, bnd, chol, x0):
     x[f] = x0[f] + z[f] @ mu
     mx = matrix @ x
     scale = max(1.0, float(np.abs(mx).max()), float(np.abs(rhs).max()))
-    return x if np.abs(mx[f] - rhs[f]).max() <= 1e-14 * scale else None
+    return (x, mx) if np.abs(mx[f] - rhs[f]).max() <= 1e-14 * scale else None
 
 
-def _wrong_signed(matrix, rhs, x, at_lo, at_hi, rhs_scale):
+def _wrong_signed(matrix, rhs, x, at_lo, at_hi, rhs_scale, mx=None):
     """The bound entries whose multiplier points out of the box, beyond
-    1e-14 times max(rhs_scale, max|Mx|), and the gradient Mx - rhs."""
-    mx = matrix @ x
+    1e-14 times max(rhs_scale, max|Mx|), and the gradient Mx - rhs; ``mx``,
+    when given, is x's Mx, formed already."""
+    if mx is None:
+        mx = matrix @ x
     grad = mx - rhs
     scale = max(rhs_scale, float(np.abs(mx).max()))
     wrong_lo = at_lo & (grad < -1e-14 * scale)
@@ -376,7 +397,7 @@ def _ratio_test_finish(matrix, rhs, lower, upper, x, rhs_scale, tally,
     at_lo, at_hi = x <= lower, x >= upper
     for _ in range(ACTIVE_SET_PASS_FACTOR * rhs.size):
         free = ~(at_lo | at_hi)
-        target = _free_solve(matrix, rhs, x, free, chol, x0)
+        target, mx = _free_solve(matrix, rhs, x, free, chol, x0)
         out_lo, out_hi = free & (target < lower), free & (target > upper)
         out = np.flatnonzero(out_lo | out_hi)
         if out.size:
@@ -390,7 +411,7 @@ def _ratio_test_finish(matrix, rhs, lower, upper, x, rhs_scale, tally,
             continue
         x = target
         wrong_lo, wrong_hi, grad = _wrong_signed(matrix, rhs, x, at_lo, at_hi,
-                                                 rhs_scale)
+                                                 rhs_scale, mx)
         if not (wrong_lo.any() or wrong_hi.any()):
             return x
         score = np.where(wrong_lo, -grad, 0.0) + np.where(wrong_hi, grad, 0.0)
@@ -441,12 +462,12 @@ def solve_block(system: BlockSystem, rhs: np.ndarray,
     x = x0
     for _ in range(PDAS_MAX_STEPS):
         free = ~(at_lo | at_hi)
-        x = _free_solve(matrix, rhs,
-                        np.where(at_lo, lower, np.where(at_hi, upper, x)), free,
-                        chol, x0)
+        x, mx = _free_solve(matrix, rhs,
+                            np.where(at_lo, lower, np.where(at_hi, upper, x)),
+                            free, chol, x0)
         lo_viol, hi_viol = free & (x < lower), free & (x > upper)
         wrong_lo, wrong_hi, _ = _wrong_signed(matrix, rhs, x, at_lo, at_hi,
-                                              rhs_scale)
+                                              rhs_scale, mx)
         if not (lo_viol | hi_viol | wrong_lo | wrong_hi).any():
             return x
         at_lo = (at_lo & ~wrong_lo) | lo_viol
@@ -491,6 +512,30 @@ def _add_changed_columns(g: np.ndarray, H, idx: np.ndarray,
         g += H[:, idx[nz]].dot(delta[nz])
 
 
+@dataclass(frozen=True, slots=True)
+class _BlockVisit:
+    """What a visit to one block reads: its system, its index array and, for
+    a CSC A or H, A's strip as ``_column_block`` gathers it and H's strip as
+    stored entries. Kept (``block_system``), it is built on the block's
+    first visit and read whole by the later ones. A dense A or H, or an
+    implicit operator, leaves its strip None and is sliced on every visit."""
+
+    system: BlockSystem
+    idx: np.ndarray
+    a_strip: object
+    h_strip: Optional[_StoredEntries]
+
+
+def _block_visit(problem: QpProblem, block, A, h_csc: bool,
+                 beta: float) -> _BlockVisit:
+    idx = np.asarray(block, dtype=int)
+    As = None if A is None else A[:, idx]
+    Hs = _stored_columns(problem.H, idx) if h_csc else None
+    return _BlockVisit(system=_qp_system(problem, idx, As, Hs, beta), idx=idx,
+                       a_strip=As if isinstance(A, _CscColumns) else None,
+                       h_strip=Hs)
+
+
 def run_sweep(problem: QpProblem, x: np.ndarray, y: np.ndarray,
               order: Order, beta: float,
               piece_cache: Optional[dict] = None, *,
@@ -500,10 +545,11 @@ def run_sweep(problem: QpProblem, x: np.ndarray, y: np.ndarray,
     """One full pass: minimize each block in order, then one dual step.
 
     Returns the updated (x, y); the inputs are not modified. ``piece_cache``,
-    when given, keeps each block's system and factor (see ``block_system``);
-    ``tally``, when given, counts what ``solve_block`` counts. ``_products``,
-    the running products of x that ``solve`` carries across sweeps, are
-    updated in place; without them the sweep starts from exact ones.
+    when given, keeps what each block's visits read (see ``_BlockVisit`` and
+    ``block_system``); ``tally``, when given, counts what ``solve_block``
+    counts. ``_products``, the running products of x that ``solve`` carries
+    across sweeps, are updated in place; without them the sweep starts from
+    exact ones.
     """
     x = np.asarray(x, dtype=float).copy()
     if x.size != problem.n:
@@ -514,26 +560,34 @@ def run_sweep(problem: QpProblem, x: np.ndarray, y: np.ndarray,
     g, r = _products if _products is not None else _exact_products(problem, x)
     # tested once a sweep, so a dense visit pays for no test, and a dense
     # sweep for little: sp.issparse, an ABC check, costs several times the
-    # ndarray test. H's changed columns feed one product, which costs less
-    # on the stored entries at any fill than scattering them dense would;
-    # A's strips feed a Gram too
+    # ndarray test. H's strip feeds products only, which cost less on the
+    # stored entries at any fill than scattering them dense would; A's
+    # strips feed a Gram too
     H, A = problem.H, problem.A
-    if not isinstance(H, np.ndarray) and sp.issparse(H):
-        H = _CscColumns(H, _stored_columns)
+    h_csc = not isinstance(H, np.ndarray) and sp.issparse(H)
     if not isinstance(A, np.ndarray) and sp.issparse(A):
         A = _CscColumns(A, _column_block)
     # .dot (scipy sparse has it too) is @'s BLAS call without its dispatch,
     # which at tiny s costs more than the product
     for block in order:
-        idx = np.asarray(block, dtype=int)
-        As = None if A is None else A[:, idx]
-        system = block_system(piece_cache, block,
-                              lambda: _qp_system(problem, idx, As, beta))
+        visit = block_system(piece_cache, block, lambda: _block_visit(
+            problem, block, A, h_csc, beta))
+        system, idx, As, Hs = (visit.system, visit.idx, visit.a_strip,
+                               visit.h_strip)
+        if As is None and A is not None:
+            As = A[:, idx]
         xb = x[idx]
         grad = g[idx] if As is None else g[idx] + As.T.dot(beta * r - y)
         new = solve_block(system, system.matrix.dot(xb) - grad, tally)
+        # an unkept block's s x s matrix and factor are freed before H's
+        # columns are read, where a kernel strip peaks
+        del visit, system
         delta = new - xb
-        if H is not None:
+        if h_csc:
+            # a column the step left where it was adds exact zeros
+            if delta.any():
+                g += Hs.dot(delta)
+        elif H is not None:
             _add_changed_columns(g, H, idx, delta)
         if As is not None:
             r += As.dot(delta)

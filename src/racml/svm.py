@@ -64,20 +64,27 @@ class SvmModel:
     C: float
 
 
-def kernel_cross(Xa: np.ndarray, Xb: np.ndarray,
-                 kernel: KernelSpec) -> np.ndarray:
-    """Kernel values between every row of Xa and every row of Xb."""
+def kernel_cross(Xa: np.ndarray, Xb: np.ndarray, kernel: KernelSpec,
+                 sq_a: Optional[np.ndarray] = None,
+                 sq_b: Optional[np.ndarray] = None) -> np.ndarray:
+    """Kernel values between every row of Xa and every row of Xb.
+
+    ``sq_a`` and ``sq_b``, when given, are the Gaussian kernel's squared row
+    norms of Xa and Xb, computed once by a caller that evaluates the same
+    rows again; else each call sums them."""
     Xa = np.asarray(Xa, dtype=float)
     Xb = np.asarray(Xb, dtype=float)
     if kernel.kind == "linear":
         return Xa @ Xb.T
-    sq_a = np.sum(Xa * Xa, axis=1)[:, None]
-    sq_b = np.sum(Xb * Xb, axis=1)[None, :]
+    if sq_a is None:
+        sq_a = np.sum(Xa * Xa, axis=1)
+    if sq_b is None:
+        sq_b = np.sum(Xb * Xb, axis=1)
     # exp(-max(sq_a + sq_b - 2P, 0) / (2 sigma^2)) for P = Xa Xb', built in
     # P's buffer: -2P + (sq_a + sq_b) rounds exactly as (sq_a + sq_b) - 2P
     out = Xa @ Xb.T
     out *= -2.0
-    out += sq_a + sq_b
+    out += sq_a[:, None] + sq_b[None, :]
     np.maximum(out, 0.0, out=out)
     np.negative(out, out=out)
     out /= 2.0 * kernel.sigma ** 2
@@ -89,23 +96,30 @@ class _KernelQ:
     operator whose reads are each one batched kernel evaluation: ``[:, cols]``
     is the n x s column strip, against every data row, and
     ``[np.ix_(rows, cols)]`` the block, against the rows named only. The
-    ridge lands where the row and the column are the same data point."""
+    ridge lands where the row and the column are the same data point.
+
+    X's squared row norms are summed once, here, and handed to every read.
+    For a C-ordered X, which ``train`` makes of any sparse or C-ordered
+    input, they equal bit for bit the sums a read would make of its rows."""
 
     def __init__(self, X: np.ndarray, y: np.ndarray, kernel: KernelSpec,
                  ridge: float):
         self.X, self.y, self.kernel, self.ridge = X, y, kernel, ridge
         self.shape = (y.size, y.size)
+        self.sq = np.sum(X * X, axis=1)
 
     def __getitem__(self, key) -> np.ndarray:
         rows, cols = key
         cols = np.asarray(cols, dtype=int).ravel()
         if isinstance(rows, slice):  # [:, cols]
-            out = kernel_cross(self.X, self.X[cols], self.kernel)
+            out = kernel_cross(self.X, self.X[cols], self.kernel, self.sq,
+                               self.sq[cols])
             out *= self.y[:, None]
             diagonal = cols, np.arange(cols.size)
         else:  # [np.ix_(rows, cols)]
             rows = np.asarray(rows, dtype=int).ravel()
-            out = kernel_cross(self.X[rows], self.X[cols], self.kernel)
+            out = kernel_cross(self.X[rows], self.X[cols], self.kernel,
+                               self.sq[rows], self.sq[cols])
             out *= self.y[rows][:, None]
             diagonal = np.nonzero(rows[:, None] == cols)
         out *= self.y[cols]

@@ -349,14 +349,15 @@ class TestSolveBlock:
 def logged_free_solve(log):
     """``engine._free_solve``, appending each call's free set, the values it
     holds the bound entries at, its result and the iterate it starts from
-    to ``log``."""
+    to ``log``; the Mx it hands back, when it does, must be its result's."""
     free_solve = engine._free_solve
 
     def logged(matrix, rhs, x, free, *factored):
-        solved = free_solve(matrix, rhs, x, free, *factored)
+        solved, mx = free_solve(matrix, rhs, x, free, *factored)
+        assert mx is None or np.array_equal(mx, matrix @ solved)
         f = np.flatnonzero(free)
         log.append((f.tobytes(), x[~free].tobytes(), f, solved[f], x.copy()))
-        return solved
+        return solved, mx
 
     return logged
 
@@ -512,8 +513,11 @@ class TestFreeSolveRoutes:
             free = np.ones(s, dtype=bool)
             free[rng.choice(s, k, replace=False)] = False
             x = np.where(free, 0.0, rng.uniform(-1, 1, s))
-            got = engine._free_solve(matrix, rhs, x, free, chol, x0)
+            got, mx = engine._free_solve(matrix, rhs, x, free, chol, x0)
             want = direct_free_solve(matrix, rhs, x, free)
+            # the kept-factor route hands back the Mx of its check
+            assert (mx is not None) == (0 < k <= ks[-1])
+            assert mx is None or np.array_equal(mx, matrix @ got)
             assert np.array_equal(got[~free], x[~free])
             assert np.abs(got - want).max() <= \
                 1e-12 * max(1.0, np.abs(want).max())
@@ -535,8 +539,8 @@ class TestFreeSolveRoutes:
         free = np.arange(s) >= 2
         log = []
         monkeypatch.setattr(engine, "_schur_solve", logged_schur_solve(log))
-        got = engine._free_solve(matrix, rhs, x, free, system.chol, x0)
-        assert log == [(2, False)]
+        got, mx = engine._free_solve(matrix, rhs, x, free, system.chol, x0)
+        assert log == [(2, False)] and mx is None
         assert got.tobytes() == direct_free_solve(matrix, rhs, x,
                                                   free).tobytes()
         tally = Counter()
@@ -563,7 +567,8 @@ class TestFreeSolveRoutes:
             return cholesky(m)
 
         monkeypatch.setattr(engine, "_cholesky", indefinite_schur)
-        got = engine._free_solve(matrix, rhs, x, free, system.chol, x0)
+        got, mx = engine._free_solve(matrix, rhs, x, free, system.chol, x0)
+        assert mx is None
         assert got.tobytes() == direct_free_solve(matrix, rhs, x,
                                                   free).tobytes()
 
@@ -985,41 +990,73 @@ class TestBlockCache:
                              piece_cache=cache)
         assert len(factored) == 2
         assert set(cache) == {(0, 1), (2, 3)}
-        for pieces in cache.values():
-            np.testing.assert_allclose(pieces.chol @ pieces.chol.T,
-                                       pieces.matrix, atol=1e-12)
+        for key, visit in cache.items():
+            assert visit.idx.tolist() == list(key)
+            np.testing.assert_allclose(visit.system.chol @ visit.system.chol.T,
+                                       visit.system.matrix, atol=1e-12)
 
     @pytest.mark.parametrize("mode", [Mode.RAC, Mode.RP])
     def test_kept_systems_are_never_written(self, mode, monkeypatch):
-        # every kept system is the object built on its block's first visit,
-        # with the arrays it had then, through sweep 40 of a bounded solve
-        prob = random_problem(9, n=6, m=2, bounded=True)
-        caches = []
-        block_system = engine.block_system
-        monkeypatch.setattr(engine, "block_system", lambda cache, *args:
-                            caches.append(cache) or block_system(cache, *args))
-        first_seen = {}
+        # every kept visit record is the object built on its block's first
+        # visit, with the arrays it had then (its system's, its index array
+        # and, for CSC H and A, its strips), through sweep 40 of a bounded
+        # solve, on dense and on CSC data
+        dense = random_problem(9, n=6, m=2, bounded=True)
+        csc = dataclasses.replace(dense, H=sp.csc_matrix(dense.H),
+                                  A=sp.csc_matrix(dense.A))
+        for prob in (dense, csc):
+            caches = []
+            block_system = engine.block_system
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(engine, "block_system", lambda cache, *args:
+                              caches.append(cache) or
+                              block_system(cache, *args))
+                first_seen = {}
 
-        def hook(k, x, y):
-            for key, system in caches[0].items():
-                if key not in first_seen:
-                    first_seen[key] = (system, {
-                        f.name: np.copy(getattr(system, f.name))
-                        for f in dataclasses.fields(system)})
+                def hook(k, x, y):
+                    for key, visit in caches[0].items():
+                        if key not in first_seen:
+                            first_seen[key] = (visit, kept_arrays(visit))
 
-        cfg = SolverConfig(mode=mode, block_size=2, beta_penalty=0.8,
-                           max_iters=40, tol_primal=1e-16, tol_dual=1e-16,
-                           seed=5, fixed_iterations=True)
-        solve(prob, cfg, sweep_hook=hook)
-        cache = caches[0]
-        assert all(c is cache for c in caches)
-        assert set(first_seen) == set(cache)
-        for key, (system, arrays) in first_seen.items():
-            assert cache[key] is system
-            for name, value in arrays.items():
-                assert np.array_equal(getattr(system, name), value)
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                system.chol = np.eye(2)
+                cfg = SolverConfig(mode=mode, block_size=2, beta_penalty=0.8,
+                                   max_iters=40, tol_primal=1e-16,
+                                   tol_dual=1e-16, seed=5,
+                                   fixed_iterations=True)
+                solve(prob, cfg, sweep_hook=hook)
+            cache = caches[0]
+            assert all(c is cache for c in caches)
+            assert set(first_seen) == set(cache)
+            strips = {name for _, arrays in first_seen.values()
+                      for name in arrays if "strip" in name}
+            assert strips == (set() if prob is dense else
+                              {"a_strip", "h_strip.rows", "h_strip.vals",
+                               "h_strip.cols"})
+            for key, (visit, arrays) in first_seen.items():
+                assert cache[key] is visit
+                now = kept_arrays(visit)
+                assert set(now) == set(arrays)
+                for name, value in arrays.items():
+                    assert np.array_equal(now[name], value)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    visit.system.chol = np.eye(2)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    visit.h_strip = None
+
+
+def kept_arrays(visit):
+    """Copies of the arrays a kept visit record holds, by name: its
+    system's fields, its index array and its strips' arrays."""
+    arrays = {f"system.{f.name}": getattr(visit.system, f.name)
+              for f in dataclasses.fields(visit.system)}
+    arrays["idx"] = visit.idx
+    for name in ("a_strip", "h_strip"):
+        strip = getattr(visit, name)
+        if isinstance(strip, engine._StoredEntries):
+            arrays.update({f"{name}.{field}": getattr(strip, field)
+                           for field in ("rows", "vals", "cols")})
+        elif strip is not None:
+            arrays[name] = strip
+    return {name: np.copy(value) for name, value in arrays.items()}
 
 
 def sparse_problem(seed, n=80, m=6, bounded=False):
@@ -1046,20 +1083,35 @@ def assert_near(got, want):
 
 class TestSparseBlocks:
     def test_kept_block_holds_only_dense_block_arrays(self):
-        # a kept system holds its s x s matrix and factor and nothing of
-        # size n or m: the column strips are read again on every visit
+        # a kept block's dense arrays are its s x s matrix and factor and
+        # A's m x s strip (gathered dense at this A's 20% fill); H's n-row
+        # strip is kept as stored entries, and no scipy object is kept
         prob = sparse_problem(1)
         cache = {}
         run_sweep(prob, np.zeros(80), np.zeros(6), ((0, 5, 9), (1, 2, 3)), 1.0,
                   piece_cache=cache)
         assert set(cache) == {(0, 5, 9), (1, 2, 3)}
-        for system in cache.values():
+        for key, visit in cache.items():
+            system = visit.system
             arrays = {name: value for name, value in vars(system).items()
                       if value is not None and np.ndim(value) > 1}
             assert set(arrays) == {"matrix", "chol"}
             for dense in arrays.values():
                 assert isinstance(dense, np.ndarray) and dense.shape == (3, 3)
-            assert not any(sp.issparse(value) for value in vars(system).values())
+            assert isinstance(visit.a_strip, np.ndarray)
+            assert visit.a_strip.shape == (6, 3)
+            strip = visit.h_strip
+            assert isinstance(strip, engine._StoredEntries)
+            assert strip.shape == (80, 3)
+            assert all(np.ndim(getattr(strip, f)) == 1
+                       for f in ("rows", "vals", "cols"))
+            assert strip.size == prob.H[:, list(key)].nnz
+            held = [*vars(system).values(), *strip,
+                    *(getattr(visit, f.name)
+                      for f in dataclasses.fields(visit))]
+            assert not any(sp.issparse(value) for value in held)
+            assert not any(isinstance(value, np.ndarray) and value.ndim > 1
+                           and 80 in value.shape for value in held)
 
     @pytest.mark.parametrize("mode", list(Mode))
     @pytest.mark.parametrize("bounded", [False, True])
@@ -1208,33 +1260,83 @@ class TestSparseQpGoldens:
 
 class TestColumnGather:
     def test_kept_blocks_leave_no_scipy_slicing(self, monkeypatch):
-        # a block's system is built on its first visit, from H's s x s
-        # block; once RP has kept every block, a sweep reads A's strips
-        # and H's changed columns through the CSC gather, never scipy's
-        # sparse indexing
+        # a block's first visit reads A's strip and H's strip, H's s x s
+        # block included, through the CSC gather and keeps them; no sweep,
+        # the first included, calls scipy's sparse indexing
         problem = grid_qp()
         assert type(problem.H) is type(problem.A) is sp.csc_matrix
-        getitem, sweep, reads = sp.csc_matrix.__getitem__, [1], []
-
-        def spy(mat, key):
-            reads.append(sweep[0])
-            return getitem(mat, key)
-
-        def hook(k, x, y):
-            sweep[0] = k + 1
-
-        monkeypatch.setattr(sp.csc_matrix, "__getitem__", spy)
+        reads = spy_on_sparse_indexing(monkeypatch)
         cfg = SolverConfig(mode=Mode.RP, block_size=50, max_iters=4,
                            fixed_iterations=True)
-        assert solve(problem, cfg, sweep_hook=hook).iterations == 4
-        assert reads and set(reads) == {1}
+        assert solve(problem, cfg).iterations == 4
+        assert reads == []
+        problem.H[:, [0]]  # the spy sees scipy's indexing
+        assert reads == [sp.csc_matrix]
+
+    def test_unkept_rac_blocks_leave_no_scipy_slicing(self, monkeypatch):
+        # past n = 64 RAC keeps no block, and every visit gathers its
+        # strips afresh, through the CSC gather too
+        problem = grid_qp()
+        problem = dataclasses.replace(problem, H=sp.csc_array(problem.H))
+        cfg = SolverConfig(mode=Mode.RAC, block_size=50, max_iters=3,
+                           fixed_iterations=True)
+        assert not blocks_recur(cfg.mode, problem.n, 50, 3)
+        reads = spy_on_sparse_indexing(monkeypatch)
+        assert solve(problem, cfg).iterations == 3
+        assert reads == []
+
+    def test_rp_gathers_do_not_grow_with_sweeps(self, monkeypatch):
+        # a kept block gathers its strips on its first visit only: 8 blocks
+        # of 50 read A's strip and H's strip once each, over 4 sweeps or 8
+        problem, gather, calls = grid_qp(), engine._stored_columns, []
+        monkeypatch.setattr(engine, "_stored_columns", lambda M, idx:
+                            calls.append(M) or gather(M, idx))
+        counts = []
+        for sweeps in (4, 8):
+            calls.clear()
+            cfg = SolverConfig(mode=Mode.RP, block_size=50, max_iters=sweeps,
+                               fixed_iterations=True)
+            assert solve(problem, cfg).iterations == sweeps
+            counts.append(len(calls))
+            assert sum(M is problem.A for M in calls) == \
+                sum(M is problem.H for M in calls) == 8
+        assert counts == [16, 16]
+
+    @pytest.mark.parametrize("mode", [Mode.RP, Mode.RAC])
+    @pytest.mark.parametrize("bounded", [False, True])
+    @pytest.mark.parametrize("build", ["grid", "sparse"])
+    def test_kept_and_unkept_sweeps_are_bit_equal(self, mode, bounded,
+                                                  build):
+        # visits that read a kept record and visits that gather afresh give
+        # the same iterates, bit for bit, on CSC H and A: A's strips as
+        # stored entries (grid) or gathered dense (sparse, 20% fill)
+        problem = grid_qp() if build == "grid" else \
+            sparse_problem(3, bounded=bounded)
+        if not bounded:
+            problem = dataclasses.replace(problem, lower=None, upper=None)
+        assert sp.issparse(problem.H) and sp.issparse(problem.A)
+        s = 50 if build == "grid" else 9
+        orders = block_orders(mode, problem.n, s, np.random.default_rng(2))
+        runs = [[np.zeros(problem.n), np.zeros(problem.m), cache,
+                 engine._exact_products(problem, np.zeros(problem.n))]
+                for cache in ({}, None)]
+        for _ in range(5):
+            order = next(orders)
+            for run in runs:
+                run[:2] = run_sweep(problem, run[0], run[1], order, 0.9,
+                                    piece_cache=run[2], _products=run[3])
+            (xk, yk, _, (gk, rk)), (xu, yu, _, (gu, ru)) = runs
+            for kept, fresh in ((xk, xu), (yk, yu), (gk, gu), (rk, ru)):
+                assert kept.tobytes() == fresh.tobytes()
+        assert runs[0][2] and xk.any()
 
     def test_changed_columns_stay_stored_entries_at_any_fill(self,
                                                              monkeypatch):
-        # H's changed columns feed one product, so they are read as stored
-        # entries past 2% fill and with crowded rows, and round as scipy's
-        # slice and product do; only A's strips, whose Grams are formed,
-        # take _column_block's rule
+        # H's strip feeds products only, so it is read as stored entries
+        # past 2% fill and with crowded rows, and its product, whose
+        # unchanged columns add exact zeros, rounds as scipy's slice and
+        # product over the changed columns do; only A's strips, whose Grams
+        # are formed, take _column_block's rule
         problem, blocks, seen = grid_qp(), engine._column_block, []
         monkeypatch.setattr(engine, "_column_block",
                             lambda M, idx: seen.append(M) or blocks(M, idx))
@@ -1251,10 +1353,38 @@ class TestColumnGather:
         delta[rng.random(s) < 0.5] = 0.0
         g0 = rng.standard_normal(n)
         g = g0.copy()
-        engine._add_changed_columns(
-            g, engine._CscColumns(H, engine._stored_columns), idx, delta)
+        g += engine._stored_columns(H, idx).dot(delta)
         nz = delta != 0
         assert np.array_equal(g, g0 + H[:, idx[nz]] @ delta[nz])
+
+    @pytest.mark.parametrize("fmt", [sp.csc_matrix, sp.csc_array])
+    def test_block_matrix_from_the_strip_matches_scipy_slice(self, fmt):
+        # H's s x s block read from its strip's stored entries, for sorted
+        # and unsorted blocks, equals scipy's slice, bit for bit
+        n = 120
+        rng = np.random.default_rng(11)
+        G = sp.random(n, n, density=0.03, random_state=rng, format="csc")
+        H = fmt(G @ G.T + sp.eye(n))
+        problem = QpProblem(c=np.zeros(n), H=H)
+        for idx in (np.sort(rng.choice(n, 30, replace=False)),
+                    rng.choice(n, 30, replace=False), np.array([7])):
+            strip = engine._stored_columns(problem.H, idx)
+            system = engine._qp_system(problem, idx, None, strip, 1.0)
+            want = problem.H[np.ix_(idx, idx)].toarray()
+            assert system.matrix.tobytes() == want.tobytes()
+
+
+def spy_on_sparse_indexing(monkeypatch):
+    """Record the class of every scipy CSC matrix or array indexed from now
+    on, in the returned list."""
+    reads = []
+    for cls in (sp.csc_matrix, sp.csc_array):
+        def spy(mat, key, getitem=cls.__getitem__):
+            reads.append(type(mat))
+            return getitem(mat, key)
+
+        monkeypatch.setattr(cls, "__getitem__", spy)
+    return reads
 
 
 def products_problem(kind, bounded, n, m, seed):

@@ -205,6 +205,30 @@ class TestKernelOperatorReads:
         assert np.max(np.abs((block - plain)[same_point] - ridge),
                       initial=0.0) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("kind", ["linear", "gaussian"])
+    def test_reads_with_norms_summed_once_match_kernel_cross(self, kind):
+        # the operator sums X's squared row norms once and hands them to
+        # kernel_cross; on a C-ordered X each read equals the one whose
+        # kernel_cross sums them itself, bit for bit
+        rng = np.random.default_rng(3)
+        n = 500
+        X = 3.0 * rng.standard_normal((n, 10))
+        y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        kernel, ridge = KernelSpec(kind, 2.0), 0.3
+        op = svm._KernelQ(X, y, kernel, ridge)
+        cols = rng.choice(n, 40, replace=False)
+        rows = np.concatenate([cols[:10], rng.choice(n, 30, replace=False)])
+        strip = kernel_cross(X, X[cols], kernel)
+        strip *= y[:, None]
+        strip *= y[cols]
+        strip[cols, np.arange(cols.size)] += ridge
+        assert op[:, cols].tobytes() == strip.tobytes()
+        block = kernel_cross(X[rows], X[cols], kernel)
+        block *= y[rows][:, None]
+        block *= y[cols]
+        block[np.nonzero(rows[:, None] == cols)] += ridge
+        assert op[np.ix_(rows, cols)].tobytes() == block.tobytes()
+
     def test_training_reads_strips_of_changed_duals_only(self, monkeypatch):
         # per block step: one s x s block read for its system, then strip
         # columns for exactly the duals the step moved, none if none moved
