@@ -26,9 +26,10 @@ block cache, one dict it hands every ``sweep(order, cache)`` where
 that supply that callable. A QP block is a ``BlockSystem`` built factored,
 never written again and solved for each visit's rhs by ``solve_block``. Kept
 (``block_system``), a QP block is a ``_BlockVisit``: its system, its index
-array and, for a CSC A or H, the strips its first visit gathered, which
-later visits read without gathering again; a dense A or H, or an operator,
-is sliced again on every visit. An elastic-net block keeps only its factor,
+array and the strips of a CSC A or H that its first visit gathered as
+stored entries, which later visits read without gathering again; a dense A
+or H, an operator, or an A strip ``_column_block`` scattered dense is
+sliced again on every visit. An elastic-net block keeps only its factor,
 and the design's n x s block is read again on every visit.
 
 A sparse H, A or design is stored as canonical CSC, whose column blocks
@@ -125,17 +126,22 @@ def blocks_recur(mode: Mode, n: int, s: int, sweeps: int) -> bool:
 
 
 def block_system(cache: Optional[dict], block: Sequence[int],
-                 build: Callable[[], object]):
-    """``cache``'s entry for ``block``, built and kept on the first visit;
-    with ``cache`` None every visit builds its own. What ``build`` makes is
-    kept whole (a QP block's ``_BlockVisit``, with the strips its visits
-    read; an elastic-net block's factor) and must not be written after."""
+                 build: Callable[[], object],
+                 keep: Optional[Callable[[object], object]] = None):
+    """``cache``'s entry for ``block``, built on the first visit; with
+    ``cache`` None every visit builds its own. The first visit gets what
+    ``build`` makes, and the cache keeps it whole (an elastic-net block's
+    factor) or, given ``keep``, what ``keep`` makes of it (a QP block's
+    ``_BlockVisit`` less any dense strip); what is kept must not be written
+    after."""
     if cache is None:
         return build()
     key = tuple(block)
-    if key not in cache:
-        cache[key] = build()
-    return cache[key]
+    if key in cache:
+        return cache[key]
+    entry = build()
+    cache[key] = entry if keep is None else keep(entry)
+    return entry
 
 
 @dataclass(frozen=True)
@@ -277,11 +283,14 @@ def _qp_system(problem: QpProblem, idx: np.ndarray, As, Hs,
         matrix = _gram(As)
         matrix *= beta
     if Hs is not None:
-        # the strip's entries whose rows fall in idx, at their place in it
-        by_index = np.argsort(idx)
-        at = np.searchsorted(idx, Hs.rows, sorter=by_index)
-        at = by_index[np.minimum(at, idx.size - 1)]
-        inside = idx[at] == Hs.rows
+        # the strip's entries whose rows fall in idx, at their place in it,
+        # through a table of n places: a visit's products already cost O(n),
+        # and a sorted search over the strip's entries costs several times
+        # more at 4% fill
+        place = np.full(Hs.shape[0], -1)
+        place[idx] = np.arange(idx.size)
+        at = place[Hs.rows]
+        inside = at >= 0
         matrix[at[inside], Hs.cols[inside]] += Hs.vals[inside]
     elif problem.H is not None:
         matrix += problem.H[np.ix_(idx, idx)]
@@ -317,8 +326,7 @@ def _chol_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def _free_solve(matrix, rhs, x, free, chol, x0):
     """A copy of x with its free entries f solved for and its k bound entries
-    B held where x has them: M_ff x_f = r_f - M_fB x_B; and that copy's Mx,
-    where the kept-factor route formed it for its check, else None.
+    B held where x has them: M_ff x_f = r_f - M_fB x_B.
 
     Where k solves with M's kept factor ``chol`` cost fewer flops than
     factoring M_ff (2 k s^2 < (s - k)^3 / 3), ``_schur_solve`` goes through
@@ -330,7 +338,7 @@ def _free_solve(matrix, rhs, x, free, chol, x0):
     s, k = rhs.size, bnd.size
     if 2 * k * s * s < (s - k) ** 3 / 3:
         if not k:
-            return x0.copy(), None
+            return x0.copy()
         kept = _schur_solve(matrix, rhs, x, f, bnd, chol, x0)
         if kept is not None:
             return kept
@@ -338,12 +346,11 @@ def _free_solve(matrix, rhs, x, free, chol, x0):
     if f.size:  # k >= 1 here
         reduced_rhs = rhs[f] - matrix[np.ix_(f, bnd)] @ x[bnd]
         x[f] = _chol_solve(_cholesky(matrix[np.ix_(f, f)]), reduced_rhs)
-    return x, None
+    return x
 
 
 def _schur_solve(matrix, rhs, x, f, bnd, chol, x0):
-    """``_free_solve``'s result and its Mx through M's factor ``chol``, or
-    None.
+    """``_free_solve``'s result through M's factor ``chol``, or None.
 
     The Schur-complement method (Nocedal & Wright, Numerical Optimization,
     2nd ed., sec. 16.5): x = x0 + Z mu with Z = M^-1 E_B and mu solving the
@@ -364,15 +371,13 @@ def _schur_solve(matrix, rhs, x, f, bnd, chol, x0):
     x[f] = x0[f] + z[f] @ mu
     mx = matrix @ x
     scale = max(1.0, float(np.abs(mx).max()), float(np.abs(rhs).max()))
-    return (x, mx) if np.abs(mx[f] - rhs[f]).max() <= 1e-14 * scale else None
+    return x if np.abs(mx[f] - rhs[f]).max() <= 1e-14 * scale else None
 
 
-def _wrong_signed(matrix, rhs, x, at_lo, at_hi, rhs_scale, mx=None):
+def _wrong_signed(matrix, rhs, x, at_lo, at_hi, rhs_scale):
     """The bound entries whose multiplier points out of the box, beyond
-    1e-14 times max(rhs_scale, max|Mx|), and the gradient Mx - rhs; ``mx``,
-    when given, is x's Mx, formed already."""
-    if mx is None:
-        mx = matrix @ x
+    1e-14 times max(rhs_scale, max|Mx|), and the gradient Mx - rhs."""
+    mx = matrix @ x
     grad = mx - rhs
     scale = max(rhs_scale, float(np.abs(mx).max()))
     wrong_lo = at_lo & (grad < -1e-14 * scale)
@@ -397,7 +402,7 @@ def _ratio_test_finish(matrix, rhs, lower, upper, x, rhs_scale, tally,
     at_lo, at_hi = x <= lower, x >= upper
     for _ in range(ACTIVE_SET_PASS_FACTOR * rhs.size):
         free = ~(at_lo | at_hi)
-        target, mx = _free_solve(matrix, rhs, x, free, chol, x0)
+        target = _free_solve(matrix, rhs, x, free, chol, x0)
         out_lo, out_hi = free & (target < lower), free & (target > upper)
         out = np.flatnonzero(out_lo | out_hi)
         if out.size:
@@ -411,7 +416,7 @@ def _ratio_test_finish(matrix, rhs, lower, upper, x, rhs_scale, tally,
             continue
         x = target
         wrong_lo, wrong_hi, grad = _wrong_signed(matrix, rhs, x, at_lo, at_hi,
-                                                 rhs_scale, mx)
+                                                 rhs_scale)
         if not (wrong_lo.any() or wrong_hi.any()):
             return x
         score = np.where(wrong_lo, -grad, 0.0) + np.where(wrong_hi, grad, 0.0)
@@ -462,12 +467,12 @@ def solve_block(system: BlockSystem, rhs: np.ndarray,
     x = x0
     for _ in range(PDAS_MAX_STEPS):
         free = ~(at_lo | at_hi)
-        x, mx = _free_solve(matrix, rhs,
-                            np.where(at_lo, lower, np.where(at_hi, upper, x)),
-                            free, chol, x0)
+        x = _free_solve(matrix, rhs,
+                        np.where(at_lo, lower, np.where(at_hi, upper, x)), free,
+                        chol, x0)
         lo_viol, hi_viol = free & (x < lower), free & (x > upper)
         wrong_lo, wrong_hi, _ = _wrong_signed(matrix, rhs, x, at_lo, at_hi,
-                                              rhs_scale, mx)
+                                              rhs_scale)
         if not (lo_viol | hi_viol | wrong_lo | wrong_hi).any():
             return x
         at_lo = (at_lo & ~wrong_lo) | lo_viol
@@ -514,16 +519,25 @@ def _add_changed_columns(g: np.ndarray, H, idx: np.ndarray,
 
 @dataclass(frozen=True, slots=True)
 class _BlockVisit:
-    """What a visit to one block reads: its system, its index array and, for
-    a CSC A or H, A's strip as ``_column_block`` gathers it and H's strip as
-    stored entries. Kept (``block_system``), it is built on the block's
-    first visit and read whole by the later ones. A dense A or H, or an
-    implicit operator, leaves its strip None and is sliced on every visit."""
+    """What a visit to one block reads: its system, its index array, A's
+    strip and, for a CSC H, H's strip as stored entries. A dense H or an
+    implicit operator leaves ``h_strip`` None and is sliced on every visit.
+
+    Kept (``block_system``), it is built on the block's first visit and
+    read by the later ones as ``kept`` leaves it: A's strip stays only as
+    the stored entries of a CSC A, so a dense A's strip, or one that
+    ``_column_block`` scattered dense, is sliced again on every visit, as
+    m x s values kept per block would cost more memory than they save."""
 
     system: BlockSystem
     idx: np.ndarray
     a_strip: object
     h_strip: Optional[_StoredEntries]
+
+    def kept(self) -> "_BlockVisit":
+        if self.a_strip is None or isinstance(self.a_strip, _StoredEntries):
+            return self
+        return _BlockVisit(self.system, self.idx, None, self.h_strip)
 
 
 def _block_visit(problem: QpProblem, block, A, h_csc: bool,
@@ -532,8 +546,7 @@ def _block_visit(problem: QpProblem, block, A, h_csc: bool,
     As = None if A is None else A[:, idx]
     Hs = _stored_columns(problem.H, idx) if h_csc else None
     return _BlockVisit(system=_qp_system(problem, idx, As, Hs, beta), idx=idx,
-                       a_strip=As if isinstance(A, _CscColumns) else None,
-                       h_strip=Hs)
+                       a_strip=As, h_strip=Hs)
 
 
 def run_sweep(problem: QpProblem, x: np.ndarray, y: np.ndarray,
@@ -571,7 +584,7 @@ def run_sweep(problem: QpProblem, x: np.ndarray, y: np.ndarray,
     # which at tiny s costs more than the product
     for block in order:
         visit = block_system(piece_cache, block, lambda: _block_visit(
-            problem, block, A, h_csc, beta))
+            problem, block, A, h_csc, beta), _BlockVisit.kept)
         system, idx, As, Hs = (visit.system, visit.idx, visit.a_strip,
                                visit.h_strip)
         if As is None and A is not None:

@@ -349,15 +349,14 @@ class TestSolveBlock:
 def logged_free_solve(log):
     """``engine._free_solve``, appending each call's free set, the values it
     holds the bound entries at, its result and the iterate it starts from
-    to ``log``; the Mx it hands back, when it does, must be its result's."""
+    to ``log``."""
     free_solve = engine._free_solve
 
     def logged(matrix, rhs, x, free, *factored):
-        solved, mx = free_solve(matrix, rhs, x, free, *factored)
-        assert mx is None or np.array_equal(mx, matrix @ solved)
+        solved = free_solve(matrix, rhs, x, free, *factored)
         f = np.flatnonzero(free)
         log.append((f.tobytes(), x[~free].tobytes(), f, solved[f], x.copy()))
-        return solved, mx
+        return solved
 
     return logged
 
@@ -513,11 +512,8 @@ class TestFreeSolveRoutes:
             free = np.ones(s, dtype=bool)
             free[rng.choice(s, k, replace=False)] = False
             x = np.where(free, 0.0, rng.uniform(-1, 1, s))
-            got, mx = engine._free_solve(matrix, rhs, x, free, chol, x0)
+            got = engine._free_solve(matrix, rhs, x, free, chol, x0)
             want = direct_free_solve(matrix, rhs, x, free)
-            # the kept-factor route hands back the Mx of its check
-            assert (mx is not None) == (0 < k <= ks[-1])
-            assert mx is None or np.array_equal(mx, matrix @ got)
             assert np.array_equal(got[~free], x[~free])
             assert np.abs(got - want).max() <= \
                 1e-12 * max(1.0, np.abs(want).max())
@@ -539,8 +535,8 @@ class TestFreeSolveRoutes:
         free = np.arange(s) >= 2
         log = []
         monkeypatch.setattr(engine, "_schur_solve", logged_schur_solve(log))
-        got, mx = engine._free_solve(matrix, rhs, x, free, system.chol, x0)
-        assert log == [(2, False)] and mx is None
+        got = engine._free_solve(matrix, rhs, x, free, system.chol, x0)
+        assert log == [(2, False)]
         assert got.tobytes() == direct_free_solve(matrix, rhs, x,
                                                   free).tobytes()
         tally = Counter()
@@ -567,8 +563,7 @@ class TestFreeSolveRoutes:
             return cholesky(m)
 
         monkeypatch.setattr(engine, "_cholesky", indefinite_schur)
-        got, mx = engine._free_solve(matrix, rhs, x, free, system.chol, x0)
-        assert mx is None
+        got = engine._free_solve(matrix, rhs, x, free, system.chol, x0)
         assert got.tobytes() == direct_free_solve(matrix, rhs, x,
                                                   free).tobytes()
 
@@ -999,12 +994,23 @@ class TestBlockCache:
     def test_kept_systems_are_never_written(self, mode, monkeypatch):
         # every kept visit record is the object built on its block's first
         # visit, with the arrays it had then (its system's, its index array
-        # and, for CSC H and A, its strips), through sweep 40 of a bounded
-        # solve, on dense and on CSC data
+        # and, for CSC H and A, its stored-entry strips), through sweep 40 of
+        # a bounded solve, on dense data, on CSC data whose A strips are
+        # gathered dense and so not kept, and on CSC data with a sparse A
         dense = random_problem(9, n=6, m=2, bounded=True)
         csc = dataclasses.replace(dense, H=sp.csc_matrix(dense.H),
                                   A=sp.csc_matrix(dense.A))
-        for prob in (dense, csc):
+        # one entry per column of a 60 x 6 A: 2 in each 60 x 2 strip
+        sparse_a = sp.csc_matrix((np.arange(1.0, 7.0), (np.arange(0, 60, 10),
+                                                        np.arange(6))),
+                                 shape=(60, 6))
+        tall = QpProblem(c=dense.c, H=csc.H, A=sparse_a,
+                         b=sparse_a @ np.full(6, 0.1), lower=dense.lower,
+                         upper=dense.upper)
+        h_strip = {"h_strip.rows", "h_strip.vals", "h_strip.cols"}
+        a_strip = {"a_strip.rows", "a_strip.vals", "a_strip.cols"}
+        for prob, kept_strips in ((dense, set()), (csc, h_strip),
+                                  (tall, h_strip | a_strip)):
             caches = []
             block_system = engine.block_system
             with pytest.MonkeyPatch.context() as patch:
@@ -1028,9 +1034,7 @@ class TestBlockCache:
             assert set(first_seen) == set(cache)
             strips = {name for _, arrays in first_seen.values()
                       for name in arrays if "strip" in name}
-            assert strips == (set() if prob is dense else
-                              {"a_strip", "h_strip.rows", "h_strip.vals",
-                               "h_strip.cols"})
+            assert strips == kept_strips
             for key, (visit, arrays) in first_seen.items():
                 assert cache[key] is visit
                 now = kept_arrays(visit)
@@ -1083,35 +1087,45 @@ def assert_near(got, want):
 
 class TestSparseBlocks:
     def test_kept_block_holds_only_dense_block_arrays(self):
-        # a kept block's dense arrays are its s x s matrix and factor and
-        # A's m x s strip (gathered dense at this A's 20% fill); H's n-row
-        # strip is kept as stored entries, and no scipy object is kept
+        # a kept block's only dense arrays are its s x s matrix and factor:
+        # H's n-row strip and an A strip within the 2% rule are kept as
+        # stored entries, an A strip gathered dense (this A's 20% fill) is
+        # not kept, and no scipy object is kept
         prob = sparse_problem(1)
-        cache = {}
-        run_sweep(prob, np.zeros(80), np.zeros(6), ((0, 5, 9), (1, 2, 3)), 1.0,
-                  piece_cache=cache)
-        assert set(cache) == {(0, 5, 9), (1, 2, 3)}
-        for key, visit in cache.items():
-            system = visit.system
-            arrays = {name: value for name, value in vars(system).items()
-                      if value is not None and np.ndim(value) > 1}
-            assert set(arrays) == {"matrix", "chol"}
-            for dense in arrays.values():
-                assert isinstance(dense, np.ndarray) and dense.shape == (3, 3)
-            assert isinstance(visit.a_strip, np.ndarray)
-            assert visit.a_strip.shape == (6, 3)
-            strip = visit.h_strip
-            assert isinstance(strip, engine._StoredEntries)
-            assert strip.shape == (80, 3)
-            assert all(np.ndim(getattr(strip, f)) == 1
-                       for f in ("rows", "vals", "cols"))
-            assert strip.size == prob.H[:, list(key)].nnz
-            held = [*vars(system).values(), *strip,
-                    *(getattr(visit, f.name)
-                      for f in dataclasses.fields(visit))]
-            assert not any(sp.issparse(value) for value in held)
-            assert not any(isinstance(value, np.ndarray) and value.ndim > 1
-                           and 80 in value.shape for value in held)
+        # 200 x 80 at 0.5% fill: about 3 entries in each 200 x 3 strip
+        A = sp.random(200, 80, density=0.005, random_state=4, format="csc")
+        sparse_a = dataclasses.replace(prob, A=A, b=A @ np.full(80, 0.1))
+        for problem in (prob, sparse_a):
+            cache = {}
+            run_sweep(problem, np.zeros(80), np.zeros(problem.m),
+                      ((0, 5, 9), (1, 2, 3)), 1.0, piece_cache=cache)
+            assert set(cache) == {(0, 5, 9), (1, 2, 3)}
+            for key, visit in cache.items():
+                system = visit.system
+                arrays = {name: value for name, value in vars(system).items()
+                          if value is not None and np.ndim(value) > 1}
+                assert set(arrays) == {"matrix", "chol"}
+                for dense in arrays.values():
+                    assert isinstance(dense, np.ndarray)
+                    assert dense.shape == (3, 3)
+                strips = [(visit.h_strip, 80, problem.H[:, list(key)].nnz)]
+                if problem is prob:
+                    assert visit.a_strip is None
+                else:
+                    strips.append((visit.a_strip, 200, A[:, list(key)].nnz))
+                for strip, rows, nnz in strips:
+                    assert isinstance(strip, engine._StoredEntries)
+                    assert strip.shape == (rows, 3) and strip.size == nnz
+                    assert all(np.ndim(getattr(strip, f)) == 1
+                               for f in ("rows", "vals", "cols"))
+                held = [*vars(system).values(),
+                        *(value for strip, _, _ in strips for value in strip),
+                        *(getattr(visit, f.name)
+                          for f in dataclasses.fields(visit))]
+                assert not any(sp.issparse(value) for value in held)
+                assert not any(isinstance(value, np.ndarray)
+                               and value.ndim > 1 and value.shape != (3, 3)
+                               for value in held)
 
     @pytest.mark.parametrize("mode", list(Mode))
     @pytest.mark.parametrize("bounded", [False, True])
@@ -1301,6 +1315,23 @@ class TestColumnGather:
             assert sum(M is problem.A for M in calls) == \
                 sum(M is problem.H for M in calls) == 8
         assert counts == [16, 16]
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_dense_a_strips_are_gathered_once_per_visit(self, cached,
+                                                        monkeypatch):
+        # an A strip gathered dense (20% fill) is not kept, so every visit,
+        # kept block or not, gathers it once: the first visit's system and
+        # its step read the same gather
+        problem, blocks, calls = sparse_problem(1), engine._column_block, []
+        monkeypatch.setattr(engine, "_column_block", lambda M, idx:
+                            calls.append(M) or blocks(M, idx))
+        cache = {} if cached else None
+        x, y = np.zeros(80), np.zeros(6)
+        for _ in range(3):
+            x, y = run_sweep(problem, x, y, ((0, 5, 9), (1, 2, 3)), 1.0,
+                             piece_cache=cache)
+        assert len(calls) == 6 and all(M is problem.A for M in calls)
+        assert not cached or all(v.a_strip is None for v in cache.values())
 
     @pytest.mark.parametrize("mode", [Mode.RP, Mode.RAC])
     @pytest.mark.parametrize("bounded", [False, True])
