@@ -24,13 +24,14 @@ sweep driver: stopping rule, divergence guard, residual histories, and the
 block cache, one dict it hands every ``sweep(order, cache)`` where
 ``blocks_recur`` (else None). The QP solver here and elastic-net are adapters
 that supply that callable. A QP block is a ``BlockSystem`` built factored,
-never written again and solved for each visit's rhs by ``solve_block``. Kept
-(``block_system``), a QP block is a ``_BlockVisit``: its system, its index
-array and the strips of a CSC A or H that its first visit gathered as
-stored entries, which later visits read without gathering again; a dense A
-or H, an operator, or an A strip ``_column_block`` scattered dense is
-sliced again on every visit. An elastic-net block keeps only its factor,
-and the design's n x s block is read again on every visit.
+never written again and solved for each visit's rhs, from the visit's
+iterate, by ``solve_block``. Kept (``block_system``), a QP block is a
+``_BlockVisit``: its system, its index array and the strips of a CSC A or
+H that its first visit gathered as stored entries, which later visits read
+without gathering again; a dense A or H, an operator, or an A strip
+``_column_block`` scattered dense is sliced again on every visit. An
+elastic-net block keeps only its factor, and the design's n x s block is
+read again on every visit.
 
 A sparse H, A or design is stored as canonical CSC, whose column blocks
 ``run_sweep`` and elastic-net's ``fit`` read through one gather,
@@ -45,8 +46,11 @@ an implicit operator is sliced as it is.
 A bounded block whose unconstrained minimizer leaves the box is solved in
 two stages: primal-dual active-set exchanges, then, on a cycle or a step
 cap, a primal active-set finish with a ratio test from the last iterate,
-which ends at an exact KKT point. A finish that uses up its step budget is
-counted, and ``solve`` reports the count as
+which ends at an exact KKT point. The exchanges start from the visit's own
+iterate: an entry it holds at a bound starts bound there if its gradient
+points out of the box and free if not, and every other entry starts bound
+where the unconstrained minimizer leaves the box. A finish that uses up its
+step budget is counted, and ``solve`` reports the count as
 ``SolveResult.unconverged_blocks``. Each step solves on its free set with
 the k of the block's s entries that are bound held. Where that costs fewer
 flops than factoring the free set (2 k s^2 < (s - k)^3 / 3), it goes
@@ -428,7 +432,9 @@ def _ratio_test_finish(matrix, rhs, lower, upper, x, rhs_scale, tally,
 
 
 def solve_block(system: BlockSystem, rhs: np.ndarray,
-                tally: Optional[Counter] = None) -> np.ndarray:
+                tally: Optional[Counter] = None,
+                start: Optional[tuple[np.ndarray, np.ndarray]] = None
+                ) -> np.ndarray:
     """Exactly minimize 1/2 x'Mx - r'x over the block's box.
 
     Unbounded blocks, and bounded ones whose unconstrained minimizer is
@@ -439,12 +445,16 @@ def solve_block(system: BlockSystem, rhs: np.ndarray,
     minimizer; else by factoring the free-set matrix):
 
     1. Primal-dual active set (Hintermueller, Ito, Kunisch, SIAM J. Optim.
-       13(3), 2002), from the unconstrained minimizer's bound violators:
-       every free entry outside the box and every wrong-signed bound swap
-       sides at once, until no free entry leaves the box and no bound
-       multiplier is wrong-signed. It can cycle on matrices that are not
-       M-matrices. An exchange that revisits an active set, or the
-       PDAS_MAX_STEPS-th one, ends this stage.
+       13(3), 2002). Given ``start``, the visit's block values xb and their
+       gradient M xb - rhs, an entry xb holds at a bound starts bound there
+       if its gradient points out of the box and free if not; every other
+       entry, or every entry without ``start``, starts bound where the
+       unconstrained minimizer leaves the box. Then every free entry
+       outside the box and every wrong-signed bound swap sides at once,
+       until no free entry leaves the box and no bound multiplier is
+       wrong-signed. It can cycle on matrices that are not M-matrices. An
+       exchange that revisits an active set, or the PDAS_MAX_STEPS-th one,
+       ends this stage.
     2. ``_ratio_test_finish`` goes on from the last iterate and ends at a
        KKT point, or at its step cap, which it counts in ``tally``.
 
@@ -463,6 +473,12 @@ def solve_block(system: BlockSystem, rhs: np.ndarray,
 
     rhs_scale = max(1.0, float(np.abs(rhs).max()))
     at_lo, at_hi = x0 < lower, x0 > upper
+    if start is not None:
+        xb, grad = start  # most C-SVC duals stay at 0 from visit to visit
+        held_lo, held_hi = xb <= lower, xb >= upper
+        cold = ~(held_lo | held_hi)
+        at_lo = (held_lo & (grad >= 0)) | (cold & at_lo)
+        at_hi = (held_hi & (grad <= 0)) | (cold & at_hi)
     seen = {(at_lo.tobytes(), at_hi.tobytes())}
     x = x0
     for _ in range(PDAS_MAX_STEPS):
@@ -591,7 +607,8 @@ def run_sweep(problem: QpProblem, x: np.ndarray, y: np.ndarray,
             As = A[:, idx]
         xb = x[idx]
         grad = g[idx] if As is None else g[idx] + As.T.dot(beta * r - y)
-        new = solve_block(system, system.matrix.dot(xb) - grad, tally)
+        new = solve_block(system, system.matrix.dot(xb) - grad, tally,
+                          (xb, grad))
         # an unkept block's s x s matrix and factor are freed before H's
         # columns are read, where a kernel strip peaks
         del visit, system

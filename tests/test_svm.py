@@ -1,6 +1,8 @@
 import dataclasses
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -265,23 +267,37 @@ class TestKernelOperatorReads:
         assert {min(m, 1) + (m == s) for s, m, _ in steps} == {0, 1, 2}
 
 
-def factorizations_with_and_without_pdas(monkeypatch, kernel):
+def factorizations_and_duals(kernel):
     """Factorizations and duals of two fixed sweeps on ``gen_blobs(300, 10)``
-    with the default config, PDAS on and then capped at 0 steps."""
+    with the default config."""
     tr = gen_blobs(300, 10, seed=0)
     cfg = dataclasses.replace(default_config(600, max_iters=2),
                               fixed_iterations=True)
     cholesky = engine._cholesky
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_cholesky", lambda matrix:
+                      calls.append(1) or cholesky(matrix))
+        _, diag = train(tr.X, tr.y, 1.0, kernel, cfg, return_diagnostics=True)
+    return len(calls), diag.duals
+
+
+def factorizations_with_and_without_pdas(monkeypatch, kernel):
+    """``factorizations_and_duals``, PDAS on and then capped at 0 steps."""
     counts, duals = [], []
     for cap in (engine.PDAS_MAX_STEPS, 0):
-        calls = []
         monkeypatch.setattr(engine, "PDAS_MAX_STEPS", cap)
-        monkeypatch.setattr(engine, "_cholesky", lambda matrix:
-                            calls.append(1) or cholesky(matrix))
-        _, diag = train(tr.X, tr.y, 1.0, kernel, cfg, return_diagnostics=True)
-        counts.append(len(calls))
-        duals.append(diag.duals)
+        count, run_duals = factorizations_and_duals(kernel)
+        counts.append(count)
+        duals.append(run_duals)
     return counts, duals
+
+
+# kernel kind -> the duals of ``factorizations_and_duals`` captured when every
+# bounded block visit seeded PDAS from its unconstrained minimizer's bound
+# violators alone (float64, numpy 2.4 with OpenBLAS on x86-64, 1 and 2 BLAS
+# threads alike)
+SVM_PDAS_GOLDENS = Path(__file__).parent / "data" / "svm_pdas_goldens.json"
 
 
 class TestTrain:
@@ -413,6 +429,26 @@ class TestTrain:
             monkeypatch, KernelSpec("linear"))
         assert counts[0] <= counts[1]
         assert np.array_equal(duals[0], duals[1])
+
+    @pytest.mark.parametrize("kernel", [KernelSpec("gaussian", 3.0),
+                                        KernelSpec("linear")],
+                             ids=lambda kernel: kernel.kind)
+    def test_warm_seeded_pdas_saves_factorizations(self, monkeypatch,
+                                                    kernel):
+        # PDAS seeded from each visit's own active set makes fewer
+        # factorizations than seeded from the unconstrained minimizer alone,
+        # as solve_block is without a start, and both end at the duals
+        # captured with that cold seed, bit for bit
+        want = json.loads(SVM_PDAS_GOLDENS.read_text())[kernel.kind]
+        warm, warm_duals = factorizations_and_duals(kernel)
+        solve_block = engine.solve_block
+        monkeypatch.setattr(engine, "solve_block",
+                            lambda system, rhs, tally, start:
+                            solve_block(system, rhs, tally))
+        cold, cold_duals = factorizations_and_duals(kernel)
+        assert warm < cold
+        assert np.array_equal(warm_duals, np.asarray(want))
+        assert np.array_equal(cold_duals, np.asarray(want))
 
     def test_unconverged_blocks_are_counted(self, monkeypatch):
         tr = gen_blobs(20, 2, 1.0, seed=6)
