@@ -26,12 +26,12 @@ block cache, one dict it hands every ``sweep(order, cache)`` where
 that supply that callable. A QP block is a ``BlockSystem`` built factored,
 never written again and solved for each visit's rhs, from the visit's
 iterate, by ``solve_block``. Kept (``block_system``), a QP block is a
-``_BlockVisit``: its system, its index array and the strips of a CSC A or
-H that its first visit gathered as stored entries, which later visits read
-without gathering again; a dense A or H, an operator, or an A strip
-``_column_block`` scattered dense is sliced again on every visit. An
-elastic-net block keeps only its factor, and the design's n x s block is
-read again on every visit.
+``_BlockVisit``: its system, its index array, a dense A's strip, and the
+strips of a CSC A or H that its first visit gathered as stored entries,
+which later visits read without gathering again; a dense H, an operator,
+or an A strip ``_column_block`` scattered dense is sliced again on every
+visit. An elastic-net block keeps only its factor, and the design's n x s
+block is read again on every visit.
 
 A sparse H, A or design is stored as canonical CSC, whose column blocks
 ``run_sweep`` and elastic-net's ``fit`` read through one gather,
@@ -136,8 +136,8 @@ def block_system(cache: Optional[dict], block: Sequence[int],
     ``cache`` None every visit builds its own. The first visit gets what
     ``build`` makes, and the cache keeps it whole (an elastic-net block's
     factor) or, given ``keep``, what ``keep`` makes of it (a QP block's
-    ``_BlockVisit`` less any dense strip); what is kept must not be written
-    after."""
+    ``_BlockVisit`` less an A strip scattered dense from a CSC A); what is
+    kept must not be written after."""
     if cache is None:
         return build()
     key = tuple(block)
@@ -236,8 +236,10 @@ def _stored_columns(M, idx: np.ndarray) -> _StoredEntries:
     starts = M.indptr[idx]
     counts = M.indptr[idx + 1] - starts
     cols = np.repeat(np.arange(idx.size), counts)
-    at = np.arange(cols.size) + np.repeat(
-        starts - (np.cumsum(counts) - counts), counts)
+    # each entry's place in M's arrays: its column's start, less where the
+    # column begins among the strip's entries, plus the entry's own place
+    at = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    at += np.arange(at.size)
     return _StoredEntries(M.indices[at], M.data[at], cols,
                           (M.shape[0], idx.size))
 
@@ -540,10 +542,11 @@ class _BlockVisit:
     implicit operator leaves ``h_strip`` None and is sliced on every visit.
 
     Kept (``block_system``), it is built on the block's first visit and
-    read by the later ones as ``kept`` leaves it: A's strip stays only as
-    the stored entries of a CSC A, so a dense A's strip, or one that
-    ``_column_block`` scattered dense, is sliced again on every visit, as
-    m x s values kept per block would cost more memory than they save."""
+    read by the later ones whole, or for a CSC A as ``kept`` leaves it: an
+    A strip that ``_column_block`` scattered dense is dropped and gathered
+    again on every visit, as m x s values kept per block of a sparse A
+    could cost many times A's own memory. A dense A's strips, a copy of A
+    at most over the blocks, and a CSC A's stored-entry strips stay."""
 
     system: BlockSystem
     idx: np.ndarray
@@ -551,7 +554,7 @@ class _BlockVisit:
     h_strip: Optional[_StoredEntries]
 
     def kept(self) -> "_BlockVisit":
-        if self.a_strip is None or isinstance(self.a_strip, _StoredEntries):
+        if not isinstance(self.a_strip, np.ndarray):
             return self
         return _BlockVisit(self.system, self.idx, None, self.h_strip)
 
@@ -594,13 +597,15 @@ def run_sweep(problem: QpProblem, x: np.ndarray, y: np.ndarray,
     # strips feed a Gram too
     H, A = problem.H, problem.A
     h_csc = not isinstance(H, np.ndarray) and sp.issparse(H)
+    keep = None
     if not isinstance(A, np.ndarray) and sp.issparse(A):
         A = _CscColumns(A, _column_block)
+        keep = _BlockVisit.kept
     # .dot (scipy sparse has it too) is @'s BLAS call without its dispatch,
     # which at tiny s costs more than the product
     for block in order:
         visit = block_system(piece_cache, block, lambda: _block_visit(
-            problem, block, A, h_csc, beta), _BlockVisit.kept)
+            problem, block, A, h_csc, beta), keep)
         system, idx, As, Hs = (visit.system, visit.idx, visit.a_strip,
                                visit.h_strip)
         if As is None and A is not None:

@@ -5,16 +5,18 @@ sigma is an affine map z -> M z + offset on the stacked state z = (x; y).
 Enumerating every admissible order gives the expected map, whose spectrum
 certifies convergence in expectation; the spectral radius of the expected
 Kronecker square certifies almost-sure convergence. One enumeration pass
-feeds every certificate quantity, keeping only running sums. Everything here
-is dense and exact (full enumeration, no sampling), which is why instance
-sizes are capped.
+feeds every certificate quantity, keeping only running sums. The pass takes
+the orders ``ORDER_CHUNK`` at a time and makes one stacked call per chunk
+for each step (Gauss-Seidel matrices, inverses, sweep maps, sums), so at
+the small n enumerated numpy's per-call overhead is paid per chunk, not
+per order. Everything here is dense and exact (full enumeration, no
+sampling), which is why instance sizes are capped.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -39,6 +41,11 @@ SPECTRAL_BOUND = 4.0 / 3.0
 # lifted size n + m, whose fourth power is the size of the Kronecker square.
 MAX_KRON_VARS = 8
 MAX_KRON_DIM = 16
+
+# Orders stacked per chunk of the enumeration pass: enough that per-call
+# overhead is spread thin, few enough that a chunk's stacks stay a few
+# hundred kB at the Kronecker cap.
+ORDER_CHUNK = 32
 
 
 def _coupling(H, A, beta: float,
@@ -65,20 +72,27 @@ def _coupling(H, A, beta: float,
     return H + beta * (Ad.T @ Ad), Ad
 
 
-def _lower(S: np.ndarray, order: Order) -> np.ndarray:
-    """Entries of S whose row block is updated at or after their column
-    block; ``order`` must partition range(n)."""
-    pos = np.empty(S.shape[0], dtype=int)
+def _positions(order: Order, n: int) -> np.ndarray:
+    """The place in ``order`` of each variable's block; ``order`` must
+    partition range(n)."""
+    pos = np.empty(n, dtype=int)
     for k, group in enumerate(order):
         pos[list(group)] = k
-    return np.where(pos[:, None] >= pos[None, :], S, 0.0)
+    return pos
 
 
-def _lower_inv(S: np.ndarray, order: Order) -> np.ndarray:
-    """L^{-1} for the Gauss-Seidel matrix L of ``order``; a singular L
+def _lower(S: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Entries of S whose row block is updated at or after their column
+    block, for block places ``pos`` of shape (..., n): one Gauss-Seidel
+    matrix, or a stack of them for a stack of orders."""
+    return np.where(pos[..., :, None] >= pos[..., None, :], S, 0.0)
+
+
+def _inverse(L: np.ndarray) -> np.ndarray:
+    """L^{-1} for a Gauss-Seidel matrix L or each of a stack; a singular one
     raises BlockDefinitenessError."""
     try:
-        return np.linalg.inv(_lower(S, order))
+        return np.linalg.inv(L)
     except np.linalg.LinAlgError as exc:
         raise BlockDefinitenessError(
             "the sweep's Gauss-Seidel matrix is singular; a block violates "
@@ -90,17 +104,18 @@ def _sweep_map(X: np.ndarray, S: np.ndarray, Ad: np.ndarray,
     """[[I - XS, XA'], [-beta A (I - XS), I - beta A X A']].
 
     With X = L^{-1} this is the sweep map of one order; with X = Q, the
-    average of L^{-1} over the orders, it is the expected sweep map.
+    average of L^{-1} over the orders, it is the expected sweep map. A
+    stack of X, shape (..., n, n), gives the stack of their maps.
     """
     m, n = Ad.shape
     XS = X @ S
     # filled in place: at the small n enumerated, np.block's dispatch costs
     # more than the arithmetic
-    out = np.empty((n + m, n + m))
-    out[:n, :n] = np.eye(n) - XS
-    out[:n, n:] = X @ Ad.T
-    out[n:, :n] = -beta * Ad + beta * (Ad @ XS)
-    out[n:, n:] = np.eye(m) - beta * (Ad @ X @ Ad.T)
+    out = np.empty(X.shape[:-2] + (n + m, n + m))
+    out[..., :n, :n] = np.eye(n) - XS
+    out[..., :n, n:] = X @ Ad.T
+    out[..., n:, :n] = -beta * Ad + beta * (Ad @ XS)
+    out[..., n:, n:] = np.eye(m) - beta * (Ad @ X @ Ad.T)
     return out
 
 
@@ -112,7 +127,8 @@ def gauss_seidel_matrix(H, A, beta: float, order: Order) -> np.ndarray:
     system the Gauss-Seidel pass applies to the new iterate. Raises
     ValueError unless ``order`` partitions range(n).
     """
-    return _lower(_coupling(H, A, beta, order)[0], order)
+    S = _coupling(H, A, beta, order)[0]
+    return _lower(S, _positions(order, len(S)))
 
 
 @dataclass(frozen=True)
@@ -143,37 +159,63 @@ def iteration_map(H, A, beta: float, order: Order) -> IterationMap:
     ``order`` partitions range(n), and BlockDefinitenessError when its
     Gauss-Seidel matrix is singular."""
     S, Ad = _coupling(H, A, beta, order)
-    L_inv = _lower_inv(S, order)
+    L_inv = _inverse(_lower(S, _positions(order, len(S))))
     return IterationMap(beta=beta, A=Ad, lower_inv=L_inv,
                         matrix=_sweep_map(L_inv, S, Ad, beta))
 
 
 def _order_averages(S: np.ndarray, Ad: np.ndarray, beta: float, p: int,
                     kron: bool):
-    """One pass over every order, keeping running sums only.
+    """One pass over every order, ``ORDER_CHUNK`` orders at a time, keeping
+    running sums only.
 
     Returns Q and M as in ``expected_operators``, the mean of the inverses
     over each partition's orders (a partition is an order's blocks as a
     frozenset; listed in order of first appearance) and, with ``kron``, the
     expected Kronecker square. A singular sweep raises BlockDefinitenessError.
+
+    Each chunk's inverses are summed per partition by one product with the
+    chunk's partition indicator, and Q is the sum of those sums. The
+    Kronecker square's entry ((i, k), (j, l)) is the mean of M[i, j] M[k, l]
+    over the orders' sweep maps M, so it is the Gram F'F of the maps laid
+    out as rows of F, permuted once at the end.
     """
     m, n = Ad.shape
-    Q = np.zeros((n, n))
-    K = np.zeros(((n + m) ** 2, (n + m) ** 2)) if kron else None
-    partition_Q = defaultdict(lambda: np.zeros((n, n)))
+    d, s = n + m, n // p
+    # a variable at slot j of an order's concatenated blocks is in block j // s
+    block_at = np.arange(n) // s
+    partitions: dict = {}  # an order's blocks as a frozenset -> its row
+    # one row of inverse sums per partition, n! / (s!^p p!) of them
+    sums = np.zeros((math.factorial(n) // (math.factorial(s) ** p
+                                           * math.factorial(p)), n * n))
+    gram = np.zeros((d * d, d * d)) if kron else None
     count = 0
-    for order in iter_orders(n, p):  # streamed: (10, 10) has 3,628,800
-        count += 1
-        L_inv = _lower_inv(S, order)
-        Q += L_inv
-        partition_Q[frozenset(order)] += L_inv
+    flat = itertools.chain.from_iterable
+    orders = iter_orders(n, p)  # streamed: (10, 10) has 3,628,800
+    while chunk := list(itertools.islice(orders, ORDER_CHUNK)):
+        c = len(chunk)
+        count += c
+        slots = np.fromiter(flat(flat(chunk)), dtype=int,
+                            count=c * n).reshape(c, n)
+        pos = np.empty_like(slots)
+        np.put_along_axis(pos, slots, block_at, axis=1)
+        L_inv = _inverse(_lower(S, pos))
+        rows, which = np.unique(
+            [partitions.setdefault(frozenset(order), len(partitions))
+             for order in chunk], return_inverse=True)
+        indicator = np.arange(rows.size)[:, None] == which
+        sums[rows] += indicator @ L_inv.reshape(c, n * n)
         if kron:
-            M_order = _sweep_map(L_inv, S, Ad, beta)
-            K += np.kron(M_order, M_order)
-    Q /= count
-    partition_means = [total / math.factorial(p) for total in partition_Q.values()]
-    return (Q, _sweep_map(Q, S, Ad, beta), partition_means,
-            None if K is None else K / count)
+            maps = _sweep_map(L_inv, S, Ad, beta).reshape(c, d * d)
+            gram += maps.T @ maps
+    Q = sums.sum(axis=0).reshape(n, n) / count
+    partition_means = list(sums.reshape(-1, n, n) / math.factorial(p))
+    K = None
+    if kron:
+        gram /= count
+        K = gram.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d,
+                                                                   d * d)
+    return Q, _sweep_map(Q, S, Ad, beta), partition_means, K
 
 
 def expected_operators(H, A, beta: float, p: int
@@ -256,14 +298,13 @@ class ConvergenceCertificate:
 
 
 def _blocks_positive_definite(S: np.ndarray, s: int) -> bool:
-    """Every possible size-s block of the coupling matrix must be SPD."""
-    n = S.shape[0]
-    for subset in itertools.combinations(range(n), s):
-        block = S[np.ix_(subset, subset)]
-        try:
-            np.linalg.cholesky(block)
-        except np.linalg.LinAlgError:
-            return False
+    """Every possible size-s block of the coupling matrix must be SPD,
+    checked by one stacked Cholesky over all C(n, s) of them."""
+    subsets = np.array(list(itertools.combinations(range(S.shape[0]), s)))
+    try:
+        np.linalg.cholesky(S[subsets[:, :, None], subsets[:, None, :]])
+    except np.linalg.LinAlgError:
+        return False
     return True
 
 

@@ -1041,10 +1041,11 @@ class TestBlockCache:
     @pytest.mark.parametrize("mode", [Mode.RAC, Mode.RP])
     def test_kept_systems_are_never_written(self, mode, monkeypatch):
         # every kept visit record is the object built on its block's first
-        # visit, with the arrays it had then (its system's, its index array
-        # and, for CSC H and A, its stored-entry strips), through sweep 40 of
-        # a bounded solve, on dense data, on CSC data whose A strips are
-        # gathered dense and so not kept, and on CSC data with a sparse A
+        # visit, with the arrays it had then (its system's, its index array,
+        # a dense A's strip and, for CSC H and A, its stored-entry strips),
+        # through sweep 40 of a bounded solve, on dense data, on CSC data
+        # whose A strips are gathered dense and so not kept, and on CSC data
+        # with a sparse A
         dense = random_problem(9, n=6, m=2, bounded=True)
         csc = dataclasses.replace(dense, H=sp.csc_matrix(dense.H),
                                   A=sp.csc_matrix(dense.A))
@@ -1057,7 +1058,7 @@ class TestBlockCache:
                          upper=dense.upper)
         h_strip = {"h_strip.rows", "h_strip.vals", "h_strip.cols"}
         a_strip = {"a_strip.rows", "a_strip.vals", "a_strip.cols"}
-        for prob, kept_strips in ((dense, set()), (csc, h_strip),
+        for prob, kept_strips in ((dense, {"a_strip"}), (csc, h_strip),
                                   (tall, h_strip | a_strip)):
             caches = []
             block_system = engine.block_system
@@ -1381,19 +1382,47 @@ class TestColumnGather:
         assert len(calls) == 6 and all(M is problem.A for M in calls)
         assert not cached or all(v.a_strip is None for v in cache.values())
 
+    @pytest.mark.parametrize("mode", [Mode.RP, Mode.CYCLIC])
+    def test_dense_a_is_sliced_once_per_kept_block(self, mode):
+        # a kept block keeps a dense A's strip: over 10 sweeps of 3 kept
+        # blocks, A is sliced on each block's first visit only, and the
+        # iterates are those of a plain A, bit for bit
+        plain = random_problem(9, n=6, m=2, bounded=True)
+        slices = []
+
+        class Counted(np.ndarray):
+            def __getitem__(self, key):
+                if self is problem.A:
+                    slices.append(key)
+                return np.asarray(super().__getitem__(key))
+
+        problem = dataclasses.replace(plain, A=plain.A.view(Counted))
+        cfg = SolverConfig(mode=mode, block_size=2, beta_penalty=0.8,
+                           max_iters=10, tol_primal=1e-16, tol_dual=1e-16,
+                           seed=5, fixed_iterations=True)
+        res, want = solve(problem, cfg), solve(plain, cfg)
+        assert len(slices) == 3
+        assert sorted(i for key in slices for i in key[1]) == list(range(6))
+        assert res.x.tobytes() == want.x.tobytes()
+        assert res.y.tobytes() == want.y.tobytes()
+
     @pytest.mark.parametrize("mode", [Mode.RP, Mode.RAC])
     @pytest.mark.parametrize("bounded", [False, True])
-    @pytest.mark.parametrize("build", ["grid", "sparse"])
+    @pytest.mark.parametrize("build", ["grid", "sparse", "dense"])
     def test_kept_and_unkept_sweeps_are_bit_equal(self, mode, bounded,
                                                   build):
-        # visits that read a kept record and visits that gather afresh give
-        # the same iterates, bit for bit, on CSC H and A: A's strips as
-        # stored entries (grid) or gathered dense (sparse, 20% fill)
+        # visits that read a kept record and visits that slice or gather
+        # afresh give the same iterates, bit for bit: on CSC H and A, with
+        # A's strips as stored entries (grid) or gathered dense (sparse, 20%
+        # fill), and on dense H and A, whose A strips are kept as sliced
         problem = grid_qp() if build == "grid" else \
             sparse_problem(3, bounded=bounded)
+        if build == "dense":
+            problem = dense_twin(problem)
         if not bounded:
             problem = dataclasses.replace(problem, lower=None, upper=None)
-        assert sp.issparse(problem.H) and sp.issparse(problem.A)
+        assert sp.issparse(problem.H) == sp.issparse(problem.A) == \
+            (build != "dense")
         s = 50 if build == "grid" else 9
         orders = block_orders(mode, problem.n, s, np.random.default_rng(2))
         runs = [[np.zeros(problem.n), np.zeros(problem.m), cache,

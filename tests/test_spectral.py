@@ -1,9 +1,12 @@
 import itertools
 import json
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from racml import spectral
 from racml.engine import BlockDefinitenessError, compute_residuals, run_sweep
@@ -11,6 +14,7 @@ from racml.problems import (
     CapacityError,
     QpProblem,
     enumerate_orders,
+    iter_orders,
 )
 from racml.spectral import (
     certify,
@@ -170,21 +174,21 @@ class TestExpectedOperators:
         with pytest.raises(BlockDefinitenessError):
             expected_operators(None, A, 1.0, 2)
 
-    def test_orders_are_streamed(self, monkeypatch):
-        # (8, 8) has 40,320 orders: this call peaked at 10.2 MB with them
-        # listed and at 0.49 MB streamed. The per-order inverse is one fixed
-        # matrix, so what is measured is the order stream and the sums.
+    def test_orders_are_streamed(self):
+        # (8, 8) has 40,320 orders: a pass over them listed peaked at
+        # 10.2 MB, and one in chunks at 0.58 MB: the order stream, one
+        # chunk's stacks and the sums
         S, Ad = spectral._coupling(*random_instance(4, n=8, m=1), 1.0)
-        fixed = np.linalg.inv(np.tril(S))
-        monkeypatch.setattr(spectral, "_lower_inv", lambda S, order: fixed)
         tracemalloc.start()
         try:
             Q = spectral._order_averages(S, Ad, 1.0, 8, kron=False)[0]
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        np.testing.assert_allclose(Q, fixed, rtol=1e-10)
         assert peak < 2e6
+        # every order's reverse transposes its L, so the mean inverse over
+        # all of them is symmetric; a chunk left out would break that
+        assert np.max(np.abs(Q - Q.T)) <= 1e-12 * np.max(np.abs(Q))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_formula_matches_direct_average(self, seed):
@@ -198,6 +202,143 @@ class TestExpectedOperators:
             direct += iteration_map(H, A, beta, o).matrix
         direct /= len(orders)
         assert np.max(np.abs(M - direct)) <= 1e-10
+
+
+def per_order_averages(S, Ad, beta, p, kron):
+    """Oracle for ``spectral._order_averages``: the pass one order at a
+    time, with its own inverse, sweep map and Kronecker product each."""
+    m, n = Ad.shape
+    Q = np.zeros((n, n))
+    K = np.zeros(((n + m) ** 2, (n + m) ** 2)) if kron else None
+    partition_Q = {}
+    count = 0
+    for order in iter_orders(n, p):
+        count += 1
+        pos = np.empty(n, dtype=int)
+        for k, group in enumerate(order):
+            pos[list(group)] = k
+        L_inv = np.linalg.inv(np.where(pos[:, None] >= pos[None, :], S, 0.0))
+        Q += L_inv
+        key = frozenset(order)
+        partition_Q[key] = partition_Q.get(key, 0.0) + L_inv
+        if kron:
+            M_order = spectral._sweep_map(L_inv, S, Ad, beta)
+            K += np.kron(M_order, M_order)
+    Q /= count
+    partition_means = [total / math.factorial(p)
+                       for total in partition_Q.values()]
+    return (Q, spectral._sweep_map(Q, S, Ad, beta), partition_means,
+            None if K is None else K / count)
+
+
+def assert_relative(got, want, scale=None):
+    """Agreement to 1e-12 of ``scale``, by default ``want``'s largest entry."""
+    assert got.shape == want.shape
+    if scale is None:
+        scale = np.max(np.abs(want))
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+def sweep_map_scale(Q, S, Ad, beta):
+    """A bound on the size of the products ``_sweep_map`` forms at Q, whose
+    differences can leave M's entries far smaller than its rounding."""
+    q, s, a, a_t = (np.linalg.norm(X, np.inf) for X in (Q, S, Ad, Ad.T))
+    a = max(a, a_t)
+    return max(1.0, q * s, q * a) * max(1.0, beta * a)
+
+
+def chunked_case(n, p, with_h, m, seed, beta, kron, chunk):
+    """(H, A, beta, p, kron, chunk) for a seeded instance, with H or not."""
+    rng = np.random.default_rng(seed)
+    H = None
+    if with_h:
+        G = rng.standard_normal((n, n))
+        H = G @ G.T + 0.4 * np.eye(n)
+    return H, rng.standard_normal((m, n)), beta, p, kron, chunk
+
+
+@st.composite
+def chunked_cases(draw):
+    """An instance of n <= 6 in p blocks, with or without H and the
+    Kronecker square, and a chunk size: 1, one that leaves a short last
+    chunk, or the module's own."""
+    n = draw(st.integers(1, 6))
+    p = draw(st.sampled_from([q for q in range(1, n + 1) if n % q == 0]))
+    with_h = draw(st.booleans())
+    # without H, every block of s columns of A must have full column rank
+    m = draw(st.integers(1, 3) if with_h else st.integers(n // p, n))
+    return chunked_case(n, p, with_h, m, draw(st.integers(0, 2**32 - 1)),
+                        draw(st.sampled_from([0.1, 1.0, 10.0])),
+                        draw(st.booleans()),
+                        draw(st.sampled_from([1, 7, spectral.ORDER_CHUNK])))
+
+
+class TestChunkedPass:
+    @settings(max_examples=60, deadline=None)
+    @given(chunked_cases())
+    # 720 orders, 22.5 chunks, with H and the Kronecker square and without
+    @example(chunked_case(6, 6, True, 1, 1, 1.0, True, spectral.ORDER_CHUNK))
+    @example(chunked_case(6, 6, False, 6, 2, 0.1, True, spectral.ORDER_CHUNK))
+    # 90 orders in 2.8 chunks; 20 orders, below one chunk
+    @example(chunked_case(6, 3, False, 4, 3, 10.0, True, spectral.ORDER_CHUNK))
+    @example(chunked_case(6, 2, True, 2, 4, 1.0, True, spectral.ORDER_CHUNK))
+    def test_matches_the_per_order_oracle(self, case):
+        # order counts below one chunk (1, 2, 6, 20, 24) and past it, not a
+        # multiple of it (90, 120 and 720 at 32; most counts at 7)
+        H, A, beta, p, kron, chunk = case
+        S, Ad = spectral._coupling(H, A, beta)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(spectral, "ORDER_CHUNK", chunk)
+            got = spectral._order_averages(S, Ad, beta, p, kron)
+        want = per_order_averages(S, Ad, beta, p, kron)
+        assert_relative(got[0], want[0])
+        # M is the block formula at Q, whose differences amplify Q's
+        # rounding: it is held to the size of the formula's products
+        assert_relative(got[1], want[1], sweep_map_scale(want[0], S, Ad, beta))
+        assert len(got[2]) == len(want[2])
+        for g, w in zip(got[2], want[2]):
+            assert_relative(g, w)
+        if kron:
+            assert_relative(got[3], want[3])
+        else:
+            assert got[3] is None
+
+    @pytest.mark.parametrize("n, p", [(6, 3), (6, 6)])
+    @pytest.mark.parametrize("kron", [False, True])
+    @pytest.mark.parametrize("chunk", [1, 7, spectral.ORDER_CHUNK])
+    def test_singular_sweep_leaves_only_block_definiteness(self, n, p, kron,
+                                                           chunk, monkeypatch):
+        # TestCertify.test_degenerate_block_flagged's case past one chunk:
+        # A's last column is zero, so every Gauss-Seidel matrix has a zero
+        # column, the stacked inverse raises on the first chunk, and the
+        # certificate carries the block verdict only
+        A = np.random.default_rng(n).standard_normal((n, n))
+        A[:, -1] = 0.0
+        monkeypatch.setattr(spectral, "ORDER_CHUNK", chunk)
+        cert = certify(None, A, 1.0, p, kron=kron)
+        assert cert.assumption1_ok is False
+        for field in ("eig_qs", "eig_m", "rho_kron", "lemma2_ok", "as_ok",
+                      "partition_max_eigs", "partitions_ok", "weyl_ok"):
+            assert getattr(cert, field) is None, field
+
+    def test_singular_in_a_later_chunk_raises(self, monkeypatch):
+        # a singular stack past the first chunk still raises
+        # BlockDefinitenessError, and no partial sums come back
+        S, Ad = spectral._coupling(*random_instance(2, n=4, m=2), 1.0)
+        inverse, calls = spectral._inverse, []
+
+        def singular_third(L):
+            calls.append(len(L))
+            if len(calls) == 3:
+                L = L.copy()
+                L[-1] = 0.0
+            return inverse(L)
+
+        monkeypatch.setattr(spectral, "ORDER_CHUNK", 5)
+        monkeypatch.setattr(spectral, "_inverse", singular_third)
+        with pytest.raises(BlockDefinitenessError):
+            spectral._order_averages(S, Ad, 1.0, 4, kron=True)
+        assert calls == [5, 5, 5]
 
 
 def reference_certificate(H, A, beta, p):
@@ -318,6 +459,24 @@ class TestCertify:
         for field in ("eig_qs", "eig_m", "rho_kron", "lemma2_ok", "as_ok",
                       "partition_max_eigs", "partitions_ok", "weyl_ok"):
             assert getattr(cert, field) is None, field
+
+    @pytest.mark.parametrize("coupling, verdict", [(0.5, True), (2.0, False)])
+    def test_blocks_checked_in_one_stacked_cholesky(self, coupling, verdict,
+                                                    monkeypatch):
+        # H = I but for H[3, 5] = H[5, 3]: of the 15 blocks of 2, only
+        # {3, 5} can fail, and one Cholesky call over the stack of all 15
+        # gives the verdict of checking them one by one
+        H = np.eye(6)
+        H[3, 5] = H[5, 3] = coupling
+        one_by_one = all(
+            np.all(np.linalg.eigvalsh(H[np.ix_(g, g)]) > 0)
+            for g in itertools.combinations(range(6), 2))
+        calls, cholesky = [], np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky",
+                            lambda a: calls.append(a.shape) or cholesky(a))
+        assert spectral._blocks_positive_definite(H, 2) is verdict is \
+            one_by_one
+        assert calls == [(15, 2, 2)]
 
     def test_kron_capacity_guard(self):
         H, A = random_instance(0, n=4, m=2)
