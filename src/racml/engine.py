@@ -340,7 +340,7 @@ def _free_solve(matrix, rhs, x, free, chol, x0):
     direct route, gathering M_ff and factoring it, solves the other steps
     and those whose kept-factor result ``_schur_solve`` rejects.
     """
-    f, bnd = np.flatnonzero(free), np.flatnonzero(~free)
+    f, bnd = free.nonzero()[0], (~free).nonzero()[0]
     s, k = rhs.size, bnd.size
     if 2 * k * s * s < (s - k) ** 3 / 3:
         if not k:
@@ -350,8 +350,10 @@ def _free_solve(matrix, rhs, x, free, chol, x0):
             return kept
     x = x.copy()
     if f.size:  # k >= 1 here
-        reduced_rhs = rhs[f] - matrix[np.ix_(f, bnd)] @ x[bnd]
-        x[f] = _chol_solve(_cholesky(matrix[np.ix_(f, f)]), reduced_rhs)
+        # broadcast indices gather what np.ix_ would, without its wrapper
+        fc = f[:, None]
+        reduced_rhs = rhs[f] - matrix[fc, bnd] @ x[bnd]
+        x[f] = _chol_solve(_cholesky(matrix[fc, f]), reduced_rhs)
     return x
 
 

@@ -5,10 +5,12 @@ q_ij = y_i y_j K(x_i, x_j) as a QP through the engine's ``solve``. Q enters
 as an implicit symmetric operator whose reads are assembled on demand from
 raw data rows, each one batched kernel evaluation: a block's s x s matrix
 from its own rows, and after the block step the n x k strip of the k duals
-that moved; a step that leaves every dual at its bound evaluates none. The
-full n x n kernel matrix is never materialized. Block steps, kept block
-factors, the stopping rule and the divergence guard are the QP solver's
-own.
+that moved; a step that leaves every dual at its bound evaluates none. A
+strip holds a few columns, so its elementwise passes (the Gaussian's, the
+label signs', the ridge) run on the product laid out k x n, along n, and
+the strip is handed back C-ordered n x k. The full n x n kernel matrix is
+never materialized. Block steps, kept block factors, the stopping rule and
+the divergence guard are the QP solver's own.
 """
 
 from __future__ import annotations
@@ -21,7 +23,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-# solve_block stays importable here, where the benchmark's tracer wraps it
+# solve_block is never called through this module: training's block solves
+# run inside the engine's sweep. The re-export stays only because
+# bench/tests/test_bench.py asserts that the benchmark's tracer wraps
+# racml.svm.solve_block; dropping it is a change to the benchmark.
 from .engine import solve, solve_block  # noqa: F401
 from .problems import Matrix, Mode, QpProblem, SolveResult, SolverConfig, as_dense
 
@@ -80,23 +85,35 @@ def kernel_cross(Xa: np.ndarray, Xb: np.ndarray, kernel: KernelSpec,
         sq_a = np.sum(Xa * Xa, axis=1)
     if sq_b is None:
         sq_b = np.sum(Xb * Xb, axis=1)
-    # exp(-max(sq_a + sq_b - 2P, 0) / (2 sigma^2)) for P = Xa Xb', built in
-    # P's buffer: -2P + (sq_a + sq_b) rounds exactly as (sq_a + sq_b) - 2P
-    out = Xa @ Xb.T
+    return _gaussian(Xa @ Xb.T, sq_a, sq_b, kernel.sigma)
+
+
+def _gaussian(out: np.ndarray, sq_rows: np.ndarray, sq_cols: np.ndarray,
+              sigma: float) -> np.ndarray:
+    """exp(-max(sq_rows + sq_cols - 2P, 0) / (2 sigma^2)) for the inner
+    products P in ``out``, built in its buffer: -2P + (sq_rows + sq_cols)
+    rounds exactly as (sq_rows + sq_cols) - 2P, and x / -c as -(x / c)."""
     out *= -2.0
-    out += sq_a[:, None] + sq_b[None, :]
+    out += sq_rows[:, None] + sq_cols[None, :]
     np.maximum(out, 0.0, out=out)
-    np.negative(out, out=out)
-    out /= 2.0 * kernel.sigma ** 2
+    out /= -2.0 * sigma ** 2
     return np.exp(out, out=out)
 
 
 class _KernelQ:
     """Q + ridge I, q_ij = y_i y_j K(x_i, x_j), as an implicit symmetric
     operator whose reads are each one batched kernel evaluation: ``[:, cols]``
-    is the n x s column strip, against every data row, and
+    is the n x k column strip, against every data row, and
     ``[np.ix_(rows, cols)]`` the block, against the rows named only. The
-    ridge lands where the row and the column are the same data point.
+    ridge lands where the row and the column are the same data point; a
+    block whose rows are its cols, as every block system's is, names each
+    point once and takes the ridge on its diagonal.
+
+    A strip's product X X[cols]' is laid out k x n before its elementwise
+    passes, so each runs along n and not k wide, and the strip comes back
+    C-ordered n x k. Its entries equal those of ``kernel_cross(X, X[cols])``
+    times both label signs plus the ridge, bit for bit: the product is the
+    same BLAS call and every pass is elementwise.
 
     X's squared row norms are summed once, here, and handed to every read.
     For a C-ordered X, which ``train`` makes of any sparse or C-ordered
@@ -112,18 +129,23 @@ class _KernelQ:
         rows, cols = key
         cols = np.asarray(cols, dtype=int).ravel()
         if isinstance(rows, slice):  # [:, cols]
-            out = kernel_cross(self.X, self.X[cols], self.kernel, self.sq,
-                               self.sq[cols])
-            out *= self.y[:, None]
-            diagonal = cols, np.arange(cols.size)
-        else:  # [np.ix_(rows, cols)]
-            rows = np.asarray(rows, dtype=int).ravel()
-            out = kernel_cross(self.X[rows], self.X[cols], self.kernel,
-                               self.sq[rows], self.sq[cols])
-            out *= self.y[rows][:, None]
-            diagonal = np.nonzero(rows[:, None] == cols)
+            out = (self.X @ self.X[cols].T).T.copy()
+            if self.kernel.kind == "gaussian":
+                _gaussian(out, self.sq[cols], self.sq, self.kernel.sigma)
+            out *= self.y
+            out *= self.y[cols][:, None]
+            out[np.arange(cols.size), cols] += self.ridge
+            return out.T.copy()
+        # [np.ix_(rows, cols)]
+        rows = np.asarray(rows, dtype=int).ravel()
+        out = kernel_cross(self.X[rows], self.X[cols], self.kernel,
+                           self.sq[rows], self.sq[cols])
+        out *= self.y[rows][:, None]
         out *= self.y[cols]
-        out[diagonal] += self.ridge
+        if np.array_equal(rows, cols):
+            out.flat[::cols.size + 1] += self.ridge
+        else:
+            out[np.nonzero(rows[:, None] == cols)] += self.ridge
         return out
 
     def __matmul__(self, z: np.ndarray) -> np.ndarray:

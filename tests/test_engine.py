@@ -503,12 +503,24 @@ def svm_block(s, rank, seed):
 
 
 def direct_free_solve(matrix, rhs, x, free):
-    """``engine._free_solve``'s direct route: M_ff gathered and factored."""
+    """``engine._free_solve``'s direct route: M_ff gathered and factored;
+    with every entry bound, x as it is."""
     f, bnd = np.flatnonzero(free), np.flatnonzero(~free)
     x = x.copy()
-    x[f] = _chol_solve(engine._cholesky(matrix[np.ix_(f, f)]),
-                       rhs[f] - matrix[np.ix_(f, bnd)] @ x[bnd])
+    if f.size:
+        x[f] = _chol_solve(engine._cholesky(matrix[np.ix_(f, f)]),
+                           rhs[f] - matrix[np.ix_(f, bnd)] @ x[bnd])
     return x
+
+
+@st.composite
+def bound_counts_past_the_flop_rule(draw):
+    """A block size s, a bound count k the flop rule sends to the direct
+    route (2 k s^2 >= (s - k)^3 / 3, up to k = s) and a seed."""
+    s = draw(st.integers(1, 80))
+    first = next(k for k in range(s + 1)
+                 if not 2 * k * s * s < (s - k) ** 3 / 3)
+    return s, draw(st.integers(first, s)), draw(st.integers(0, 2**32 - 1))
 
 
 def logged_schur_solve(log):
@@ -566,6 +578,29 @@ class TestFreeSolveRoutes:
             assert np.abs(got - want).max() <= \
                 1e-12 * max(1.0, np.abs(want).max())
         assert log == [(k, True) for k in ks[1:]]
+
+    @settings(max_examples=150, deadline=None)
+    @given(bound_counts_past_the_flop_rule())
+    @example((40, 40, 0))
+    @example((40, 39, 1))
+    @example((250, 250, 2))
+    @example((250, 249, 3))
+    def test_direct_route_matches_the_ix_gather(self, case):
+        # past the flop rule a step gathers M_ff and M_fB with broadcast
+        # indices; it equals the np.ix_ gather's solve bit for bit, and with
+        # every entry bound (k = s) it is x as it is
+        s, k, seed = case
+        rng = np.random.default_rng(seed)
+        G = rng.standard_normal((s, s))
+        matrix = G @ G.T / s + np.eye(s)
+        chol = engine._cholesky(matrix)
+        rhs = 10 * rng.standard_normal(s)
+        x0 = _chol_solve(chol, rhs)
+        free = np.ones(s, dtype=bool)
+        free[rng.choice(s, k, replace=False)] = False
+        x = np.where(free, 0.0, rng.uniform(-1, 1, s))
+        got = engine._free_solve(matrix, rhs, x, free, chol, x0)
+        assert np.array_equal(got, direct_free_solve(matrix, rhs, x, free))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_cancellation_falls_back_to_the_direct_route(self, seed,

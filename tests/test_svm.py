@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from racml import engine, svm
@@ -171,6 +171,36 @@ class TestAssembleKernelBlock:
         assert not np.any(op @ np.zeros(230))
 
 
+def strip_by_kernel_cross(X, y, cols, kernel, ridge):
+    """Oracle: the strip ``_KernelQ[:, cols]`` as one ``kernel_cross`` call
+    that sums its own norms, the label signs of the rows then the cols,
+    then the ridge where a row is a column's own data point."""
+    strip = kernel_cross(X, X[cols], kernel)
+    strip *= y[:, None]
+    strip *= y[cols]
+    strip[cols, np.arange(cols.size)] += ridge
+    return strip
+
+
+def block_by_kernel_cross(X, y, rows, cols, kernel, ridge):
+    """Oracle: the block ``_KernelQ[np.ix_(rows, cols)]``, built the way
+    ``strip_by_kernel_cross`` builds a strip."""
+    block = kernel_cross(X[rows], X[cols], kernel)
+    block *= y[rows][:, None]
+    block *= y[cols]
+    block[np.nonzero(rows[:, None] == cols)] += ridge
+    return block
+
+
+@st.composite
+def bitwise_kernel_reads(draw):
+    n = draw(st.integers(1, 300))
+    k = draw(st.integers(1, n))
+    return dict(n=n, d=draw(st.sampled_from([1, 2, 10, 33, 300])), k=k,
+                rows=draw(st.sampled_from(["cols", "other"])),
+                seed=draw(st.integers(0, 2**32 - 1)))
+
+
 @st.composite
 def kernel_reads(draw):
     n = draw(st.integers(1, 30))
@@ -208,28 +238,34 @@ class TestKernelOperatorReads:
                       initial=0.0) <= 1e-12 * scale
 
     @pytest.mark.parametrize("kind", ["linear", "gaussian"])
-    def test_reads_with_norms_summed_once_match_kernel_cross(self, kind):
-        # the operator sums X's squared row norms once and hands them to
-        # kernel_cross; on a C-ordered X each read equals the one whose
-        # kernel_cross sums them itself, bit for bit
-        rng = np.random.default_rng(3)
-        n = 500
-        X = 3.0 * rng.standard_normal((n, 10))
+    @settings(max_examples=100, deadline=None)
+    @given(bitwise_kernel_reads())
+    @example(dict(n=500, d=10, k=40, rows="other", seed=3))
+    def test_reads_with_norms_summed_once_match_kernel_cross(self, kind,
+                                                             case):
+        # the operator sums X's squared row norms once, runs a strip's
+        # passes on the product laid out k x n and adds a block's ridge on
+        # its diagonal where its rows are its cols; on a C-ordered X each
+        # read still equals the one whose kernel_cross sums the norms
+        # itself, bit for bit, at any width, and a strip comes back
+        # C-ordered n x k for the engine's products
+        rng = np.random.default_rng(case["seed"])
+        n, k = case["n"], case["k"]
+        X = 3.0 * rng.standard_normal((n, case["d"]))
         y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
         kernel, ridge = KernelSpec(kind, 2.0), 0.3
         op = svm._KernelQ(X, y, kernel, ridge)
-        cols = rng.choice(n, 40, replace=False)
-        rows = np.concatenate([cols[:10], rng.choice(n, 30, replace=False)])
-        strip = kernel_cross(X, X[cols], kernel)
-        strip *= y[:, None]
-        strip *= y[cols]
-        strip[cols, np.arange(cols.size)] += ridge
-        assert op[:, cols].tobytes() == strip.tobytes()
-        block = kernel_cross(X[rows], X[cols], kernel)
-        block *= y[rows][:, None]
-        block *= y[cols]
-        block[np.nonzero(rows[:, None] == cols)] += ridge
-        assert op[np.ix_(rows, cols)].tobytes() == block.tobytes()
+        cols = rng.choice(n, k, replace=False)
+        strip = op[:, cols]
+        assert strip.shape == (n, k) and strip.flags.c_contiguous
+        assert strip.tobytes() == \
+            strip_by_kernel_cross(X, y, cols, kernel, ridge).tobytes()
+        # other rows repeat a quarter of the cols among random ones
+        rows = cols if case["rows"] == "cols" else np.concatenate(
+            [cols[:k // 4], rng.choice(n, rng.integers(1, n + 1),
+                                       replace=False)])
+        assert op[np.ix_(rows, cols)].tobytes() == \
+            block_by_kernel_cross(X, y, rows, cols, kernel, ridge).tobytes()
 
     def test_training_reads_strips_of_changed_duals_only(self, monkeypatch):
         # per block step: one s x s block read for its system, then strip
