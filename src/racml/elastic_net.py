@@ -26,8 +26,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .engine import (SPARSE_SLICE_DENSITY, ResidualPair, _chol_solve,
-                     _CscColumns, _cholesky, _column_block, _gram,
-                     block_system, run_sweeps)
+                     _cholesky, _column_block, _gram, block_system,
+                     run_sweeps)
 from .problems import (Matrix, Mode, SolverConfig, Status, as_csc, as_dense,
                        check_integer, chunk_indices)
 
@@ -218,13 +218,13 @@ def fit(X: Matrix, y: np.ndarray, spec: ElasticNetSpec) -> ElasticNetModel:
         gram.flat[::gram.shape[0] + 1] += gamma  # the diagonal
         return _cholesky(gram)
 
-    columns = _CscColumns(X, _column_block) if sp.issparse(X) else X
+    sparse = sp.issparse(X)
 
     def sweep(order, factors):
         nonlocal z, xi, r
         for g in order:
             idx = np.asarray(g, dtype=int)
-            Xg = columns[:, idx]
+            Xg = _column_block(X, idx) if sparse else X[:, idx]
             _note_alloc(Xg.size)
             # coupling to the other blocks through the running prediction:
             # X_b' X_rest beta_rest / n, without touching the full Gram

@@ -28,20 +28,21 @@ never written again and solved for each visit's rhs, from the visit's
 iterate, by ``solve_block``. Kept (``block_system``), a QP block is a
 ``_BlockVisit``: its system, its index array, a dense A's strip, and the
 strips of a CSC A or H that its first visit gathered as stored entries,
-which later visits read without gathering again; a dense H, an operator,
-or an A strip ``_column_block`` scattered dense is sliced again on every
-visit. An elastic-net block keeps only its factor, and the design's n x s
-block is read again on every visit.
+which later visits read without gathering again; a dense H or an operator
+is sliced again on every visit. An elastic-net block keeps only its
+factor, and the design's n x s block is read again on every visit.
 
 A sparse H, A or design is stored as canonical CSC, whose column blocks
 ``run_sweep`` and elastic-net's ``fit`` read through one gather,
 ``_stored_columns``, straight from the CSC arrays: as flat stored entries,
 whose products and s x s Gram are ``np.bincount`` sums rounded as scipy's
-kernels round. H's strip stays so, and its entries in the block's rows
-give H_bb, so a sweep builds no scipy object; A's strips and the design's
-blocks, whose Grams are formed, are scattered dense by ``_column_block``
-past ``SPARSE_SLICE_DENSITY`` fill or n * s Gram pairs. A dense array or
-an implicit operator is sliced as it is.
+kernels round. H's and A's strips stay so at any fill, and H's entries in
+the block's rows give H_bb, so a sweep builds no scipy object. Past
+``SPARSE_SLICE_DENSITY`` fill or n * s Gram pairs a Gram is formed by BLAS
+from a dense scatter (``_gram_operand``): for A's strip the scatter is
+dropped once its block's system is built, and elastic-net's ``fit``
+multiplies the design's blocks in that dense form (``_column_block``). A
+dense array or an implicit operator is sliced as it is.
 
 A bounded block whose unconstrained minimizer leaves the box is solved in
 two stages: primal-dual active-set exchanges, then, on a cycle or a step
@@ -130,22 +131,17 @@ def blocks_recur(mode: Mode, n: int, s: int, sweeps: int) -> bool:
 
 
 def block_system(cache: Optional[dict], block: Sequence[int],
-                 build: Callable[[], object],
-                 keep: Optional[Callable[[object], object]] = None):
-    """``cache``'s entry for ``block``, built on the first visit; with
-    ``cache`` None every visit builds its own. The first visit gets what
-    ``build`` makes, and the cache keeps it whole (an elastic-net block's
-    factor) or, given ``keep``, what ``keep`` makes of it (a QP block's
-    ``_BlockVisit`` less an A strip scattered dense from a CSC A); what is
-    kept must not be written after."""
+                 build: Callable[[], object]):
+    """``cache``'s entry for ``block``, what ``build`` makes on the first
+    visit (an elastic-net block's factor, a QP block's ``_BlockVisit``),
+    kept whole; with ``cache`` None every visit builds its own. What is kept
+    must not be written after."""
     if cache is None:
         return build()
     key = tuple(block)
-    if key in cache:
-        return cache[key]
-    entry = build()
-    cache[key] = entry if keep is None else keep(entry)
-    return entry
+    if key not in cache:
+        cache[key] = build()
+    return cache[key]
 
 
 @dataclass(frozen=True)
@@ -163,11 +159,14 @@ def _exact_products(problem: QpProblem, x: np.ndarray) -> tuple:
     return np.asarray(g, dtype=float), np.asarray(r, dtype=float)
 
 
-# A sparse slice (a column block of the gather below, a group of
-# consensus_fit's samples) whose stored entries fill more than this share of
-# it is made dense, since above it sparse products cost more than BLAS; a
-# column block whose Gram pairs outnumber its n x s entries is made dense
-# too, whatever its fill, so its Gram is made in one pass within O(n s).
+# A sparse slice whose stored entries fill more than this share of it is
+# made dense, since above it sparse products cost more than BLAS; a column
+# block whose Gram pairs outnumber its n x s entries is made dense too,
+# whatever its fill, so its Gram is made in one pass within O(n s). The rule
+# (``_gram_operand``) decides how a CSC A's strip forms its Gram, the strip
+# itself staying stored entries, and how an elastic-net design block forms
+# its Gram and products; ``consensus_fit`` applies the fill share to its
+# sample groups.
 # Whole elastic-net fits, 10 sweeps, with every block kept as stored entries
 # against every block made dense (medians on a loaded 2-core x86 host, numpy
 # 2.4, scipy 1.17): 1000 x 2000 at s = 100 took 0.11 against 0.21 s at 1%,
@@ -184,7 +183,8 @@ class _StoredEntries(NamedTuple):
 
     Its products add each output's terms in that order and its Gram in
     ascending row order, which is how scipy's CSC/CSR kernels add them, so
-    they round alike.
+    they round alike. Both are float64, zeros where no entry is stored
+    (``np.bincount`` alone would give int64 zeros there).
     """
 
     rows: np.ndarray
@@ -203,7 +203,7 @@ class _StoredEntries(NamedTuple):
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         return np.bincount(self.rows, self.vals * v[self.cols],
-                           minlength=self.shape[0])
+                           minlength=self.shape[0]).astype(float, copy=False)
 
     dot = __matmul__
 
@@ -213,7 +213,7 @@ class _StoredEntries(NamedTuple):
         entries that share a row: a row holding c entries gives c * c pairs.
         Each Gram entry adds its pairs in the stored order of their first
         entries, which is ascending row order, as scipy's ``csr_matmat``
-        does. ``_column_block`` keeps a block as stored entries only while
+        does. ``_gram_operand`` leaves a block as stored entries only while
         they make at most n * s pairs, so this takes O(n s) memory."""
         s = self.shape[1]
         # need not be stable: one entry's pairs land in distinct Gram entries
@@ -227,7 +227,8 @@ class _StoredEntries(NamedTuple):
         right = by_row[np.arange(left.size) + np.repeat(seek, mates)]
         return np.bincount(self.cols[left] * s + self.cols[right],
                            self.vals[left] * self.vals[right],
-                           minlength=s * s).reshape(s, s)
+                           minlength=s * s).astype(float, copy=False) \
+            .reshape(s, s)
 
 
 def _stored_columns(M, idx: np.ndarray) -> _StoredEntries:
@@ -244,14 +245,12 @@ def _stored_columns(M, idx: np.ndarray) -> _StoredEntries:
                           (M.shape[0], idx.size))
 
 
-def _column_block(M, idx: np.ndarray):
-    """M[:, idx] of a canonical CSC M for a caller that forms its Gram: a
-    ``_StoredEntries`` while the stored entries fill at most
-    ``SPARSE_SLICE_DENSITY`` of the n x s block and their Gram pairs (the
-    sum of c * c over rows holding c of them) number at most n * s; any
-    other block is scattered into a column-major dense array instead, the
-    layout ``_block_operand`` gives it."""
-    block = _stored_columns(M, idx)
+def _gram_operand(block: _StoredEntries):
+    """``block`` in the form its Gram is formed from: itself while its
+    stored entries fill at most ``SPARSE_SLICE_DENSITY`` of the n x s block
+    and their Gram pairs (the sum of c * c over rows holding c of them)
+    number at most n * s, else scattered into a column-major dense array,
+    the layout ``_block_operand`` gives a dense slice."""
     n, s = block.shape
     per_row = np.bincount(block.rows)
     if block.size > SPARSE_SLICE_DENSITY * n * s or per_row @ per_row > n * s:
@@ -261,14 +260,10 @@ def _column_block(M, idx: np.ndarray):
     return block
 
 
-class _CscColumns(NamedTuple):
-    """A canonical CSC matrix whose ``[:, idx]`` reads through ``read``."""
-
-    csc: object
-    read: Callable
-
-    def __getitem__(self, key):
-        return self.read(self.csc, key[1])
+def _column_block(M, idx: np.ndarray):
+    """M[:, idx] of a canonical CSC M for elastic-net's ``fit``, which
+    forms its Gram and its products from one form: ``_gram_operand``'s."""
+    return _gram_operand(_stored_columns(M, idx))
 
 
 def _gram(block) -> np.ndarray:
@@ -281,12 +276,13 @@ def _gram(block) -> np.ndarray:
 def _qp_system(problem: QpProblem, idx: np.ndarray, As, Hs,
                beta: float) -> BlockSystem:
     """The block system over ``idx``: beta A_b'A_b from A's strip ``As``
-    plus H_bb, read from H's strip ``Hs`` where the visit gathered one, else
-    sliced from H, all in one s x s buffer."""
+    (a CSC A's through ``_gram_operand``) plus H_bb, read from H's strip
+    ``Hs`` where the visit gathered one, else sliced from H, all in one
+    s x s buffer."""
     if As is None:
         matrix = np.zeros((idx.size, idx.size))
     else:
-        matrix = _gram(As)
+        matrix = _gram(As if isinstance(As, np.ndarray) else _gram_operand(As))
         matrix *= beta
     if Hs is not None:
         # the strip's entries whose rows fall in idx, at their place in it,
@@ -540,31 +536,27 @@ def _add_changed_columns(g: np.ndarray, H, idx: np.ndarray,
 @dataclass(frozen=True, slots=True)
 class _BlockVisit:
     """What a visit to one block reads: its system, its index array, A's
-    strip and, for a CSC H, H's strip as stored entries. A dense H or an
-    implicit operator leaves ``h_strip`` None and is sliced on every visit.
+    strip (a dense A's slice, a CSC A's stored entries) and, for a CSC H,
+    H's strip as stored entries. A dense H or an implicit operator leaves
+    ``h_strip`` None and is sliced on every visit.
 
     Kept (``block_system``), it is built on the block's first visit and
-    read by the later ones whole, or for a CSC A as ``kept`` leaves it: an
-    A strip that ``_column_block`` scattered dense is dropped and gathered
-    again on every visit, as m x s values kept per block of a sparse A
-    could cost many times A's own memory. A dense A's strips, a copy of A
-    at most over the blocks, and a CSC A's stored-entry strips stay."""
+    read whole by the later ones: the blocks of one partition hold a dense
+    A's values, or a CSC A's or H's stored entries, once between them, and
+    no block holds an m x s or n x s scatter of a sparse strip."""
 
     system: BlockSystem
     idx: np.ndarray
     a_strip: object
     h_strip: Optional[_StoredEntries]
 
-    def kept(self) -> "_BlockVisit":
-        if not isinstance(self.a_strip, np.ndarray):
-            return self
-        return _BlockVisit(self.system, self.idx, None, self.h_strip)
 
-
-def _block_visit(problem: QpProblem, block, A, h_csc: bool,
+def _block_visit(problem: QpProblem, block, a_csc: bool, h_csc: bool,
                  beta: float) -> _BlockVisit:
     idx = np.asarray(block, dtype=int)
-    As = None if A is None else A[:, idx]
+    A = problem.A
+    As = None if A is None else _stored_columns(A, idx) if a_csc else \
+        A[:, idx]
     Hs = _stored_columns(problem.H, idx) if h_csc else None
     return _BlockVisit(system=_qp_system(problem, idx, As, Hs, beta), idx=idx,
                        a_strip=As, h_strip=Hs)
@@ -594,24 +586,17 @@ def run_sweep(problem: QpProblem, x: np.ndarray, y: np.ndarray,
     g, r = _products if _products is not None else _exact_products(problem, x)
     # tested once a sweep, so a dense visit pays for no test, and a dense
     # sweep for little: sp.issparse, an ABC check, costs several times the
-    # ndarray test. H's strip feeds products only, which cost less on the
-    # stored entries at any fill than scattering them dense would; A's
-    # strips feed a Gram too
+    # ndarray test
     H, A = problem.H, problem.A
     h_csc = not isinstance(H, np.ndarray) and sp.issparse(H)
-    keep = None
-    if not isinstance(A, np.ndarray) and sp.issparse(A):
-        A = _CscColumns(A, _column_block)
-        keep = _BlockVisit.kept
+    a_csc = not isinstance(A, np.ndarray) and sp.issparse(A)
     # .dot (scipy sparse has it too) is @'s BLAS call without its dispatch,
     # which at tiny s costs more than the product
     for block in order:
         visit = block_system(piece_cache, block, lambda: _block_visit(
-            problem, block, A, h_csc, beta), keep)
+            problem, block, a_csc, h_csc, beta))
         system, idx, As, Hs = (visit.system, visit.idx, visit.a_strip,
                                visit.h_strip)
-        if As is None and A is not None:
-            As = A[:, idx]
         xb = x[idx]
         grad = g[idx] if As is None else g[idx] + As.T.dot(beta * r - y)
         new = solve_block(system, system.matrix.dot(xb) - grad, tally,

@@ -124,6 +124,31 @@ class TestQpSolve:
         saved = json.loads(out_file.read_text())
         assert saved["metrics"]["x"] == rec["metrics"]["x"]
 
+    @pytest.mark.parametrize("mode", ["rp", "rac", "cyclic"])
+    def test_block_with_an_empty_a_strip_converges(self, tmp_path, capsys,
+                                                   mode):
+        # min 1/2 ||x||^2 s.t. x1 + x2 = 1 over [-1, 1]^4 in blocks of 2: a
+        # block over x3 and x4 reads an A strip with no entry
+        scipy.io.mmwrite(tmp_path / "H.mtx", sp.csc_matrix(np.eye(4)))
+        scipy.io.mmwrite(tmp_path / "A.mtx",
+                         sp.csc_matrix(np.array([[1.0, 1.0, 0.0, 0.0]])))
+        np.savetxt(tmp_path / "c.txt", np.zeros(4))
+        np.savetxt(tmp_path / "b.txt", np.ones(1))
+        np.savetxt(tmp_path / "lower.txt", -np.ones(4))
+        np.savetxt(tmp_path / "upper.txt", np.ones(4))
+        manifest = tmp_path / "qp.json"
+        manifest.write_text(json.dumps({
+            "n": 4, "m": 1, "H": "H.mtx", "A": "A.mtx", "c": "c.txt",
+            "b": "b.txt", "lower": "lower.txt", "upper": "upper.txt"}))
+        code, rec = run_json(capsys, [
+            "qp", "solve", "--manifest", str(manifest), "--mode", mode,
+            "--block-size", "2", "--max-iter", "500"])
+        assert code == 0
+        assert rec["metrics"]["status"] == "converged"
+        assert rec["metrics"]["unconverged_blocks"] == 0
+        np.testing.assert_allclose(rec["metrics"]["x"], [0.5, 0.5, 0, 0],
+                                   atol=1e-5)
+
     def test_nonconvergence_exits_one(self, tiny_qp_manifest, capsys):
         code, rec = run_json(capsys, [
             "qp", "solve", "--manifest", str(tiny_qp_manifest),

@@ -223,6 +223,30 @@ class TestFit:
         o_got = objective(ds.X, ds.y, model.z, lam, alpha)
         assert abs(o_got - o_ref) <= 1e-4 * abs(o_ref)
 
+    @pytest.mark.parametrize("mode", [Mode.RAC, Mode.RP])
+    def test_empty_column_blocks_match_the_dense_design(self, mode,
+                                                        monkeypatch):
+        # 30 of a 60 x 40 design's columns hold no entry, so blocks of 4
+        # often hold none: read from the CSC arrays they multiply as zeros,
+        # and the fit tracks the dense design's within 1e-12
+        rng = np.random.default_rng(8)
+        dense = sp.random(60, 40, density=0.3, random_state=rng).toarray()
+        dense[:, rng.choice(40, 30, replace=False)] = 0.0
+        X = sp.csc_matrix(dense)
+        y = X @ rng.standard_normal(40) + 0.1 * rng.standard_normal(60)
+        blocks, gathered = en._column_block, []
+        monkeypatch.setattr(en, "_column_block", lambda M, idx:
+                            gathered.append(blocks(M, idx)) or gathered[-1])
+        spec = ElasticNetSpec(lam=0.05, alpha=0.7, block_size=4, iters=30,
+                              mode=mode, seed=3)
+        got, want = fit(X, y, spec), fit(dense, y, spec)
+        assert any(block.size == 0 for block in gathered)
+        for name in ("beta", "z", "xi"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == np.float64
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * max(
+                1.0, float(np.abs(b).max())))
+
     def test_mixed_alpha_matches_coordinate_descent(self):
         rng = np.random.default_rng(31)
         X = rng.standard_normal((40, 15))

@@ -812,6 +812,21 @@ class TestSolve:
         np.testing.assert_allclose(res.x, [1.0, 1.0], atol=1e-8)
         np.testing.assert_allclose(res.y, [1.0], atol=1e-8)
 
+    @pytest.mark.parametrize("mode", [Mode.RAC, Mode.RP, Mode.CYCLIC])
+    def test_block_with_an_empty_a_strip_converges(self, mode):
+        # min 1/2 ||x||^2 s.t. x1 + x2 = 1 over [-1, 1]^4 in blocks of 2 on
+        # CSC data: a block over x3 and x4 reads an A strip with no entry
+        prob = QpProblem(c=np.zeros(4), H=sp.csc_matrix(np.eye(4)),
+                         A=sp.csc_matrix(np.array([[1.0, 1.0, 0.0, 0.0]])),
+                         b=np.ones(1), lower=-np.ones(4), upper=np.ones(4))
+        cfg = SolverConfig(mode=mode, block_size=2, beta_penalty=1.0,
+                           max_iters=500, seed=4)
+        res = solve(prob, cfg)
+        assert res.status == Status.CONVERGED
+        assert res.unconverged_blocks == 0
+        np.testing.assert_allclose(res.x, [0.5, 0.5, 0.0, 0.0], atol=1e-5)
+        np.testing.assert_allclose(res.y, [0.5], atol=1e-5)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_random_lcqp_matches_kkt_oracle(self, seed):
         prob = random_problem(seed, n=6, m=2)
@@ -1079,7 +1094,8 @@ class TestBlockCache:
         # visit, with the arrays it had then (its system's, its index array,
         # a dense A's strip and, for CSC H and A, its stored-entry strips),
         # through sweep 40 of a bounded solve, on dense data, on CSC data
-        # whose A strips are gathered dense and so not kept, and on CSC data
+        # whose A strips are past the 2% rule (their Grams formed from a
+        # dense scatter, the strips kept as stored entries), and on CSC data
         # with a sparse A
         dense = random_problem(9, n=6, m=2, bounded=True)
         csc = dataclasses.replace(dense, H=sp.csc_matrix(dense.H),
@@ -1093,7 +1109,8 @@ class TestBlockCache:
                          upper=dense.upper)
         h_strip = {"h_strip.rows", "h_strip.vals", "h_strip.cols"}
         a_strip = {"a_strip.rows", "a_strip.vals", "a_strip.cols"}
-        for prob, kept_strips in ((dense, {"a_strip"}), (csc, h_strip),
+        for prob, kept_strips in ((dense, {"a_strip"}),
+                                  (csc, h_strip | a_strip),
                                   (tall, h_strip | a_strip)):
             caches = []
             block_system = engine.block_system
@@ -1163,6 +1180,60 @@ def dense_twin(problem):
                      b=problem.b, lower=problem.lower, upper=problem.upper)
 
 
+def crowded_a(problem):
+    """``problem`` with two full rows added to its CSC A, each b_i taken at
+    a point inside the box."""
+    n = problem.n
+    rng = np.random.default_rng(n)
+    full = rng.standard_normal((2, n))
+    A = sp.vstack([problem.A, sp.csc_matrix(full)], format="csc")
+    b = np.concatenate([problem.b, full @ rng.uniform(-0.3, 0.3, n)])
+    return dataclasses.replace(problem, A=A, b=b)
+
+
+ROW_KINDS = ("empty", "sparse", "crowded")
+
+
+@st.composite
+def structured_sparse_qps(draw):
+    """A QP whose H and A, CSC or CSR, have empty rows and columns and a
+    few full rows, and the sweep settings to run it with. A's rows are
+    drawn empty, sparse (30% fill) or full, and some of its columns
+    empty. H is G G' plus a positive diagonal, G's rows drawn the same
+    way, so an empty row of G leaves H's row and column with their
+    diagonal entry alone and a full one fills them. The values come from
+    a drawn seed."""
+    n = draw(st.integers(1, 10))
+    m = draw(st.integers(1, 5))
+    rows = st.sampled_from(ROW_KINDS)
+    a_rows = draw(st.lists(rows, min_size=m, max_size=m))
+    g_rows = draw(st.lists(rows, min_size=n, max_size=n))
+    a_empty_cols = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def structured(kinds, cols):
+        mask = rng.random((len(kinds), cols)) < 0.3
+        for i, kind in enumerate(kinds):
+            if kind != "sparse":
+                mask[i] = kind == "crowded"
+        return np.where(mask, rng.standard_normal(mask.shape), 0.0)
+
+    A = structured(a_rows, n)
+    A[:, a_empty_cols] = 0.0
+    G = structured(g_rows, n)
+    H = G @ G.T + np.diag(rng.uniform(0.5, 2.0, n))
+    fmt = draw(st.sampled_from(["csc", "csr"]))
+    box = dict(lower=np.full(n, -0.4), upper=np.full(n, 0.4)) \
+        if draw(st.booleans()) else {}
+    problem = QpProblem(c=rng.standard_normal(n),
+                        H=sp.csc_matrix(H).asformat(fmt),
+                        A=sp.csc_matrix(A).asformat(fmt),
+                        b=A @ rng.uniform(-0.3, 0.3, n), **box)
+    return dict(problem=problem, mode=draw(st.sampled_from(list(Mode))),
+                s=draw(st.integers(1, n)), kept=draw(st.booleans()),
+                seed=draw(st.integers(0, 1000)))
+
+
 def assert_near(got, want):
     """Agreement to 1e-10 of ``want``'s inf-norm, floored at 1."""
     scale = max(1.0, float(np.max(np.abs(want)))) if np.size(want) else 1.0
@@ -1172,9 +1243,9 @@ def assert_near(got, want):
 class TestSparseBlocks:
     def test_kept_block_holds_only_dense_block_arrays(self):
         # a kept block's only dense arrays are its s x s matrix and factor:
-        # H's n-row strip and an A strip within the 2% rule are kept as
-        # stored entries, an A strip gathered dense (this A's 20% fill) is
-        # not kept, and no scipy object is kept
+        # H's n-row strip and A's m-row strip are kept as stored entries,
+        # past the 2% rule (this A's 20% fill) as within it, and no scipy
+        # object is kept
         prob = sparse_problem(1)
         # 200 x 80 at 0.5% fill: about 3 entries in each 200 x 3 strip
         A = sp.random(200, 80, density=0.005, random_state=4, format="csc")
@@ -1192,11 +1263,9 @@ class TestSparseBlocks:
                 for dense in arrays.values():
                     assert isinstance(dense, np.ndarray)
                     assert dense.shape == (3, 3)
-                strips = [(visit.h_strip, 80, problem.H[:, list(key)].nnz)]
-                if problem is prob:
-                    assert visit.a_strip is None
-                else:
-                    strips.append((visit.a_strip, 200, A[:, list(key)].nnz))
+                strips = [(visit.h_strip, 80, problem.H[:, list(key)].nnz),
+                          (visit.a_strip, problem.m,
+                           problem.A[:, list(key)].nnz)]
                 for strip, rows, nnz in strips:
                     assert isinstance(strip, engine._StoredEntries)
                     assert strip.shape == (rows, 3) and strip.size == nnz
@@ -1243,6 +1312,38 @@ class TestSparseBlocks:
         for field in ("x", "y", "g", "r", "primal_residual_history",
                       "dual_residual_history"):
             assert_near(getattr(got, field), getattr(want, field))
+
+    # blocks {0, 1} and {2, 3} of this QP: the second's A strip holds no
+    # entry
+    @example(dict(problem=QpProblem(
+        c=np.zeros(4), H=sp.csc_matrix(np.eye(4)),
+        A=sp.csc_matrix(np.array([[1.0, 1.0, 0.0, 0.0]])), b=np.ones(1),
+        lower=-np.ones(4), upper=np.ones(4)), mode=Mode.CYCLIC, s=2,
+        kept=False, seed=0))
+    @given(structured_sparse_qps())
+    @settings(max_examples=200, deadline=None)
+    def test_structured_sparsity_matches_the_dense_twin(self, case):
+        # sweeps on sparse H and A, with empty strips, strips past the 2%
+        # rule and crowded rows, kept or not, track the dense twin's within
+        # 1e-13 of each field's scale: over 13,000 random cases of this
+        # family the largest gap after 6 sweeps was 2.5e-15
+        sparse = case["problem"]
+        problems = (sparse, dense_twin(sparse))
+        n, m = sparse.n, sparse.m
+        orders = block_orders(case["mode"], n, case["s"],
+                              np.random.default_rng(case["seed"]))
+        runs = [[np.zeros(n), np.zeros(m), {} if case["kept"] else None,
+                 engine._exact_products(p, np.zeros(n))] for p in problems]
+        for _ in range(6):
+            order = next(orders)
+            for problem, run in zip(problems, runs):
+                run[:2] = run_sweep(problem, run[0], run[1], order, 0.9,
+                                    piece_cache=run[2], _products=run[3])
+            (xs, ys, _, (gs, rs)), (xd, yd, _, (gd, rd)) = runs
+            for got, want in ((xs, xd), (ys, yd), (gs, gd), (rs, rd)):
+                assert got.dtype == np.float64
+                scale = max(1.0, float(np.abs(want).max(initial=0.0)))
+                assert np.abs(got - want).max(initial=0.0) <= 1e-13 * scale
 
     def test_large_sparse_solve_stays_within_memory_bound(self):
         # 100 x 200 grid Laplacian: n = 20000 in 200 RP blocks of 100. Dense
@@ -1298,7 +1399,8 @@ def grid_qp(rows=20, cols=20, m=40, row_nnz=4, seed=7):
 
 def boxed_ci_qp():
     """The CI smoke run's boxed QP, built in memory: 400 variables,
-    tridiagonal H, 20 rows of A at 5% fill, whose strips go dense."""
+    tridiagonal H, 20 rows of A at 5% fill, whose strips' Grams are formed
+    from a dense scatter."""
     n, m = 400, 20
     rng = np.random.default_rng(1)
     H = sp.diags([-np.ones(n - 1), 4.0 * np.ones(n), -np.ones(n - 1)],
@@ -1313,15 +1415,16 @@ def boxed_ci_qp():
 # when run_sweep sliced sparse H and A with scipy (float64, numpy 2.4 with
 # OpenBLAS on x86-64). The grid cases' strips stay stored entries, whose
 # products and Gram round as scipy's do, so they match bit for bit (0 ulps).
-# The boxed CI QP's 5%-fill strips of A are gathered dense, and BLAS adds
-# their products and Gram in an order of its own, which may differ between
-# BLAS builds and thread counts. Each sweep then rounds a field differently
-# by a few ulps of its scale and carries the drift into the next, so a field
-# may differ by DENSE_GATHER_ULPS ulps of its largest entry (at least 1) per
-# sweep run: 3.7e-14 on x, y and r over the 21 sweeps, 7.6e-14 on g, which
-# runs to 2.03.
-# Read with numpy 2.4's OpenBLAS: at most 6.7e-16 on x and y, 3.3e-16 on r
-# and 2.5e-15 on g.
+# The boxed CI QP's 5%-fill strips of A are past the 2% rule: their
+# products are the stored entries' and round as scipy's, but their Grams are
+# formed by BLAS from a dense scatter, in an order of its own, which may
+# differ between BLAS builds and thread counts. Each sweep then rounds a
+# field differently by a few ulps of its scale and carries the drift into
+# the next, so a field may differ by DENSE_GATHER_ULPS ulps of its largest
+# entry (at least 1) per sweep run: 3.7e-14 on x and r over the 21 sweeps,
+# 5.6e-14 on y and 7.6e-14 on g, which runs to 2.03.
+# Read with numpy 2.4's OpenBLAS at 1 and 2 threads: at most 6.7e-16 on x,
+# 4.6e-16 on y and r and 2.4e-15 on g.
 SPARSE_QP_GOLDENS = Path(__file__).parent / "data" / "sparse_qp_goldens.json"
 DENSE_GATHER_ULPS = 8
 SPARSE_QP_CASES = {
@@ -1401,21 +1504,31 @@ class TestColumnGather:
         assert counts == [16, 16]
 
     @pytest.mark.parametrize("cached", [False, True])
-    def test_dense_a_strips_are_gathered_once_per_visit(self, cached,
-                                                        monkeypatch):
-        # an A strip gathered dense (20% fill) is not kept, so every visit,
-        # kept block or not, gathers it once: the first visit's system and
-        # its step read the same gather
-        problem, blocks, calls = sparse_problem(1), engine._column_block, []
-        monkeypatch.setattr(engine, "_column_block", lambda M, idx:
-                            calls.append(M) or blocks(M, idx))
+    def test_crowded_a_strips_are_gathered_once_per_build(self, cached,
+                                                          monkeypatch):
+        # an A strip past the 2% rule (20% fill) is gathered once per built
+        # visit, once per kept block over 3 sweeps of 2 blocks or once per
+        # unkept visit: the system and the step read the same gather. Its
+        # Gram alone is formed from a dense scatter, once per system built
+        problem, calls = sparse_problem(1), []
+        gather, operand = engine._stored_columns, engine._gram_operand
+        monkeypatch.setattr(engine, "_stored_columns", lambda M, idx:
+                            calls.append(M) or gather(M, idx))
+        scatters = []
+        monkeypatch.setattr(engine, "_gram_operand", lambda block:
+                            scatters.append(operand(block)) or scatters[-1])
         cache = {} if cached else None
         x, y = np.zeros(80), np.zeros(6)
         for _ in range(3):
             x, y = run_sweep(problem, x, y, ((0, 5, 9), (1, 2, 3)), 1.0,
                              piece_cache=cache)
-        assert len(calls) == 6 and all(M is problem.A for M in calls)
-        assert not cached or all(v.a_strip is None for v in cache.values())
+        builds = 2 if cached else 6
+        assert sum(M is problem.A for M in calls) == builds
+        assert len(scatters) == builds
+        assert all(isinstance(a, np.ndarray) and a.shape == (6, 3)
+                   for a in scatters)
+        assert not cached or all(isinstance(v.a_strip, engine._StoredEntries)
+                                 for v in cache.values())
 
     @pytest.mark.parametrize("mode", [Mode.RP, Mode.CYCLIC])
     def test_dense_a_is_sliced_once_per_kept_block(self, mode):
@@ -1441,19 +1554,22 @@ class TestColumnGather:
         assert res.x.tobytes() == want.x.tobytes()
         assert res.y.tobytes() == want.y.tobytes()
 
-    @pytest.mark.parametrize("mode", [Mode.RP, Mode.RAC])
+    @pytest.mark.parametrize("mode", [Mode.RP, Mode.RAC, Mode.CYCLIC])
     @pytest.mark.parametrize("bounded", [False, True])
-    @pytest.mark.parametrize("build", ["grid", "sparse", "dense"])
+    @pytest.mark.parametrize("build", ["grid", "sparse", "dense", "crowded"])
     def test_kept_and_unkept_sweeps_are_bit_equal(self, mode, bounded,
                                                   build):
         # visits that read a kept record and visits that slice or gather
         # afresh give the same iterates, bit for bit: on CSC H and A, with
-        # A's strips as stored entries (grid) or gathered dense (sparse, 20%
-        # fill), and on dense H and A, whose A strips are kept as sliced
+        # A's strips within the 2% rule (grid), past it (sparse, 20% fill)
+        # or holding two full rows (crowded), and on dense H and A, whose A
+        # strips are kept as sliced
         problem = grid_qp() if build == "grid" else \
             sparse_problem(3, bounded=bounded)
         if build == "dense":
             problem = dense_twin(problem)
+        if build == "crowded":
+            problem = crowded_a(problem)
         if not bounded:
             problem = dataclasses.replace(problem, lower=None, upper=None)
         assert sp.issparse(problem.H) == sp.issparse(problem.A) == \
@@ -1475,17 +1591,22 @@ class TestColumnGather:
 
     def test_changed_columns_stay_stored_entries_at_any_fill(self,
                                                              monkeypatch):
-        # H's strip feeds products only, so it is read as stored entries
-        # past 2% fill and with crowded rows, and its product, whose
-        # unchanged columns add exact zeros, rounds as scipy's slice and
-        # product over the changed columns do; only A's strips, whose Grams
-        # are formed, take _column_block's rule
-        problem, blocks, seen = grid_qp(), engine._column_block, []
-        monkeypatch.setattr(engine, "_column_block",
-                            lambda M, idx: seen.append(M) or blocks(M, idx))
+        # H's and A's strips are read as stored entries past 2% fill and
+        # with crowded rows, and H's product, whose unchanged columns add
+        # exact zeros, rounds as scipy's slice and product over the changed
+        # columns do; only A's Grams take _gram_operand's rule, and the
+        # sweep makes no _column_block gather
+        problem, seen = crowded_a(grid_qp()), []
+        blocks, operand = engine._column_block, engine._gram_operand
+        monkeypatch.setattr(engine, "_column_block", lambda M, idx:
+                            seen.append("column_block") or blocks(M, idx))
+        monkeypatch.setattr(engine, "_gram_operand", lambda block:
+                            seen.append(block) or operand(block))
         run_sweep(problem, np.zeros(problem.n), np.zeros(problem.m),
                   chunk_indices(np.arange(problem.n), 50), 1.0)
-        assert len(seen) == 8 and all(M is problem.A for M in seen)
+        assert len(seen) == 8
+        assert all(isinstance(b, engine._StoredEntries)
+                   and b.shape == (problem.m, 50) for b in seen)
         n, s = 300, 60
         rng = np.random.default_rng(5)
         dense = sp.random(n, n, density=0.05, random_state=rng).toarray()
