@@ -98,34 +98,52 @@ def resolve_gamma(spec: ElasticNetSpec) -> float:
     return spec.lam if spec.lam > 0.0 else 1.0
 
 
-def soft_threshold(a, b):
+def soft_threshold(a, b, out=None):
     """Negated shrinkage: -(a-b) if b<|a|, a>0; -(a+b) if b<|a|, a<=0; else 0.
 
     This is the sign convention whose composition with the argument
     (xi - gamma*beta) yields the z minimizer; it is the negation of the
-    textbook operator applied to a. Works elementwise on arrays.
+    textbook operator applied to a. Works elementwise on arrays; with
+    ``out``, which may be ``a`` itself, the result is written into it and
+    it is returned, so only a boolean of a's shape is allocated.
     """
     a = np.asarray(a, dtype=float)
     if np.any(np.asarray(b) < 0):
         raise ValueError("threshold b must be >= 0")
-    out = -np.sign(a) * np.maximum(np.abs(a) - b, 0.0) + 0.0  # kill -0.0
+    if out is None:
+        out = np.empty(np.broadcast_shapes(a.shape, np.shape(b)))
+    positive = a > 0  # read before out, which may be a, is written
+    # max(|a| - b, 0), negated where a > 0: -sign(a) times it, exactly
+    np.abs(a, out=out)
+    out -= b
+    np.maximum(out, 0.0, out=out)
+    np.negative(out, out=out, where=positive)
+    out += 0.0  # kill -0.0
     if out.ndim == 0:
         return float(out)
     return out
 
 
-def z_update(beta_i, xi_i, gamma: float, lam: float, alpha: float):
+def z_update(beta_i, xi_i, gamma: float, lam: float, alpha: float,
+             out=None):
     """Closed-form minimizer of the separable z slice of the Lagrangian.
 
     Minimizes (xi - gamma*beta) z + gamma/2 z^2 + lam*alpha*|z|
-    + lam(1-alpha)/2 z^2 exactly, elementwise.
+    + lam(1-alpha)/2 z^2 exactly, elementwise. With ``out`` the minimizer
+    is written into it, through no other float array, and it is returned.
     """
     if gamma <= 0:
         raise ValueError(f"gamma must be > 0, got {gamma}")
-    a = np.asarray(xi_i, dtype=float) - gamma * np.asarray(beta_i, dtype=float)
+    beta_i = np.asarray(beta_i, dtype=float)
+    xi_i = np.asarray(xi_i, dtype=float)
+    if out is None:
+        out = np.empty(np.broadcast_shapes(beta_i.shape, xi_i.shape))
+    np.multiply(gamma, beta_i, out=out)
+    np.subtract(xi_i, out, out=out)  # xi - gamma*beta
     denom = (1.0 - alpha) * lam + gamma
-    out = soft_threshold(a, lam * alpha) / denom
-    if np.ndim(out) == 0:
+    soft_threshold(out, lam * alpha, out=out)
+    out /= denom
+    if out.ndim == 0:
         return float(out)
     return out
 
@@ -221,7 +239,7 @@ def fit(X: Matrix, y: np.ndarray, spec: ElasticNetSpec) -> ElasticNetModel:
     sparse = sp.issparse(X)
 
     def sweep(order, factors):
-        nonlocal z, xi, r
+        nonlocal r, xi  # updated in place, by += and -=
         for g in order:
             idx = np.asarray(g, dtype=int)
             Xg = _column_block(X, idx) if sparse else X[:, idx]
@@ -234,9 +252,14 @@ def fit(X: Matrix, y: np.ndarray, spec: ElasticNetSpec) -> ElasticNetModel:
                                            gamma * z[idx]))
             r += Xg @ (new_beta - beta[idx])
             beta[idx] = new_beta
-        z = z_update(beta, xi, gamma, spec.lam, spec.alpha)
-        xi = xi - gamma * (beta - z)
-        residual = float(np.sum(np.abs(beta - z)))
+        # z and xi step in place, and the residual is read, through one
+        # p-long gap
+        z_update(beta, xi, gamma, spec.lam, spec.alpha, out=z)
+        gap = beta - z
+        gap *= gamma
+        xi -= gap
+        np.subtract(beta, z, out=gap)
+        residual = float(np.sum(np.abs(gap, out=gap)))
         return ResidualPair(primal=residual, dual=0.0)
 
     run = run_sweeps(sweep, _driver_config(spec, gamma, mode, block_size), p)

@@ -19,18 +19,19 @@ operator, only those where d is nonzero; none for a step that leaves the
 block where it was). H may thus be an implicit symmetric operator that
 yields both, as C-SVC's kernel is.
 
-``block_orders`` is the one source of block orders and ``run_sweeps`` the one
-sweep driver: stopping rule, divergence guard, residual histories, and the
-block cache, one dict it hands every ``sweep(order, cache)`` where
-``blocks_recur`` (else None). The QP solver here and elastic-net are adapters
-that supply that callable. A QP block is a ``BlockSystem`` built factored,
-never written again and solved for each visit's rhs, from the visit's
-iterate, by ``solve_block``. Kept (``block_system``), a QP block is a
-``_BlockVisit``: its system, its index array, a dense A's strip, and the
-strips of a CSC A or H that its first visit gathered as stored entries,
-which later visits read without gathering again; a dense H or an operator
-is sliced again on every visit. An elastic-net block keeps only its
-factor, and the design's n x s block is read again on every visit.
+``block_orders`` is the one source of block orders, each a tuple of sorted
+index arrays, and ``run_sweeps`` the one sweep driver: stopping rule,
+divergence guard, residual histories, and the block cache, one dict it hands
+every ``sweep(order, cache)`` where ``blocks_recur`` (else None), keyed by a
+block's index bytes. The QP solver here and elastic-net are adapters that
+supply that callable. A QP block is a ``BlockSystem`` built factored, never
+written again and solved for each visit's rhs, from the visit's iterate, by
+``solve_block``. Kept (``block_system``), a QP block is a ``_BlockVisit``:
+its system, its index array, a dense A's strip, and the strips of a CSC A or
+H that its first visit gathered as stored entries, which later visits read
+without gathering again; a dense H or an operator is sliced again on every
+visit. An elastic-net block keeps only its factor, and the design's n x s
+block is read again on every visit.
 
 A sparse H, A or design is stored as canonical CSC, whose column blocks
 ``run_sweep`` and elastic-net's ``fit`` read through one gather,
@@ -135,10 +136,14 @@ def block_system(cache: Optional[dict], block: Sequence[int],
     """``cache``'s entry for ``block``, what ``build`` makes on the first
     visit (an elastic-net block's factor, a QP block's ``_BlockVisit``),
     kept whole; with ``cache`` None every visit builds its own. What is kept
-    must not be written after."""
+    must not be written after.
+
+    The key is the bytes of ``block`` as an intp array, so a block given as
+    an index array and one given as a tuple of the same ints share an
+    entry, and keying costs one copy of s indices, not s Python ints."""
     if cache is None:
         return build()
-    key = tuple(block)
+    key = np.asarray(block, dtype=np.intp).tobytes()
     if key not in cache:
         cache[key] = build()
     return cache[key]
@@ -624,8 +629,10 @@ def block_orders(mode: Mode, n: int, s: int,
     RAC draws a fresh random partition every sweep; RP draws its partition
     once, on the first draw, then a fresh permutation of the blocks every
     sweep; CYCLIC yields the consecutive partition every sweep. Each block
-    is sorted; with ``s`` not dividing ``n`` the short block comes last in
-    the partition.
+    is a sorted int64 index array (``chunk_indices``'s); with ``s`` not
+    dividing ``n`` the short block comes last in the partition. RP and
+    CYCLIC yield the same arrays every sweep, so a sweep must not write
+    them.
     """
     mode = Mode(mode)
     if mode == Mode.RAC:

@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Iterator, Optional, Union
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 
 Matrix = Union[np.ndarray, sp.spmatrix]
@@ -177,26 +176,29 @@ class QpProblem:
         return self.A.shape[0]
 
 
-# A block order: the blocks one sweep updates, in sweep order, each a
-# sorted tuple of variable indices. Its blocks as a frozenset identify the
-# partition; a full order's indices, sorted, are range(n).
-Order = tuple[tuple[int, ...], ...]
+# A block order: the blocks one sweep updates, in sweep order. A block is a
+# sorted 1-D int64 array of variable indices (``chunk_indices`` and the
+# engine's ``block_orders`` make these) or a sorted tuple of ints
+# (``make_partition`` and ``iter_orders``); every consumer reads a block
+# through ``np.asarray``, so the two forms are interchangeable. An order's
+# blocks, as a frozenset of tuples, identify its partition; a full order's
+# indices, sorted, are range(n).
+Order = tuple[Union[np.ndarray, tuple[int, ...]], ...]
 
 
 def chunk_indices(indices: np.ndarray, block_size: int) -> Order:
     """Split an index vector into consecutive chunks of the block size.
 
     Each chunk is sorted internally; block membership is a set property and
-    the canonical form makes partitions comparable. A short last chunk holds
-    the remainder when the block size does not divide the length.
+    the canonical form makes partitions comparable. The full chunks are the
+    rows of one sorted array; a short last chunk holds the remainder when
+    the block size does not divide the length.
     """
     full = indices.size - indices.size % block_size
-    chunks = np.sort(indices[:full].reshape(-1, block_size), axis=1).tolist()
+    chunks = tuple(np.sort(indices[:full].reshape(-1, block_size), axis=1))
     if full < indices.size:
-        chunks.append(np.sort(indices[full:]).tolist())
-    # tuple() of a list allocates the exact size; of a map it over-allocates
-    # and shrinks, which grows CPython's tuple free lists by one per call
-    return tuple([tuple(chunk) for chunk in chunks])
+        chunks += (np.sort(indices[full:]),)
+    return chunks
 
 
 def make_partition(n: int, block_size: int, seed: int = 0,
@@ -205,7 +207,9 @@ def make_partition(n: int, block_size: int, seed: int = 0,
 
     With ``randomize`` the indices are drawn without replacement from a
     seed-determined shuffle before chunking; otherwise blocks are consecutive
-    ranges. Deterministic given (n, block_size, seed, randomize).
+    ranges. Deterministic given (n, block_size, seed, randomize). Each
+    block is a sorted tuple of ints: the blocks of ``chunk_indices`` as
+    tuples.
     """
     if block_size < 1 or block_size > n:
         raise ValueError(
@@ -214,7 +218,8 @@ def make_partition(n: int, block_size: int, seed: int = 0,
         perm = np.random.default_rng(seed).permutation(n)
     else:
         perm = np.arange(n)
-    return chunk_indices(perm, block_size)
+    return tuple([tuple(block.tolist())
+                  for block in chunk_indices(perm, block_size)])
 
 
 def iter_orders(n: int, p: int) -> Iterator[Order]:
@@ -344,6 +349,8 @@ def _read_vector(path: Path) -> np.ndarray:
 
 
 def _read_matrix(path: Path) -> Matrix:
+    import scipy.io  # its only user: `import racml` does not load it
+
     mat = scipy.io.mmread(str(path))
     if sp.issparse(mat):
         return as_csc(mat)

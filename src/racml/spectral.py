@@ -77,7 +77,7 @@ def _positions(order: Order, n: int) -> np.ndarray:
     partition range(n)."""
     pos = np.empty(n, dtype=int)
     for k, group in enumerate(order):
-        pos[list(group)] = k
+        pos[np.asarray(group, dtype=np.intp)] = k
     return pos
 
 

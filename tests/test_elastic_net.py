@@ -115,6 +115,23 @@ class TestSoftThreshold:
         with pytest.raises(ValueError):
             soft_threshold(1.0, -0.1)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_in_place_matches_the_sign_formula_bit_for_bit(self, seed):
+        # into a new array, a given one, or a itself, the result is the
+        # textbook expression's to the bit, zeros of either sign included
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal(500) * 10.0 ** rng.integers(-3, 4, 500)
+        a[::7] = 0.0
+        a[1::7] = -0.0
+        for b in (0.0, 0.7, rng.uniform(0.0, 2.0, 500)):
+            want = -np.sign(a) * np.maximum(np.abs(a) - b, 0.0) + 0.0
+            out = np.full(500, np.nan)
+            alias = a.copy()
+            for got in (soft_threshold(a, b), soft_threshold(a, b, out=out),
+                        soft_threshold(alias, b, out=alias)):
+                assert got.tobytes() == want.tobytes()
+            assert soft_threshold(a, b, out=out) is out
+
 
 class TestZUpdate:
     def test_zero_input(self):
@@ -143,6 +160,23 @@ class TestZUpdate:
     def test_gamma_guard(self):
         with pytest.raises(ValueError):
             z_update(1.0, 1.0, 0.0, 1.0, 0.5)
+
+    @pytest.mark.parametrize("lam, alpha", [(0.3, 0.5), (0.0, 1.0),
+                                            (2.0, 1.0), (1.0, 0.0)])
+    def test_in_place_matches_the_formula_bit_for_bit(self, lam, alpha):
+        rng = np.random.default_rng(11)
+        beta, xi = rng.standard_normal(400), rng.standard_normal(400)
+        beta[::5] = 0.0
+        xi[::5] = 0.0
+        gamma = 1.3
+        a = xi - gamma * beta
+        want = (-np.sign(a) * np.maximum(np.abs(a) - lam * alpha, 0.0)
+                + 0.0) / ((1.0 - alpha) * lam + gamma)
+        out = np.full(400, np.nan)
+        for got in (z_update(beta, xi, gamma, lam, alpha),
+                    z_update(beta, xi, gamma, lam, alpha, out=out)):
+            assert got.tobytes() == want.tobytes()
+        assert z_update(beta, xi, gamma, lam, alpha, out=out) is out
 
 
 class TestResolveGamma:
@@ -306,6 +340,26 @@ class TestFit:
         assert max(seen) <= bound
         assert max(seen) < p * p  # the p x p Gram would dwarf the bound
 
+    def test_wide_sparse_fit_works_in_few_p_long_vectors(self):
+        # fit holds beta, z, xi, c and a sweep's order (p int64 indices),
+        # and makes at most two more p-long arrays at once: the z and dual
+        # steps run in place through one gap, and a draw sorts one
+        # permutation. A block visit adds O(n s): its gathered entries,
+        # cross term, Gram and factor.
+        n, p, s = 200, 20_000, 100
+        X = sp.random(n, p, density=0.01, random_state=21, format="csc")
+        y = np.random.default_rng(21).standard_normal(n)
+        spec = ElasticNetSpec(lam=1e-3, alpha=0.9, gamma=1.0, block_size=s,
+                              iters=2, mode=Mode.RAC, seed=3)
+        fit(X, y, spec)  # so that no first-call allocation is counted
+        tracemalloc.start()
+        try:
+            fit(X, y, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (7 * p + 4 * n * s)
+
     def test_rp_builds_each_block_gram_once(self):
         n, p, s = 30, 200, 20
         X = sp.random(n, p, density=0.004, random_state=5, format="csc")
@@ -363,7 +417,8 @@ class TestFit:
         uncached = fit(X, y, spec)
         orders = engine.block_orders(Mode.RAC, p, s,
                                      np.random.default_rng(spec.seed))
-        distinct = {g for _ in range(iters) for g in next(orders)}
+        distinct = {tuple(g.tolist()) for _ in range(iters)
+                    for g in next(orders)}
         # p = 6 in blocks of 2 has only 15 distinct blocks for 60 visits
         assert cached_calls == len(distinct) < iters * (p // s)
         assert len(factored) == iters * (p // s)

@@ -20,6 +20,7 @@ from racml.engine import (
     ResidualPair,
     _chol_solve,
     block_orders,
+    block_system,
     blocks_recur,
     compute_residuals,
     run_sweep,
@@ -34,8 +35,9 @@ from racml.problems import (
     Status,
     as_dense,
     chunk_indices,
+    make_partition,
 )
-from racml.spectral import kkt_solve
+from racml.spectral import gauss_seidel_matrix, iteration_map, kkt_solve
 from racml.svm import KernelSpec
 
 
@@ -984,8 +986,20 @@ class TestSolve:
         assert kkt_residual(prob, res.x, res.y) <= 1e-8
 
 
+def as_tuples(order):
+    """An order with each block as a tuple of ints, its ``make_partition``
+    form, which compares and hashes by value."""
+    return tuple(tuple(np.asarray(g).tolist()) for g in order)
+
+
+def block_key(block):
+    """``block_system``'s cache key for a block."""
+    return np.asarray(block, dtype=np.intp).tobytes()
+
+
 def inline_orders(mode, n, s, seed, sweeps):
-    """The order drawing each solver wrote inline before the shared source."""
+    """The order drawing each solver wrote inline before the shared source,
+    each order in ``as_tuples`` form."""
     rng = np.random.default_rng(seed)
     if mode == Mode.CYCLIC:
         fixed = chunk_indices(np.arange(n), s)
@@ -999,7 +1013,7 @@ def inline_orders(mode, n, s, seed, sweeps):
             orders.append(tuple(fixed[i] for i in rng.permutation(len(fixed))))
         else:
             orders.append(fixed)
-    return orders
+    return [as_tuples(order) for order in orders]
 
 
 @st.composite
@@ -1063,7 +1077,7 @@ class TestBlockCache:
         seen = set()
         for _ in range(40):
             order = next(orders)
-            seen.update(order)
+            seen.update(as_tuples(order))
             x, y = run_sweep(prob, x, y, order, 0.8, _products=products)
         assert np.array_equal(res.x, x)
         assert np.array_equal(res.y, y)
@@ -1082,9 +1096,9 @@ class TestBlockCache:
             x, y = run_sweep(prob, x, y, ((0, 1), (2, 3)), 1.0,
                              piece_cache=cache)
         assert len(factored) == 2
-        assert set(cache) == {(0, 1), (2, 3)}
+        assert set(cache) == {block_key((0, 1)), block_key((2, 3))}
         for key, visit in cache.items():
-            assert visit.idx.tolist() == list(key)
+            assert visit.idx.tolist() == np.frombuffer(key, np.intp).tolist()
             np.testing.assert_allclose(visit.system.chol @ visit.system.chol.T,
                                        visit.system.matrix, atol=1e-12)
 
@@ -1254,8 +1268,9 @@ class TestSparseBlocks:
             cache = {}
             run_sweep(problem, np.zeros(80), np.zeros(problem.m),
                       ((0, 5, 9), (1, 2, 3)), 1.0, piece_cache=cache)
-            assert set(cache) == {(0, 5, 9), (1, 2, 3)}
+            assert set(cache) == {block_key((0, 5, 9)), block_key((1, 2, 3))}
             for key, visit in cache.items():
+                key = np.frombuffer(key, np.intp).tolist()
                 system = visit.system
                 arrays = {name: value for name, value in vars(system).items()
                           if value is not None and np.ndim(value) > 1}
@@ -1805,6 +1820,9 @@ class TestBlockOrders:
             block_orders(mode, n, s, np.random.default_rng(seed)), 4))
         full, rest = divmod(n, s)
         for order in orders:
+            assert type(order) is tuple
+            assert all(isinstance(g, np.ndarray) and g.ndim == 1 and
+                       g.dtype == np.int64 for g in order)
             assert sorted(i for g in order for i in g) == list(range(n))
             assert all(list(g) == sorted(g) for g in order)
             assert sorted(len(g) for g in order) == \
@@ -1812,9 +1830,10 @@ class TestBlockOrders:
             if mode != Mode.RP:  # RP shuffles the blocks, short one included
                 assert [len(g) for g in order] == [s] * full + [rest] * (rest > 0)
         if mode == Mode.RP:
-            assert len({frozenset(order) for order in orders}) == 1
+            assert len({frozenset(as_tuples(order)) for order in orders}) == 1
         if mode == Mode.CYCLIC:
-            assert all(order == chunk_indices(np.arange(n), s)
+            assert all(as_tuples(order) ==
+                       as_tuples(chunk_indices(np.arange(n), s))
                        for order in orders)
 
     @settings(max_examples=200, deadline=None)
@@ -1822,8 +1841,48 @@ class TestBlockOrders:
     def test_draws_match_the_inline_code(self, case):
         mode, n, s, seed = case
         orders = block_orders(mode, n, s, np.random.default_rng(seed))
-        assert list(itertools.islice(orders, 5)) == \
-            inline_orders(mode, n, s, seed, 5)
+        assert [as_tuples(order) for order in itertools.islice(orders, 5)] \
+            == inline_orders(mode, n, s, seed, 5)
+
+
+class TestOrderForms:
+    @pytest.mark.parametrize("n, s, seed", [(10, 3, 7), (6, 2, 0), (5, 5, 3)])
+    def test_an_order_and_its_tuple_form_are_interchangeable(self, n, s,
+                                                             seed):
+        # block_orders' index arrays against make_partition's tuples of the
+        # same draw, in every consumer of an order
+        order = next(block_orders(Mode.RAC, n, s, np.random.default_rng(seed)))
+        tuples = make_partition(n, s, seed, randomize=True)
+        assert as_tuples(order) == tuples
+        assert all(type(g) is tuple for g in tuples)
+        dense = random_problem(seed, n=n, m=2, bounded=True)
+        csc = dataclasses.replace(dense, H=sp.csc_matrix(dense.H),
+                                  A=sp.csc_matrix(dense.A))
+        x = np.random.default_rng(seed).uniform(-0.3, 0.3, n)
+        y = np.ones(2)
+        for prob in (dense, csc):
+            caches = {}, {}
+            got = [run_sweep(prob, x, y, form, 0.8, piece_cache=cache)
+                   for form, cache in zip((order, tuples), caches)]
+            for a, b in zip(*got):
+                assert np.array_equal(a, b)
+            assert set(caches[0]) == set(caches[1]) == \
+                {block_key(g) for g in tuples}
+        H, A = dense.H, dense.A
+        assert np.array_equal(gauss_seidel_matrix(H, A, 0.8, order),
+                              gauss_seidel_matrix(H, A, 0.8, tuples))
+        maps = iteration_map(H, A, 0.8, order), iteration_map(H, A, 0.8, tuples)
+        assert np.array_equal(maps[0].lower_inv, maps[1].lower_inv)
+        assert np.array_equal(maps[0].matrix, maps[1].matrix)
+
+    def test_block_system_files_both_forms_under_one_key(self):
+        cache, built = {}, []
+        array_block = chunk_indices(np.array([5, 2, 9]), 3)[0]
+        for block in ((2, 5, 9), array_block, [2, 5, 9]):
+            block_system(cache, block, lambda: built.append(block) or
+                         len(built))
+        assert list(cache) == [block_key((2, 5, 9))] and built == [(2, 5, 9)]
+        assert block_system(cache, array_block, lambda: 0) == 1
 
 
 class TestRunSweeps:
@@ -1876,4 +1935,5 @@ class TestRunSweeps:
         assert run.status == Status.DIVERGED
         assert run.iterations == 9 < cfg.max_iters
         assert run.primal_residual_history[-1] > DIVERGENCE_FACTOR
-        assert orders == inline_orders(Mode.RAC, 5, 2, 0, 9)
+        assert [as_tuples(order) for order in orders] == \
+            inline_orders(Mode.RAC, 5, 2, 0, 9)
